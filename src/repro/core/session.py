@@ -10,10 +10,11 @@ a small lifecycle state machine::
 
 The same session object drives the database in-process (``with
 db.session() as s: ...``) and backs one remote connection in the
-network tier (``repro.server``). :meth:`Database.execute
-<repro.core.database.Database.execute>` is a thin one-shot wrapper over
-:meth:`Session.execute`, so both paths run the exact same begin /
-procedure / commit sequence against the partition executor.
+network tier (``repro.server``). It runs the same begin / procedure /
+commit sequence against the partition that the one-shot
+:meth:`Database.execute <repro.core.database.Database.execute>` →
+:meth:`Partition.execute <repro.core.partition.Partition.execute>` path
+does, spread over explicit verbs.
 
 Error taxonomy: a closed database raises
 :class:`~repro.errors.DatabaseClosedError`, a crashed (not yet
@@ -207,9 +208,9 @@ class Session:
 
         Commits on normal return; aborts (and re-raises) on
         :class:`~repro.errors.TransactionAborted` or any other
-        exception. This is the code path behind
-        :meth:`Database.execute
-        <repro.core.database.Database.execute>`."""
+        exception — :meth:`Database.execute
+        <repro.core.database.Database.execute>` with this session's
+        counters and state checks."""
         context = self.begin(partition=partition)
         try:
             result = procedure(context, *args)

@@ -4,9 +4,10 @@ The storage campaign (:mod:`repro.fault.campaign`) proves each engine
 survives a crash at every in-operation instant; this module proves the
 *distributed* commit path does too. A scripted workload of pair-writes
 — each transaction upserts the same key on **two** partitions through
-:func:`~repro.dist.twopc.execute_two_phase` — runs against an
-in-process two-partition database, crashing at every sampled hit of
-the three 2PC fault points:
+:meth:`Database.execute_distributed
+<repro.core.database.Database.execute_distributed>` — runs against a
+two-partition database, crashing at every sampled hit of the three 2PC
+fault points:
 
 * ``twopc.prepare.after`` — a participant voted yes and made its
   prepare record durable, but the protocol had not yet decided;
@@ -16,8 +17,8 @@ the three 2PC fault points:
   participant has applied it (recovery must finish the commit).
 
 After every crash the database recovers (engine recovery plus the
-coordinator's in-doubt resolution hook) and a tracking oracle checks
-the distributed invariants:
+coordinator's in-doubt resolution) and a tracking oracle checks the
+distributed invariants:
 
 * every **acknowledged** transaction's write survives on *both*
   partitions;
@@ -26,23 +27,27 @@ the distributed invariants:
   up as "applied on one", a phantom as "applied but never decided");
 * no keys outside the script appear.
 
-The campaign is deliberately in-process (no executor processes): the
-protocol code is identical on both tiers, and in-process crashes are
-deterministic and fast enough to sweep every coordinate serially.
+The campaign reads everything through the database and partition
+contract, so ``factory`` picks the transport: the in-process
+:class:`~repro.core.database.Database` (the default — deterministic
+and fast enough to sweep every coordinate of all eight engines
+serially) or :class:`~repro.dist.coordinator.ShardedDatabase`, where
+the fault plan crosses the pipe and fires inside an executor process.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..config import CacheConfig, EngineConfig, PlatformConfig
 from ..core.database import Database
 from ..core.schema import Column, ColumnType, Schema
 from ..errors import SimulatedCrash, TransactionAborted
 from ..fault.injector import FaultPlan
-from .twopc import FP_DECIDE_AFTER, FP_DECIDE_BEFORE, FP_PREPARE_AFTER
+from ..core.twopc import (FP_DECIDE_AFTER, FP_DECIDE_BEFORE,
+                          FP_PREPARE_AFTER)
 from .txn import Branch, DistributedTransaction
 
 __all__ = ["TwoPCCampaignResult", "TwoPCCampaignReport",
@@ -70,7 +75,8 @@ def _schema() -> Schema:
         primary_key=["id"])
 
 
-def _make_database(engine: str, seed: int) -> Database:
+def _make_database(engine: str, seed: int,
+                   factory: Callable[..., Database]) -> Database:
     """Same harsh configuration as the storage campaign: group commit
     of one (acknowledged == durable, the oracle's invariant) and no
     lucky cache-line survival."""
@@ -88,9 +94,9 @@ def _make_database(engine: str, seed: int) -> Database:
         btree_node_size=256,
         cow_btree_node_size=512,
         nvm_cow_node_size=512)
-    db = Database(engine=engine, partitions=2,
-                  platform_config=platform_config,
-                  engine_config=engine_config)
+    db = factory(engine=engine, partitions=2,
+                 platform_config=platform_config,
+                 engine_config=engine_config)
     db.create_table(_schema())
     return db
 
@@ -168,19 +174,12 @@ class _TwoPCSpec:
     seed: int = 7
     ops: int = 48
     triggers: Tuple[Tuple[str, int], ...] = ()
-
-    def slug(self) -> str:
-        if not self.triggers:
-            return f"twopc-{self.engine}-s{self.seed}-count"
-        coordinate = "+".join(f"{point}@{hit}"
-                              for point, hit in self.triggers)
-        return (f"twopc-{self.engine}-s{self.seed}-"
-                f"{coordinate.replace('.', '_')}")
+    factory: Callable[..., Database] = Database
 
     def execute(self) -> TwoPCCampaignResult:
         result = TwoPCCampaignResult(engine=self.engine, seed=self.seed,
                                      triggers=self.triggers)
-        db = _make_database(self.engine, self.seed)
+        db = _make_database(self.engine, self.seed, self.factory)
         try:
             self._run_script(db, result)
         finally:
@@ -234,16 +233,14 @@ class _TwoPCSpec:
         result.crashes += 1
         self._recover(db, result)
         self._verify(db, expected, result, "final")
+        hits = [partition.fault_hits() for partition in db.partitions]
         result.hits = {
-            point: max(partition.platform.faults.hits.get(point, 0)
-                       for partition in db.partitions)
+            point: max(side.get(point, 0) for side in hits)
             for point in TWOPC_POINTS
-            if any(partition.platform.faults.hits.get(point, 0)
-                   for partition in db.partitions)}
+            if any(side.get(point, 0) for side in hits)}
         result.fired = tuple(
-            (trigger.point, trigger.hit)
-            for partition in db.partitions
-            for trigger in partition.platform.faults.fired)
+            trigger for partition in db.partitions
+            for trigger in partition.faults_fired())
 
     def _recover(self, db: Database,
                  result: TwoPCCampaignResult) -> None:
@@ -293,9 +290,8 @@ class _TwoPCSpec:
         """The oracle: both partitions must hold exactly the expected
         (acknowledged) keys at their latest values."""
         for pid in (0, 1):
-            rows = {key: values["v"]
-                    for key, values in db.partitions[pid].execute(
-                        lambda ctx: list(ctx.scan(TABLE)))}
+            rows = {key: values["v"] for key, values
+                    in db.partitions[pid].scan(TABLE)}
             for key, value in sorted(expected.items()):
                 if key not in rows:
                     result.violations.append(
@@ -399,17 +395,19 @@ def plan_coordinates(hits: Dict[str, int], max_hits_per_point: int = 3
 
 
 def run_twopc_campaign(engines: Sequence[str], seed: int = 7,
-                       ops: int = 48, max_hits_per_point: int = 3
+                       ops: int = 48, max_hits_per_point: int = 3,
+                       factory: Callable[..., Database] = Database
                        ) -> TwoPCCampaignReport:
     """The full 2PC campaign: count fault-point hits per engine, then
     crash at every sampled ``(point, hit)`` coordinate and verify the
-    distributed-commit oracle after recovery."""
+    distributed-commit oracle after recovery. ``factory`` builds the
+    database (``Database`` or ``ShardedDatabase``)."""
     counting: Dict[str, TwoPCCampaignResult] = {}
     uncovered: Dict[str, List[str]] = {}
     results: List[TwoPCCampaignResult] = []
     for engine in engines:
-        count_result = _TwoPCSpec(engine=engine, seed=seed,
-                                  ops=ops).execute()
+        count_result = _TwoPCSpec(engine=engine, seed=seed, ops=ops,
+                                  factory=factory).execute()
         counting[engine] = count_result
         uncovered[engine] = [
             point for point in TWOPC_POINTS
@@ -418,7 +416,8 @@ def run_twopc_campaign(engines: Sequence[str], seed: int = 7,
                                          max_hits_per_point):
             results.append(
                 _TwoPCSpec(engine=engine, seed=seed, ops=ops,
-                           triggers=triggers).execute())
+                           triggers=triggers,
+                           factory=factory).execute())
     return TwoPCCampaignReport(engines=tuple(engines), seed=seed,
                                counting=counting, results=results,
                                uncovered=uncovered)

@@ -1,60 +1,56 @@
-"""The sharded database facade: one executor process per partition.
+"""The sharded tier's transport: one executor process per partition.
 
-:class:`ShardedDatabase` duck-types the parts of
-:class:`~repro.core.database.Database` the harness and workloads use —
-``create_table`` / ``execute`` / ``insert`` / ``get`` / ``flush`` /
-``crash`` / ``recover`` / the counter properties — but routes every
-operation to a long-lived executor process that owns the target
-partition (:mod:`repro.dist.executor`). Transactions against different
-partitions therefore run on different cores *concurrently*; this is
-what turns the testbed's simulated one-worker-per-partition model into
-real wall-clock scale-out.
+:class:`RemotePartition` speaks the per-partition contract
+(:class:`~repro.core.partition.Partition`) over a pipe to a long-lived
+executor process that hosts the real partition
+(:mod:`repro.dist.executor`), and :class:`ShardedDatabase` is the
+:class:`~repro.core.database.Database` built from them. Routing, the
+convenience operations, lifecycle errors, two-phase commit and recovery
+are the database's own, unchanged; transactions against different
+partitions run on different cores *concurrently*, which is what turns
+the testbed's simulated one-worker-per-partition model into real
+wall-clock scale-out.
 
 Two mechanisms keep sharded runs deterministic in simulated time:
 
-- Fire-and-forget pipelining. Single-partition work (``execute``,
-  ``insert``, ``flush``, ...) is buffered per executor and shipped in
-  ``TAG_CMDS`` batches with no reply; each executor applies its stream
-  in order, so its partition's simulation is identical to the serial
-  run's. Synchronous reads flush every buffer first.
-- Deterministic merge. Aggregates mirror the in-process database
-  exactly: wall-clock is the max across partition clocks, counters
-  sum in partition order, and the observability hooks
-  (``obs_attach`` .. ``obs_detach``) merge per-executor sessions in
-  partition order so exports are byte-identical to a serial run on
-  single-partition-only workloads (see ``docs/scaleout.md``).
+- Fire-and-forget pipelining. Verbs that return nothing
+  (``execute``, ``insert``, ``flush``, ...) are buffered per executor
+  and shipped in ``TAG_CMDS`` batches with no reply; each executor
+  applies its stream in order, so its partition's simulation is
+  identical to the serial run's. A synchronous verb drains *every*
+  partition's buffer first (command order is observable across
+  partitions through 2PC), and a broadcast is sent to all executors
+  before the first reply is collected, so they work concurrently.
+- Deterministic merge. The database aggregates per-partition
+  snapshots in partition order on both transports, and the
+  observability hooks (``obs_attach`` .. ``obs_detach``) merge
+  per-executor sessions in partition order so exports are
+  byte-identical to a serial run on single-partition-only workloads
+  (see ``docs/scaleout.md``).
 
-Cross-partition transactions run two-phase commit
-(:mod:`repro.dist.twopc`): the coordinator process drives
-``branch_prepare`` / ``log_decision`` / ``branch_finish`` as
-synchronous commands against the participant executors, and
-:meth:`ShardedDatabase.recover` resolves in-doubt branches against the
-home partitions' decision logs after a crash.
-
-Deliberate restrictions (documented in ``docs/scaleout.md``): fault
-plans cannot be armed across the process boundary, live telemetry
-heartbeats are coordinator-side only, and ``execute`` is
-fire-and-forget (it returns ``None``; use ``get``/``scan`` for reads).
+What the pipe changes (documented in ``docs/scaleout.md``): ``execute``
+is fire-and-forget — it returns ``None`` and a failure surfaces at the
+next synchronous verb as a :class:`~repro.errors.ShardedError`; live
+telemetry heartbeats are coordinator-side only; and explicit sessions
+(``begin()`` on a remote partition) are not served yet.
 """
 
 from __future__ import annotations
 
-import itertools
 import multiprocessing
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..config import EngineConfig, LatencyProfile, PlatformConfig
-from ..core.database import stable_partition_hash
+from ..core.database import Database
 from ..core.schema import Schema
 from ..engines.base import ENGINE_NAMES
-from ..errors import (ConfigError, DatabaseClosedError, ShardedError,
-                      TransactionAborted)
+from ..errors import (DatabaseClosedError, ShardedError, SimulatedCrash,
+                      StorageEngineError)
 from ..harness import ipc
 from ..obs.metrics import Histogram
-from .executor import executor_main
-from .txn import DistributedTransaction
+from .executor import POSTED_OPS, SYNC_OPS, executor_main
 
-__all__ = ["ShardedDatabase", "COMMAND_BATCH_SIZE"]
+__all__ = ["RemotePartition", "ShardedDatabase", "COMMAND_BATCH_SIZE"]
 
 #: Fire-and-forget commands buffered per executor before an implicit
 #: flush — large enough to amortize pickling, small enough to keep the
@@ -68,23 +64,166 @@ def _mp_context():
         "fork" if "fork" in methods else "spawn")
 
 
-class _ExecutorHandle:
-    """Coordinator-side endpoint of one executor process."""
+class RemotePartition:
+    """The partition contract, spoken to an executor process.
 
-    __slots__ = ("process", "cmd_send", "reply_recv", "buffer")
+    Every verb of :data:`~repro.dist.executor.POSTED_OPS` and
+    :data:`~repro.dist.executor.SYNC_OPS` is a method (bound below the
+    class): a posted verb queues ``(op, args)`` and returns ``None``, a
+    synchronous one sends it and waits for the reply. Arguments are
+    positional and must pickle (stored procedures: module-level)."""
 
-    def __init__(self, process, cmd_send, reply_recv) -> None:
-        self.process = process
-        self.cmd_send = cmd_send
-        self.reply_recv = reply_recv
-        self.buffer: List[Tuple[str, Tuple[Any, ...]]] = []
+    def __init__(self, partition_id: int, engine_name: str,
+                 platform_config, engine_config) -> None:
+        self.partition_id = partition_id
+        #: Every partition of the database, this one included (set by
+        #: :class:`ShardedDatabase`): what a synchronous verb drains.
+        self.peers: Sequence["RemotePartition"] = (self,)
+        self._schemas: Dict[str, Schema] = {}
+        self._buffer: List[Tuple[str, Tuple[Any, ...]]] = []
+        context = _mp_context()
+        cmd_recv, self._cmd_send = context.Pipe(duplex=False)
+        self._reply_recv, reply_send = context.Pipe(duplex=False)
+        self.process = context.Process(
+            target=executor_main,
+            args=(cmd_recv, reply_send, partition_id, engine_name,
+                  platform_config, engine_config),
+            daemon=True, name=f"repro-executor-{partition_id}")
+        self.process.start()
+        # Parent keeps only its ends; the child owns the others.
+        cmd_recv.close()
+        reply_send.close()
+
+    # -- pipe plumbing ---------------------------------------------------
+
+    def _flush(self) -> None:
+        if self._buffer:
+            if self._cmd_send.closed:
+                raise DatabaseClosedError(
+                    f"executor {self.process.name} has been shut down")
+            batch, self._buffer = self._buffer, []
+            try:
+                ipc.send(self._cmd_send, ipc.TAG_CMDS, batch)
+            except (OSError, ValueError) as exc:
+                raise ShardedError(
+                    f"executor {self.process.name} is gone "
+                    f"({exc})") from exc
+
+    def _post(self, op: str, *args: Any) -> None:
+        """One fire-and-forget command: queue it; ship a full batch."""
+        self._buffer.append((op, args))
+        if len(self._buffer) >= COMMAND_BATCH_SIZE:
+            self._flush()
+
+    def _reply(self) -> Tuple[bool, Any]:
+        """Wait for the executor's next reply, ``(ok, payload)``."""
+        try:
+            tag, reply = ipc.recv(self._reply_recv)
+        except (EOFError, OSError) as exc:
+            raise ShardedError(
+                f"executor {self.process.name} died before "
+                f"replying") from exc
+        if tag != ipc.TAG_REPLY:
+            raise ShardedError(
+                f"executor {self.process.name} sent unexpected "
+                f"{tag!r} message")
+        return reply
+
+    def _value(self, reply: Tuple[bool, Any]) -> Any:
+        ok, payload = reply
+        if ok:
+            return payload
+        if isinstance(payload, tuple):
+            # A fault plan fired over there: the same power failure,
+            # for the database to turn into a crash of every partition.
+            raise SimulatedCrash(*payload)
+        raise ShardedError(
+            f"executor {self.process.name} failed:\n{payload}")
+
+    def _call(self, op: str, *args: Any) -> Any:
+        """One synchronous command: queue it, drain every partition's
+        buffer, wait for the single reply."""
+        self._buffer.append((op, args))
+        for peer in self.peers:
+            peer._flush()
+        return self._value(self._reply())
+
+    @staticmethod
+    def broadcast(partitions: Sequence["RemotePartition"], op: str,
+                  *args: Any) -> List[Any]:
+        """Contract verb ``op`` on every partition. Every executor has
+        the command before the first reply is awaited, so they work
+        concurrently; every reply is read before the first failure is
+        raised, so the pipes stay in step."""
+        if op in POSTED_OPS:
+            return [getattr(partition, op)(*args)
+                    for partition in partitions]
+        for partition in partitions:
+            partition._buffer.append((op, args))
+        for partition in partitions:
+            partition._flush()
+        replies = [partition._reply() for partition in partitions]
+        return [partition._value(reply)
+                for partition, reply in zip(partitions, replies)]
+
+    # -- verbs that are more than their wire form --------------------------
+
+    def create_table(self, schema: Schema) -> None:
+        self._schemas[schema.table] = schema
+        self._post("create_table", schema)
+
+    def schema(self, table: str) -> Schema:
+        """Answered from the coordinator's copy (routing needs it on
+        every keyed insert)."""
+        try:
+            return self._schemas[table]
+        except KeyError:
+            raise StorageEngineError(f"no such table {table!r}") from None
+
+    def begin(self):
+        raise ShardedError(
+            "explicit sessions are not served over a remote partition "
+            "yet; use execute()/execute_distributed()")
+
+    def close(self) -> None:
+        """Shut the executor down and reap it. Idempotent."""
+        if self._cmd_send.closed:
+            return
+        try:
+            self._call("shutdown")
+        except ShardedError:
+            pass
+        self.process.join(timeout=5.0)
+        if self.process.is_alive():
+            self.process.terminate()
+            self.process.join(timeout=5.0)
+        self._cmd_send.close()
+        self._reply_recv.close()
 
 
-class ShardedDatabase:
+def _bind_verb(op: str) -> None:
+    if op in SYNC_OPS:
+        def verb(self, *args: Any) -> Any:
+            return self._call(op, *args)
+    else:
+        def verb(self, *args: Any) -> None:
+            self._post(op, *args)
+    verb.__name__ = op
+    setattr(RemotePartition, op, verb)
+
+
+for _op in POSTED_OPS | SYNC_OPS:
+    if _op not in vars(RemotePartition):
+        _bind_verb(_op)
+
+
+class ShardedDatabase(Database):
     """A partitioned database executed by one process per partition."""
 
     #: Lets harness code branch without importing this module.
     is_sharded = True
+
+    _partition_class = RemotePartition
 
     def __init__(self, engine: str = ENGINE_NAMES.NVM_INP, *,
                  partitions: int = 1,
@@ -92,369 +231,26 @@ class ShardedDatabase:
                  platform_config: Optional[PlatformConfig] = None,
                  engine_config: Optional[EngineConfig] = None,
                  seed: int = 0x5EED) -> None:
-        if partitions < 1:
-            raise ConfigError("need at least one partition")
-        base_config = platform_config or PlatformConfig(seed=seed)
-        if latency is not None:
-            base_config = base_config.with_latency(latency)
-        self.engine_name = engine
-        self.engine_config = engine_config or EngineConfig()
-        self._closed = False
-        self._crashed = False
-        self._schemas: Dict[str, Schema] = {}
-        self._dtxn_ids = itertools.count(1)
+        super().__init__(engine, partitions=partitions, latency=latency,
+                         platform_config=platform_config,
+                         engine_config=engine_config, seed=seed)
+        for partition in self.partitions:
+            partition.peers = self.partitions
         self._obs_identity: Tuple[str, str] = ("", "")
         self._obs_base_now: Optional[float] = None
         self._obs_end_now: Optional[float] = None
-        context = _mp_context()
-        self._executors: List[_ExecutorHandle] = []
-        for pid in range(partitions):
-            cmd_recv, cmd_send = context.Pipe(duplex=False)
-            reply_recv, reply_send = context.Pipe(duplex=False)
-            process = context.Process(
-                target=executor_main,
-                args=(cmd_recv, reply_send, engine, base_config,
-                      self.engine_config, pid, partitions),
-                daemon=True, name=f"repro-executor-{pid}")
-            process.start()
-            # Parent keeps only its ends; the child owns the others.
-            cmd_recv.close()
-            reply_send.close()
-            self._executors.append(
-                _ExecutorHandle(process, cmd_send, reply_recv))
-
-    # ------------------------------------------------------------------
-    # Pipe plumbing
-    # ------------------------------------------------------------------
-
-    def _flush_one(self, handle: _ExecutorHandle) -> None:
-        if handle.buffer:
-            batch, handle.buffer = handle.buffer, []
-            try:
-                ipc.send(handle.cmd_send, ipc.TAG_CMDS, batch)
-            except (OSError, ValueError, BrokenPipeError) as exc:
-                raise ShardedError(
-                    f"executor {handle.process.name} is gone "
-                    f"({exc})") from exc
-
-    def _flush_all(self) -> None:
-        for handle in self._executors:
-            self._flush_one(handle)
-
-    def _post(self, pid: int, op: str,
-              args: Tuple[Any, ...] = ()) -> None:
-        handle = self._executors[pid]
-        handle.buffer.append((op, args))
-        if len(handle.buffer) >= COMMAND_BATCH_SIZE:
-            self._flush_one(handle)
-
-    def _recv_reply(self, pid: int) -> Any:
-        handle = self._executors[pid]
-        try:
-            tag, payload = ipc.recv(handle.reply_recv)
-        except (EOFError, OSError) as exc:
-            raise ShardedError(
-                f"executor {handle.process.name} died before "
-                f"replying") from exc
-        if tag != ipc.TAG_REPLY:
-            raise ShardedError(
-                f"executor {handle.process.name} sent unexpected "
-                f"{tag!r} message")
-        ok, value = payload
-        if not ok:
-            raise ShardedError(
-                f"executor {handle.process.name} failed:\n{value}")
-        return value
-
-    def _sync(self, pid: int, op: str,
-              args: Tuple[Any, ...] = ()) -> Any:
-        """One synchronous command: drain every buffer (command order
-        is observable across partitions through 2PC), then wait for
-        the single reply."""
-        self._executors[pid].buffer.append((op, args))
-        self._flush_all()
-        return self._recv_reply(pid)
-
-    def _sync_all(self, op: str,
-                  args: Tuple[Any, ...] = ()) -> List[Any]:
-        """Broadcast a synchronous command; replies are collected after
-        every executor has been sent the command, so they all work
-        concurrently."""
-        for handle in self._executors:
-            handle.buffer.append((op, args))
-        self._flush_all()
-        return [self._recv_reply(pid)
-                for pid in range(len(self._executors))]
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
 
     def close(self) -> None:
         """Shut down every executor process. Idempotent."""
         if self._closed:
             return
-        self._closed = True
-        for pid, handle in enumerate(self._executors):
-            try:
-                handle.buffer.append(("shutdown", ()))
-                self._flush_one(handle)
-                self._recv_reply(pid)
-            except ShardedError:
-                pass
-        for handle in self._executors:
-            handle.process.join(timeout=5.0)
-            if handle.process.is_alive():
-                handle.process.terminate()
-                handle.process.join(timeout=5.0)
-            handle.cmd_send.close()
-            handle.reply_recv.close()
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    @property
-    def crashed(self) -> bool:
-        return self._crashed
-
-    def __enter__(self) -> "ShardedDatabase":
-        if self._closed:
-            raise DatabaseClosedError("database already closed")
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-    def _require_alive(self) -> None:
-        if self._closed:
-            raise DatabaseClosedError(
-                "sharded database closed; create a new one to continue")
-
-    # ------------------------------------------------------------------
-    # Schema & routing
-    # ------------------------------------------------------------------
-
-    def create_table(self, schema: Schema) -> None:
-        self._require_alive()
-        self._schemas[schema.table] = schema
-        for pid in range(len(self._executors)):
-            self._post(pid, "create_table", (schema,))
-
-    def route(self, key: Any) -> int:
-        return stable_partition_hash(key) % len(self._executors)
-
-    def _schema(self, table: str) -> Schema:
-        try:
-            return self._schemas[table]
-        except KeyError:
-            raise ShardedError(f"no such table {table!r}") from None
-
-    # ------------------------------------------------------------------
-    # Transaction execution
-    # ------------------------------------------------------------------
-
-    def execute(self, procedure, *args: Any,
-                partition: int = 0) -> None:
-        """Queue a single-partition transaction (fire-and-forget:
-        returns ``None``; failures surface at the next synchronous
-        command). ``procedure`` must be picklable (module-level)."""
-        self._require_alive()
-        self._post(partition, "execute", (procedure, args))
-
-    def insert(self, table: str, values: Dict[str, Any],
-               partition: Optional[int] = None) -> None:
-        pid = self.route(self._schema(table).key_of(values)) \
-            if partition is None else partition
-        self._require_alive()
-        self._post(pid, "insert", (table, values))
-
-    def update(self, table: str, key: Any, changes: Dict[str, Any],
-               partition: Optional[int] = None) -> None:
-        pid = self.route(key) if partition is None else partition
-        self._require_alive()
-        self._post(pid, "update", (table, key, changes))
-
-    def delete(self, table: str, key: Any,
-               partition: Optional[int] = None) -> None:
-        pid = self.route(key) if partition is None else partition
-        self._require_alive()
-        self._post(pid, "delete", (table, key))
-
-    def get(self, table: str, key: Any,
-            partition: Optional[int] = None
-            ) -> Optional[Dict[str, Any]]:
-        pid = self.route(key) if partition is None else partition
-        self._require_alive()
-        return self._sync(pid, "get", (table, key))
-
-    def scan(self, table: str, lo: Any = None, hi: Any = None
-             ) -> List[Tuple[Any, Dict[str, Any]]]:
-        self._require_alive()
-        rows: List[Tuple[Any, Dict[str, Any]]] = []
-        for chunk in self._sync_all("scan", (table, lo, hi)):
-            rows.extend(chunk)
-        rows.sort(key=lambda pair: pair[0])
-        return rows
-
-    def flush(self) -> None:
-        self._require_alive()
-        for pid in range(len(self._executors)):
-            self._post(pid, "flush")
-
-    def settle(self) -> None:
-        self._require_alive()
-        for pid in range(len(self._executors)):
-            self._post(pid, "settle")
-
-    def checkpoint(self) -> None:
-        self._require_alive()
-        for pid in range(len(self._executors)):
-            self._post(pid, "checkpoint")
-
-    def set_checkpoint_interval(self, txns: int) -> None:
-        for pid in range(len(self._executors)):
-            self._post(pid, "set_checkpoint_interval", (txns,))
+        super().close()
+        for partition in self.partitions:
+            partition.close()
 
     def barrier(self) -> None:
         """Wait until every executor has drained its command stream."""
-        self._sync_all("barrier")
-
-    # ------------------------------------------------------------------
-    # Distributed transactions (2PC)
-    # ------------------------------------------------------------------
-
-    def execute_distributed(self, dtxn: DistributedTransaction) -> Any:
-        """Run a cross-partition transaction with two-phase commit.
-        Synchronous: the participants stall until the decision, exactly
-        the synchronization-vs-persistence cost 2PC implies."""
-        self._require_alive()
-        dtxn_id = next(self._dtxn_ids)
-        prepared: List[int] = []
-        home_result = None
-        for branch in dtxn.branches():
-            vote, result = self._sync(
-                branch.partition, "branch_prepare",
-                (dtxn_id, dtxn.home, branch.procedure, branch.args))
-            if not vote:
-                for pid in prepared:
-                    self._sync(pid, "branch_finish", (dtxn_id, False))
-                raise TransactionAborted(
-                    f"distributed transaction {dtxn_id}: partition "
-                    f"{branch.partition} voted no")
-            prepared.append(branch.partition)
-            if branch.partition == dtxn.home:
-                home_result = result
-        self._sync(dtxn.home, "log_decision",
-                   (dtxn_id, dtxn.participants))
-        for pid in prepared:
-            self._sync(pid, "branch_finish", (dtxn_id, True))
-        return home_result
-
-    # ------------------------------------------------------------------
-    # Restart events
-    # ------------------------------------------------------------------
-
-    def crash(self) -> None:
-        """Simulated power failure on every executor (their volatile
-        state — including prepared 2PC branches — is wiped)."""
-        if self._closed:
-            raise DatabaseClosedError("cannot crash a closed database")
-        self._sync_all("crash")
-        self._crashed = True
-
-    def recover(self) -> float:
-        """Engine recovery on every executor, then presumed-abort
-        resolution of in-doubt 2PC branches against the home
-        partitions' decision logs. Returns simulated seconds (slowest
-        partition)."""
-        if self._closed:
-            raise DatabaseClosedError("cannot recover a closed database")
-        if not self._crashed:
-            return 0.0
-        latency = max(self._sync_all("recover"), default=0.0)
-        # Presumed abort: collect in-doubt branches, ask each home for
-        # its durable decisions, push the verdicts back out.
-        in_doubt: List[List[Tuple[int, int]]] = \
-            self._sync_all("twopc_scan")
-        by_home: Dict[int, List[int]] = {}
-        for pending in in_doubt:
-            for dtxn_id, home in pending:
-                by_home.setdefault(home, []).append(dtxn_id)
-        decided: Dict[int, bool] = {}
-        for home in sorted(by_home):
-            ids = sorted(set(by_home[home]))
-            committed = set(self._sync(home, "twopc_decisions", (ids,)))
-            for dtxn_id in ids:
-                decided[dtxn_id] = dtxn_id in committed
-        if decided:
-            resolve = self._sync_all("twopc_resolve", (decided,))
-            latency = max(latency, max(resolve, default=0.0))
-        self._crashed = False
-        return latency
-
-    # ------------------------------------------------------------------
-    # Fault injection (unsupported across the process boundary)
-    # ------------------------------------------------------------------
-
-    def arm_faults(self, plan=None) -> None:
-        raise ShardedError(
-            "fault plans cannot be armed on a sharded database; run "
-            "the 2PC crash campaign on an in-process database "
-            "(see docs/scaleout.md)")
-
-    def disarm_faults(self) -> None:
-        raise ShardedError(
-            "fault plans cannot be armed on a sharded database")
-
-    # ------------------------------------------------------------------
-    # Metrics (deterministic merge of per-executor snapshots)
-    # ------------------------------------------------------------------
-
-    def _snapshots(self) -> List[Dict[str, Any]]:
-        self._require_alive()
-        return self._sync_all("snapshot")
-
-    @property
-    def now_ns(self) -> float:
-        return max(snap["now_ns"] for snap in self._snapshots())
-
-    @property
-    def committed_txns(self) -> int:
-        return sum(snap["committed"] for snap in self._snapshots())
-
-    @property
-    def aborted_txns(self) -> int:
-        return sum(snap["aborted"] for snap in self._snapshots())
-
-    def nvm_counters(self) -> Dict[str, int]:
-        loads = stores = 0
-        for snap in self._snapshots():
-            loads += snap["loads"]
-            stores += snap["stores"]
-        return {"loads": loads, "stores": stores}
-
-    def storage_breakdown(self) -> Dict[str, int]:
-        totals: Dict[str, int] = {}
-        for snap in self._snapshots():
-            for component, size in snap["storage"].items():
-                totals[component] = totals.get(component, 0) + size
-        return totals
-
-    def category_ns(self) -> Dict[str, float]:
-        totals: Dict[str, float] = {}
-        for snap in self._snapshots():
-            for name, value in snap["category_ns"].items():
-                totals[name] = totals.get(name, 0.0) + value
-        return totals
-
-    def time_breakdown(self) -> Dict[str, float]:
-        totals = self.category_ns()
-        grand_total = sum(totals.values())
-        if grand_total == 0:
-            return totals
-        return {name: value / grand_total
-                for name, value in totals.items()}
+        self._on_all("barrier")
 
     # ------------------------------------------------------------------
     # Observability delegation (see ObservabilitySession)
@@ -466,24 +262,21 @@ class ShardedDatabase:
         self._obs_identity = (engine, workload)
         self._obs_base_now = None
         self._obs_end_now = None
-        for pid in range(len(self._executors)):
-            self._post(pid, "obs_attach",
-                       (engine, workload, session.options))
+        self._on_all("obs_attach", engine, workload, session.options,
+                     len(self.partitions))
 
     def obs_begin_run(self, session) -> None:
         # Snapshot the merged clock at the window start so the
         # run.sim_seconds gauge can be recomputed after the merge
         # (gauges are last-wins, not max).
         self._obs_base_now = self.now_ns
-        for pid in range(len(self._executors)):
-            self._post(pid, "obs_begin_run")
+        self._on_all("obs_begin_run")
 
     def obs_end_run(self, session) -> Dict[str, Any]:
-        replies = self._sync_all("obs_end_run")
         merged: Optional[Histogram] = None
         timeseries: List[Dict[str, float]] = []
         end_now = 0.0
-        for reply in replies:
+        for reply in self._on_all("obs_end_run"):
             histogram = reply["histogram"]
             if merged is None:
                 merged = histogram
@@ -499,7 +292,7 @@ class ShardedDatabase:
         }
 
     def obs_detach(self, session) -> None:
-        for sub in self._sync_all("obs_detach"):
+        for sub in self._on_all("obs_detach"):
             session.records.extend(sub.records)
             session.registry.merge_from(sub.registry)
         if self._obs_base_now is not None \
@@ -510,7 +303,3 @@ class ShardedDatabase:
                 help="Simulated duration of the run",
                 engine=engine, workload=workload,
             ).set((self._obs_end_now - self._obs_base_now) / 1e9)
-
-    def __repr__(self) -> str:
-        return (f"ShardedDatabase(engine={self.engine_name!r}, "
-                f"partitions={len(self._executors)})")

@@ -1,216 +1,113 @@
 """Per-partition executor process for the sharded execution tier.
 
-Each executor owns exactly one partition: a single-partition
-:class:`~repro.core.database.Database` built with
-``first_partition=<global partition id>``, which makes its platform
-seed — and therefore every simulated clock tick, cache eviction, and
-NVM counter — bit-identical to the corresponding partition of an
-in-process multi-partition database. The coordinator
-(:mod:`repro.dist.coordinator`) ships commands over a
-``multiprocessing`` pipe using the tagged-pipe protocol from
-:mod:`repro.harness.ipc`:
+Each executor hosts exactly one bare
+:class:`~repro.core.partition.Partition`, built with its *global*
+partition id, which makes its platform seed — and therefore every
+simulated clock tick, cache eviction, and NVM counter — bit-identical to
+the corresponding partition of an in-process multi-partition database.
+The coordinator side (:class:`~repro.dist.coordinator.RemotePartition`)
+ships ``(op, args)`` commands over a ``multiprocessing`` pipe using the
+tagged-pipe protocol from :mod:`repro.harness.ipc`, and the executor
+dispatches each straight onto the partition's contract verb of that
+name (or onto its own few verbs, :class:`_Host`):
 
-- ``TAG_CMDS`` carries a batch ``[(op, args), ...]``. Fire-and-forget
-  operations (``execute``, ``insert``, ``flush``, ...) produce no
-  reply; their first failure is stashed and surfaced at the next
-  synchronous command, mirroring how a real shared-nothing node would
-  fail the session rather than the wire.
-- Synchronous operations (``get``, ``snapshot``, the 2PC branch verbs,
-  ...) produce exactly one ``TAG_REPLY`` message ``(ok, payload)``
-  where ``payload`` is a formatted traceback when ``ok`` is false.
-
-The executor keeps prepared-but-undecided 2PC branches open in an
-in-memory table keyed by distributed-transaction id; a simulated crash
-wipes that table exactly like it wipes any other volatile state.
+- ``TAG_CMDS`` carries a batch ``[(op, args), ...]``. Posted
+  operations (:data:`POSTED_OPS`) produce no reply; their first
+  failure is stashed, later posted work is skipped, and the failure
+  surfaces at the next synchronous command — mirroring how a real
+  shared-nothing node would fail the session rather than the wire.
+- Synchronous operations (:data:`SYNC_OPS`) produce exactly one
+  ``TAG_REPLY`` message ``(ok, payload)``. When ``ok`` is false the
+  payload is a formatted traceback — or, for a
+  :class:`~repro.errors.SimulatedCrash` (an armed fault plan fired
+  inside this executor), the ``(message, point, hit)`` triple the
+  coordinator rebuilds the exception from.
 """
 
 from __future__ import annotations
 
 import traceback
-from typing import Any, Dict, List, Optional, Tuple
+from types import SimpleNamespace
+from typing import Any, Dict, Optional
 
-from ..core.database import Database
-from ..errors import ShardedError
+from ..core.partition import Partition
+from ..errors import ShardedError, SimulatedCrash
 from ..harness import ipc
 from ..obs.session import ObservabilitySession
-from . import twopc
 
-__all__ = ["executor_main", "SYNC_OPS"]
+__all__ = ["executor_main", "POSTED_OPS", "SYNC_OPS"]
+
+#: Operations that produce no reply (fire-and-forget).
+POSTED_OPS = frozenset({
+    "create_table", "execute", "insert", "update", "delete", "flush",
+    "settle", "checkpoint", "set_checkpoint_interval", "arm_faults",
+    "disarm_faults", "obs_attach", "obs_begin_run",
+})
 
 #: Operations that produce exactly one TAG_REPLY message.
 SYNC_OPS = frozenset({
-    "barrier", "get", "scan", "snapshot", "crash", "recover",
-    "twopc_scan", "twopc_decisions", "twopc_resolve",
-    "branch_prepare", "log_decision", "branch_finish",
-    "obs_end_run", "obs_detach", "shutdown",
+    "barrier", "get", "scan", "snapshot", "storage_breakdown", "crash",
+    "recover",
+    "fault_hits", "faults_fired", "pending_prepares",
+    "committed_decisions", "resolve_prepared", "branch_prepare",
+    "log_decision", "branch_finish", "obs_end_run", "obs_detach",
+    "shutdown",
 })
 
 
-def _format_error(exc: BaseException) -> str:
-    return "".join(traceback.format_exception(
-        type(exc), exc, exc.__traceback__)).rstrip()
+class _Host:
+    """The verbs an executor serves itself, next to the partition
+    contract: liveness and the partition's own observability session
+    (merged back by ``ShardedDatabase.obs_*``)."""
 
-
-class _ExecutorState:
-    """Everything one executor process owns."""
-
-    def __init__(self, engine: str, platform_config, engine_config,
-                 partition_id: int, total_partitions: int) -> None:
-        self.db = Database(engine, partitions=1,
-                           platform_config=platform_config,
-                           engine_config=engine_config,
-                           first_partition=partition_id)
-        self.partition = self.db.partitions[0]
-        self.partition_id = partition_id
-        self.total_partitions = total_partitions
+    def __init__(self, partition: Partition) -> None:
+        self.partition_id = partition.partition_id
+        #: The database-shaped thing the session instruments.
+        self.view = SimpleNamespace(partitions=[partition])
         self.obs: Optional[ObservabilitySession] = None
-        #: Open prepared 2PC branches: dtxn_id -> TransactionContext.
-        self.contexts: Dict[int, Any] = {}
+        self._tag_samples = False
 
-    # -- fire-and-forget ------------------------------------------------
+    def barrier(self) -> None:
+        """Replying at all is the point: the stream before is done."""
 
-    def op_create_table(self, schema) -> None:
-        self.db.create_table(schema)
+    shutdown = barrier
 
-    def op_execute(self, procedure, args: Tuple[Any, ...]) -> None:
-        self.db.execute(procedure, *args, partition=0)
-
-    def op_insert(self, table: str, values: Dict[str, Any]) -> None:
-        self.db.insert(table, values, partition=0)
-
-    def op_update(self, table: str, key: Any,
-                  changes: Dict[str, Any]) -> None:
-        self.db.update(table, key, changes, partition=0)
-
-    def op_delete(self, table: str, key: Any) -> None:
-        self.db.delete(table, key, partition=0)
-
-    def op_flush(self) -> None:
-        self.db.flush()
-
-    def op_settle(self) -> None:
-        self.db.settle()
-
-    def op_checkpoint(self) -> None:
-        self.db.checkpoint()
-
-    def op_set_checkpoint_interval(self, txns: int) -> None:
-        self.db.set_checkpoint_interval(txns)
-
-    def op_obs_attach(self, engine: str, workload: str,
-                      options) -> None:
+    def obs_attach(self, engine: str, workload: str, options,
+                   total_partitions: int) -> None:
         self.obs = ObservabilitySession(options)
-        self.obs.attach(self.db, engine, workload)
+        self.obs.attach(self.view, engine, workload)
+        self._tag_samples = total_partitions > 1
 
-    def op_obs_begin_run(self) -> None:
-        assert self.obs is not None
-        self.obs.begin_run(self.db)
+    def obs_begin_run(self) -> None:
+        self.obs.begin_run(self.view)
 
-    # -- synchronous ----------------------------------------------------
-
-    def op_barrier(self) -> bool:
-        return True
-
-    def op_get(self, table: str, key: Any) -> Optional[Dict[str, Any]]:
-        return self.db.get(table, key, partition=0)
-
-    def op_scan(self, table: str, lo: Any, hi: Any):
-        return self.db.scan(table, lo=lo, hi=hi)
-
-    def op_snapshot(self) -> Dict[str, Any]:
-        counters = self.db.nvm_counters()
-        return {
-            "now_ns": self.db.now_ns,
-            "committed": self.db.committed_txns,
-            "aborted": self.db.aborted_txns,
-            "loads": counters["loads"],
-            "stores": counters["stores"],
-            "storage": self.db.storage_breakdown(),
-            "category_ns": self.db.category_ns(),
-        }
-
-    def op_crash(self) -> bool:
-        # Volatile protocol state dies with the power: any prepared
-        # branch becomes in-doubt and waits for twopc_resolve.
-        self.contexts.clear()
-        self.db.crash()
-        return True
-
-    def op_recover(self) -> float:
-        # Engine-level recovery only; the coordinator drives 2PC
-        # in-doubt resolution explicitly across executors afterwards.
-        return self.db.recover()
-
-    def op_twopc_scan(self) -> List[Tuple[int, int]]:
-        return [(dtxn_id, home) for dtxn_id, home, __
-                in twopc.pending_prepares(self.partition)]
-
-    def op_twopc_decisions(self, dtxn_ids) -> List[int]:
-        return sorted(twopc.committed_decisions(self.partition,
-                                                dtxn_ids))
-
-    def op_twopc_resolve(self, decisions: Dict[int, bool]) -> float:
-        start_ns = self.db.now_ns
-        for dtxn_id, __, redo in twopc.pending_prepares(self.partition):
-            twopc.resolve_prepared(self.partition, dtxn_id,
-                                   decisions.get(dtxn_id, False), redo)
-        return (self.db.now_ns - start_ns) / 1e9
-
-    def op_branch_prepare(self, dtxn_id: int, home: int, procedure,
-                          args: Tuple[Any, ...]) -> Tuple[bool, Any]:
-        vote, result, context = twopc.branch_prepare(
-            self.partition, dtxn_id, home, procedure, *args)
-        if vote:
-            self.contexts[dtxn_id] = context
-        return vote, result
-
-    def op_log_decision(self, dtxn_id: int, participants) -> bool:
-        twopc.log_decision(self.partition, dtxn_id, participants)
-        return True
-
-    def op_branch_finish(self, dtxn_id: int, commit: bool) -> bool:
-        try:
-            context = self.contexts.pop(dtxn_id)
-        except KeyError:
-            raise ShardedError(
-                f"no prepared branch for distributed transaction "
-                f"{dtxn_id} on partition {self.partition_id}") from None
-        twopc.branch_finish(self.partition, context, dtxn_id, commit)
-        return True
-
-    def op_obs_end_run(self) -> Dict[str, Any]:
-        assert self.obs is not None
-        stats = self.obs.end_run(self.db)
-        timeseries = stats["timeseries"]
-        if self.total_partitions > 1:
+    def obs_end_run(self) -> Dict[str, Any]:
+        timeseries = self.obs.end_run(self.view)["timeseries"]
+        if self._tag_samples:
             timeseries = [{"partition": self.partition_id, **sample}
                           for sample in timeseries]
         histogram = self.obs.registry.histogram(
             "txn.latency_ns", engine=self.obs._engine,
             workload=self.obs._workload)
         return {"histogram": histogram, "timeseries": timeseries,
-                "now_ns": self.db.now_ns}
+                "now_ns": self.view.partitions[0].now_ns}
 
-    def op_shutdown(self) -> bool:
-        self.db.close()
-        return True
-
-    def op_obs_detach(self) -> ObservabilitySession:
-        assert self.obs is not None
-        session = self.obs
-        session.detach(self.db)
-        self.obs = None
+    def obs_detach(self) -> ObservabilitySession:
+        session, self.obs = self.obs, None
+        session.detach(self.view)
         return session
 
 
-def executor_main(cmd_conn, reply_conn, engine: str, platform_config,
-                  engine_config, partition_id: int,
-                  total_partitions: int) -> None:
+def executor_main(cmd_conn, reply_conn, partition_id: int, engine: str,
+                  platform_config, engine_config) -> None:
     """Executor process entry point: serve command batches until a
     ``shutdown`` command or a closed pipe."""
-    state = _ExecutorState(engine, platform_config, engine_config,
-                           partition_id, total_partitions)
-    pending_error: Optional[str] = None
+    partition = Partition(partition_id, engine, platform_config,
+                          engine_config)
+    host = _Host(partition)
+    handlers = {op: getattr(host if hasattr(host, op) else partition, op)
+                for op in POSTED_OPS | SYNC_OPS}
+    pending_error: Any = None
     running = True
     while running:
         try:
@@ -220,34 +117,26 @@ def executor_main(cmd_conn, reply_conn, engine: str, platform_config,
         if tag != ipc.TAG_CMDS:
             continue
         for op, args in batch:
-            handler = getattr(state, f"op_{op}", None)
-            if op in SYNC_OPS:
-                if pending_error is not None:
-                    ipc.send(reply_conn, ipc.TAG_REPLY,
-                             (False, pending_error))
-                    pending_error = None
-                elif handler is None:
-                    ipc.send(reply_conn, ipc.TAG_REPLY,
-                             (False, f"unknown operation {op!r}"))
-                else:
-                    try:
-                        payload = handler(*args)
-                    except BaseException as exc:
-                        ipc.send(reply_conn, ipc.TAG_REPLY,
-                                 (False, _format_error(exc)))
-                    else:
-                        ipc.send(reply_conn, ipc.TAG_REPLY,
-                                 (True, payload))
-                if op == "shutdown":
-                    running = False
-                    break
-            elif pending_error is None:
-                if handler is None:
-                    pending_error = f"unknown operation {op!r}"
-                    continue
+            sync = op in SYNC_OPS
+            error, value = pending_error, None
+            if error is None:
                 try:
-                    handler(*args)
-                except BaseException as exc:
-                    pending_error = _format_error(exc)
+                    if op not in handlers:
+                        raise ShardedError(f"unknown operation {op!r}")
+                    value = handlers[op](*args)
+                except SimulatedCrash as crash:
+                    error = (str(crash), crash.point, crash.hit)
+                except Exception as exc:
+                    error = "".join(traceback.format_exception(
+                        type(exc), exc, exc.__traceback__)).rstrip()
+            if not sync:
+                pending_error = error
+                continue
+            pending_error = None
+            ipc.send(reply_conn, ipc.TAG_REPLY,
+                     (True, value) if error is None else (False, error))
+            if op == "shutdown":
+                running = False
+                break
     cmd_conn.close()
     reply_conn.close()

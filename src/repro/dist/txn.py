@@ -2,11 +2,11 @@
 
 A cross-partition transaction is a *home* branch plus one or more
 *remote* branches, each a stored procedure bound to the partition it
-must run on. Both execution paths —
-:meth:`repro.core.database.Database.execute_distributed` (in-process)
-and :class:`repro.dist.coordinator.ShardedDatabase` (one executor
-process per partition) — consume the same description and run the same
-two-phase commit over it (:mod:`repro.dist.twopc`).
+must run on. :meth:`repro.core.database.Database.execute_distributed`
+runs it with two-phase commit (:mod:`repro.core.twopc`) — over
+partitions in this process or, on a
+:class:`repro.dist.coordinator.ShardedDatabase`, one executor process
+per partition.
 
 Branch procedures must be module-level callables: the sharded tier
 pickles them across the executor pipes, exactly like sweep points and

@@ -26,8 +26,9 @@ Tags
     lets a sharded run keep every executor core busy.
 ``TAG_REPLY``
     An executor's response to a synchronous command:
-    ``(ok, payload)`` where ``payload`` is the value on success or a
-    formatted error string on failure.
+    ``(ok, payload)`` where ``payload`` is the value on success, and on
+    failure a formatted error string — or the ``(message, point, hit)``
+    of a :class:`~repro.errors.SimulatedCrash` that fired over there.
 
 The helpers are deliberately thin — the value of this module is that
 both tiers agree on the framing (and that tests can speak it), not

@@ -235,8 +235,7 @@ def run(spec: ExperimentSpec,
     finally:
         if heartbeat is not None:
             heartbeat.uninstall()
-        # A fresh sharded database owns executor processes; reap them.
-        if fresh and db is not None and getattr(db, "is_sharded", False):
+        if fresh:
             db.close()
     profiler.stop()
     if profiler.enabled:

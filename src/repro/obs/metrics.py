@@ -207,6 +207,12 @@ class MetricsRegistry:
                 self.gauge(metric.name, help=metric.help,
                            **metric.labels).set(metric.value)
 
+    def remove(self, metric: Metric) -> None:
+        """Drop one instrument (e.g. a labelled series whose label
+        value is being evicted from a bounded set)."""
+        self._metrics.pop(
+            (metric.kind, metric.name, _labelset(metric.labels)), None)
+
     def find(self, name: str, **labels: str) -> Optional[Metric]:
         """Look up an instrument without creating it."""
         want = _labelset(labels)

@@ -14,9 +14,9 @@ and metrics into one trace file and one metrics file. Lifecycle::
     session.export_metrics("out.prom")
 
 The session deliberately knows nothing about concrete database or
-platform classes — it only uses the ``partitions[*].platform`` duck
-type — so it imports nothing from ``core``/``nvm`` and stays
-cycle-free.
+platform classes — it only uses the ``partitions[*].platform`` /
+``partitions[*].snapshot()`` duck type — so it imports nothing from
+``core``/``nvm`` and stays cycle-free.
 """
 
 from __future__ import annotations
@@ -58,6 +58,15 @@ def _platform_probes(platform) -> Dict[str, Any]:
         "alloc_syncs": lambda: float(stats.counter("alloc.sync")),
         "fsyncs": lambda: float(stats.counter("fs.fsyncs")),
     }
+
+
+def _run_totals(db) -> Dict[str, float]:
+    """Run-level counters merged across ``db.partitions`` snapshots."""
+    snapshots = [partition.snapshot() for partition in db.partitions]
+    totals = {name: sum(snap[name] for snap in snapshots)
+              for name in ("committed", "aborted", "loads", "stores")}
+    totals["now_ns"] = max(snap["now_ns"] for snap in snapshots)
+    return totals
 
 
 class ObservabilitySession:
@@ -157,14 +166,7 @@ class ObservabilitySession:
             engine=self._engine, workload=self._workload)
         for partition in db.partitions:
             partition.platform.txn_latency = histogram
-        counters = db.nvm_counters()
-        self._baseline = {
-            "committed": db.committed_txns,
-            "aborted": db.aborted_txns,
-            "loads": counters["loads"],
-            "stores": counters["stores"],
-            "now_ns": db.now_ns,
-        }
+        self._baseline = _run_totals(db)
 
     def end_run(self, db) -> Dict[str, Any]:
         """Close the measurement window; returns ``latency_percentiles``
@@ -178,23 +180,24 @@ class ObservabilitySession:
         for partition in db.partitions:
             partition.platform.txn_latency = None
         labels = {"engine": self._engine, "workload": self._workload}
-        counters = db.nvm_counters()
+        totals = _run_totals(db)
         base = self._baseline or {}
         self.registry.counter(
             "txns.committed", help="Committed transactions",
-            **labels).inc(db.committed_txns - base.get("committed", 0))
+            **labels).inc(totals["committed"] - base.get("committed", 0))
         self.registry.counter(
             "txns.aborted", help="Aborted transactions",
-            **labels).inc(db.aborted_txns - base.get("aborted", 0))
+            **labels).inc(totals["aborted"] - base.get("aborted", 0))
         self.registry.counter(
             "nvm.loads", help="Cachelines loaded from NVM",
-            **labels).inc(counters["loads"] - base.get("loads", 0))
+            **labels).inc(totals["loads"] - base.get("loads", 0))
         self.registry.counter(
             "nvm.stores", help="Cachelines stored to NVM",
-            **labels).inc(counters["stores"] - base.get("stores", 0))
+            **labels).inc(totals["stores"] - base.get("stores", 0))
         self.registry.gauge(
             "run.sim_seconds", help="Simulated duration of the run",
-            **labels).set((db.now_ns - base.get("now_ns", 0.0)) / 1e9)
+            **labels).set((totals["now_ns"]
+                           - base.get("now_ns", 0.0)) / 1e9)
         return {
             "latency_percentiles": histogram.percentiles(),
             "timeseries": self.timeseries(db),

@@ -60,6 +60,10 @@ logger = logging.getLogger("repro.server")
 #: group-commit stage owns the durable-point cadence.
 _NO_AUTO_FLUSH = 1 << 30
 
+#: Cap on every map keyed by something a client supplies or causes
+#: (reaped session ids, session names): oldest entries are dropped.
+_MAX_CLIENT_KEYED_ENTRIES = 1024
+
 
 @dataclass(frozen=True)
 class ServerConfig:
@@ -145,7 +149,9 @@ class DatabaseServer:
         self.metrics = MetricsRegistry()
         self.address: Optional[Tuple[str, int]] = None
         self._sessions: Dict[int, _RemoteSession] = {}
-        self._latency_hists: Dict[str, Any] = {}
+        #: Session name -> latency histogram (bounded: the name is
+        #: client-supplied; an evicted series leaves ``metrics`` too).
+        self._latency_hists: "OrderedDict[str, Any]" = OrderedDict()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._stages: Dict[int, GroupCommitStage] = {}
@@ -454,7 +460,7 @@ class DatabaseServer:
             remote.session.expire(reason)
             self._reaped_count.inc()
             self._expired[session_id] = reason
-            while len(self._expired) > 1024:
+            while len(self._expired) > _MAX_CLIENT_KEYED_ENTRIES:
                 self._expired.popitem(last=False)
 
     def _watchdog_check(self, now: float) -> None:
@@ -580,6 +586,9 @@ class DatabaseServer:
             hist = self.metrics.histogram("server.txn_latency_ns",
                                           session=name)
             self._latency_hists[name] = hist
+            while len(self._latency_hists) > _MAX_CLIENT_KEYED_ENTRIES:
+                __, evicted = self._latency_hists.popitem(last=False)
+                self.metrics.remove(evicted)
         hist.observe(latency_ns)
 
     def _close_session(self, session_id: int) -> None:

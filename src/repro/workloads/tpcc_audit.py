@@ -68,14 +68,7 @@ def _audit_district(db: Database, w_id: int, d_id: int,
         lo = (w_id, d_id, 0) if width == 3 else (w_id, d_id, 0, 0)
         hi = (w_id, d_id, _MAX) if width == 3 \
             else (w_id, d_id, _MAX, 0)
-        if getattr(db, "is_sharded", False):
-            # The sharded facade cannot ship closures; its merged
-            # range scan is equivalent here because the key range is
-            # bounded to one warehouse (= one partition).
-            return db.scan(table, lo, hi)
-        return db.execute(
-            lambda ctx: list(ctx.scan(table, lo=lo, hi=hi)),
-            partition=pid)
+        return db.partitions[pid].scan(table, lo, hi)
 
     orders = scan("orders")
     order_ids = {key[2] for key, __ in orders}

@@ -1,14 +1,15 @@
-"""Unit tests for the Database facade and transaction execution."""
+"""Unit tests for the Database facade and transaction execution
+(what holds on both transports is in test_database_contract.py)."""
 
 import pytest
 
 from repro import (Column, ColumnType, Database, EngineConfig, Schema,
                    TransactionAborted)
-from repro.errors import ConfigError, CrashedError, DuplicateKeyError
+from repro.errors import ConfigError, DuplicateKeyError
 
 
-def make_db(engine="nvm-inp", partitions=1):
-    return Database(engine=engine, partitions=partitions,
+def make_db(engine="nvm-inp"):
+    return Database(engine=engine,
                     engine_config=EngineConfig(group_commit_size=2),
                     seed=11)
 
@@ -110,28 +111,6 @@ def test_scan(db):
                   {"id": i, "owner": f"o{i}", "balance": float(i)})
     rows = db.scan("accounts", lo=3, hi=7)
     assert [key for key, __ in rows] == [3, 4, 5, 6]
-
-
-def test_crash_blocks_operations_until_recover(db):
-    db.insert("accounts", {"id": 1, "owner": "a", "balance": 1.0})
-    db.flush()
-    db.crash()
-    with pytest.raises(CrashedError):
-        db.get("accounts", 1)
-    db.recover()
-    assert db.get("accounts", 1)["balance"] == 1.0
-
-
-def test_multiple_partitions_route_consistently():
-    db = make_db(partitions=4)
-    db.create_table(Schema.build(
-        "t", [Column("k", ColumnType.INT),
-              Column("v", ColumnType.INT)], primary_key=["k"]))
-    for key in range(40):
-        db.insert("t", {"k": key, "v": key})
-    for key in range(40):
-        assert db.get("t", key)["v"] == key
-    assert db.committed_txns == 80
 
 
 def test_zero_partitions_rejected():

@@ -14,8 +14,9 @@ import pytest
 
 from repro.core.database import Database
 from repro.dist import ShardedDatabase
-from repro.dist.txn import Branch, DistributedTransaction
-from repro.errors import DatabaseClosedError, ShardedError
+from repro.errors import (DatabaseClosedError, ShardedError,
+                          SimulatedCrash)
+from repro.fault.injector import FaultPlan
 from repro.harness.runner import run
 from repro.harness.spec import ExperimentSpec
 from repro.obs.session import ObservabilitySession
@@ -50,8 +51,12 @@ def test_ycsb_sharded_result_is_byte_identical():
     assert _result_json(serial) == _result_json(sharded)
 
 
-def test_ycsb_sharded_multipartition_result_is_byte_identical():
-    spec = ExperimentSpec.ycsb("nvm-inp", partitions=4, **TINY)
+@pytest.mark.parametrize("engine", ["nvm-inp", "inp"])
+def test_ycsb_sharded_multipartition_result_is_byte_identical(engine):
+    # ``inp``: reading a counter must not cost simulated time on either
+    # transport (sizing its checkpoint file does — see
+    # Partition.storage_breakdown).
+    spec = ExperimentSpec.ycsb(engine, partitions=4, **TINY)
     serial = run(spec)
     sharded = run(spec.with_options(sharded=True))
     assert _result_json(serial) == _result_json(sharded)
@@ -87,46 +92,6 @@ def test_sharded_observability_exports_are_byte_identical(tmp_path):
 # Coordinator API
 # ----------------------------------------------------------------------
 
-def test_basic_ops_route_and_merge():
-    config = YCSBConfig(num_tuples=120, seed=5)
-    db = ShardedDatabase(engine="nvm-inp", partitions=3)
-    try:
-        workload = YCSBWorkload(config, partitions=3)
-        workload.load(db)
-        workload.run(db, 200)
-        db.barrier()
-        # Merged scan sees every partition's rows in key order.
-        rows = db.scan(YCSBWorkload.TABLE)
-        assert len(rows) == 120
-        keys = [key for key, __ in rows]
-        assert keys == sorted(keys)
-        assert db.committed_txns >= 200
-    finally:
-        db.close()
-
-
-def test_crash_and_recover_preserves_committed_data():
-    db = ShardedDatabase(engine="nvm-inp", partitions=2)
-    try:
-        workload = YCSBWorkload(YCSBConfig(num_tuples=80, seed=9),
-                                partitions=2)
-        workload.load(db)
-        before = db.scan(YCSBWorkload.TABLE)
-        db.crash()
-        db.recover()
-        assert db.scan(YCSBWorkload.TABLE) == before
-    finally:
-        db.close()
-
-
-def test_closed_database_raises():
-    db = ShardedDatabase(engine="nvm-inp", partitions=2)
-    db.close()
-    db.close()  # idempotent
-    with pytest.raises(DatabaseClosedError):
-        db.get("nope", 1)
-
-
 def test_executor_errors_surface_with_traceback():
     db = ShardedDatabase(engine="nvm-inp", partitions=2)
     try:
@@ -135,6 +100,42 @@ def test_executor_errors_surface_with_traceback():
         assert "no_such_table" in str(excinfo.value)
     finally:
         db.close()
+
+
+def test_fault_in_posted_work_surfaces_at_the_next_synchronous_verb():
+    db = ShardedDatabase(engine="nvm-inp", partitions=2)
+    try:
+        workload = YCSBWorkload(YCSBConfig(num_tuples=40, seed=3),
+                                partitions=2)
+        workload.load(db)
+        db.arm_faults(FaultPlan([("nvm_wal.append.after_persist", 1)]))
+        db.update(YCSBWorkload.TABLE, 1, {"field0": "x"},
+                  partition=0)                  # posted
+        assert not db.crashed
+        # The executor froze at the fault point; the reply to the next
+        # synchronous verb is the typed power failure, not a traceback.
+        with pytest.raises(SimulatedCrash) as excinfo:
+            db.barrier()
+        assert excinfo.value.point == "nvm_wal.append.after_persist"
+        assert db.crashed
+        db.disarm_faults()
+        db.recover()
+        assert db.get(YCSBWorkload.TABLE, 1,
+                      partition=0)["field0"] != "x"
+    finally:
+        db.close()
+
+
+def test_what_the_pipe_does_not_serve():
+    db = ShardedDatabase(engine="nvm-inp", partitions=2)
+    try:
+        with pytest.raises(ShardedError):
+            db.session().begin()
+    finally:
+        db.close()
+    # The counters live in the executors: gone with them.
+    with pytest.raises(DatabaseClosedError):
+        db.committed_txns
 
 
 # ----------------------------------------------------------------------
@@ -166,27 +167,3 @@ def test_remote_new_order_runs_as_distributed_txn():
         assert audit_tpcc(db, config, partitions=2) == []
     finally:
         db.close()
-
-
-def test_cross_executor_distributed_txn():
-    db = ShardedDatabase(engine="nvm-inp", partitions=2)
-    try:
-        workload = YCSBWorkload(YCSBConfig(num_tuples=40, seed=3),
-                                partitions=2)
-        workload.load(db)
-        db.barrier()
-        dtxn = DistributedTransaction(
-            Branch(0, _rewrite, (0, "home-write")),
-            (Branch(1, _rewrite, (20, "remote-write")),))
-        db.execute_distributed(dtxn)
-        row0 = db.get(YCSBWorkload.TABLE, 0, partition=0)
-        row1 = db.get(YCSBWorkload.TABLE, 20, partition=1)
-        assert row0["field0"] == "home-write"
-        assert row1["field0"] == "remote-write"
-    finally:
-        db.close()
-
-
-def _rewrite(ctx, key, value):
-    ctx.update(YCSBWorkload.TABLE, key, {"field0": value})
-    return value

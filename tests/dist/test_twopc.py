@@ -1,23 +1,32 @@
-"""Tests for the two-phase commit protocol (in-process tier).
+"""Tests for the two-phase commit protocol, on both transports.
 
-The protocol code is shared between the in-process database
-(``Database.execute_distributed``) and the sharded coordinator, so
-these tests exercise it where crashes are cheap and deterministic.
+There is one driver (``Database.execute_distributed``), one in-doubt
+resolver (``Database.recover``) and one set of participant verbs (the
+``Partition`` contract); ``ShardedDatabase`` runs the same code with
+the participants in executor processes, where an armed fault plan
+fires on the far side of the pipe.
 """
 
 import pytest
 
 from repro.config import CacheConfig, EngineConfig, PlatformConfig
-from repro.core.database import Database
 from repro.core.schema import Column, ColumnType, Schema
-from repro.dist import twopc
+from repro.core import twopc
 from repro.dist.campaign import TWOPC_POINTS, run_twopc_campaign
 from repro.dist.txn import Branch, DistributedTransaction
 from repro.errors import (ConfigError, SimulatedCrash,
                           TransactionAborted)
 from repro.fault.injector import FaultPlan
+from tests.core.test_database_contract import FACTORIES
 
 TABLE = "pairs"
+
+
+@pytest.fixture(params=FACTORIES)
+def db(request):
+    database = _database(request.param)
+    yield database
+    database.close()
 
 
 def _schema():
@@ -28,9 +37,9 @@ def _schema():
         primary_key=["id"])
 
 
-def _database(partitions=2):
-    db = Database(
-        engine="nvm-inp", partitions=partitions,
+def _database(factory):
+    db = factory(
+        engine="nvm-inp", partitions=2,
         platform_config=PlatformConfig(
             cache=CacheConfig(crash_eviction_probability=0.0)),
         engine_config=EngineConfig(group_commit_size=1))
@@ -84,8 +93,7 @@ def test_duplicate_participants_rejected():
 # Commit / abort
 # ----------------------------------------------------------------------
 
-def test_commit_applies_on_both_partitions():
-    db = _database()
+def test_commit_applies_on_both_partitions(db):
     result = db.execute_distributed(_pair(1, "both"))
     assert result == "both"
     assert _read(db, 1, 0) == "both"
@@ -93,8 +101,7 @@ def test_commit_applies_on_both_partitions():
     assert db.committed_txns >= 2  # one branch per participant
 
 
-def test_veto_aborts_every_branch():
-    db = _database()
+def test_veto_aborts_every_branch(db):
     db.execute_distributed(_pair(1, "before"))
     dtxn = DistributedTransaction(
         Branch(0, _upsert, (1, "after")), (Branch(1, _veto, ()),))
@@ -105,8 +112,7 @@ def test_veto_aborts_every_branch():
     assert _read(db, 1, 1) == "before"
 
 
-def test_acknowledged_commit_survives_crash():
-    db = _database()
+def test_acknowledged_commit_survives_crash(db):
     db.execute_distributed(_pair(2, "durable", home=1))
     db.crash()
     db.recover()
@@ -118,57 +124,57 @@ def test_acknowledged_commit_survives_crash():
 # Crash points: the three 2PC fault points, one scripted crash each
 # ----------------------------------------------------------------------
 
-def _crash_at(point):
-    db = _database()
+def _crash_at(db, point):
     db.execute_distributed(_pair(3, "acked"))
     db.arm_faults(FaultPlan([(point, 1)]))
     with pytest.raises(SimulatedCrash):
         db.execute_distributed(_pair(3, "in-doubt"))
     db.disarm_faults()
     db.recover()
-    return db
 
 
-def test_crash_after_prepare_aborts_in_doubt():
+def test_crash_after_prepare_aborts_in_doubt(db):
     """Only one participant prepared: no decision record exists, so
     presumed abort must roll the pair back to the acked value."""
-    db = _crash_at(twopc.FP_PREPARE_AFTER)
+    _crash_at(db, twopc.FP_PREPARE_AFTER)
     assert _read(db, 3, 0) == "acked"
     assert _read(db, 3, 1) == "acked"
 
 
-def test_crash_before_decision_aborts_in_doubt():
+def test_crash_before_decision_aborts_in_doubt(db):
     """Both participants prepared but the decision never became
     durable: presumed abort."""
-    db = _crash_at(twopc.FP_DECIDE_BEFORE)
+    _crash_at(db, twopc.FP_DECIDE_BEFORE)
     assert _read(db, 3, 0) == "acked"
     assert _read(db, 3, 1) == "acked"
 
 
-def test_crash_after_decision_commits_in_doubt():
+def test_crash_after_decision_commits_in_doubt(db):
     """The commit decision is durable: recovery must finish the commit
     on both participants even though neither applied it."""
-    db = _crash_at(twopc.FP_DECIDE_AFTER)
+    _crash_at(db, twopc.FP_DECIDE_AFTER)
     assert _read(db, 3, 0) == "in-doubt"
     assert _read(db, 3, 1) == "in-doubt"
 
 
-def test_resolution_is_idempotent_across_repeated_recovery():
-    db = _crash_at(twopc.FP_DECIDE_AFTER)
+def test_resolution_is_idempotent_across_repeated_recovery(db):
+    _crash_at(db, twopc.FP_DECIDE_AFTER)
     db.crash()
     db.recover()
     assert _read(db, 3, 0) == "in-doubt"
     assert _read(db, 3, 1) == "in-doubt"
     for pid in (0, 1):
-        assert twopc.pending_prepares(db.partitions[pid]) == []
+        assert db.partitions[pid].pending_prepares() == []
 
 
 # ----------------------------------------------------------------------
 # Campaign: every sampled coordinate survives with a clean oracle
 # ----------------------------------------------------------------------
 
-def test_twopc_campaign_finds_no_violations():
-    report = run_twopc_campaign(["nvm-inp"], seed=11, ops=24)
+@pytest.mark.parametrize("factory", FACTORIES)
+def test_twopc_campaign_finds_no_violations(factory):
+    report = run_twopc_campaign(["nvm-inp"], seed=11, ops=24,
+                                factory=factory)
     assert report.ok, report.violations
     assert not any(report.uncovered.values())
     # All three protocol points were reached and swept.

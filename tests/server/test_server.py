@@ -20,6 +20,7 @@ from repro.errors import (CrashedError, DatabaseClosedError,
                           TupleNotFoundError)
 from repro.server import (GroupCommitConfig, ProcedureRegistry,
                           ServerConfig, ServerThread)
+from repro.server import server as server_module
 from repro.server.protocol import PROTOCOL_VERSION, FrameDecoder
 
 KV = Schema.build(
@@ -456,6 +457,34 @@ def test_stats_shape(client):
     assert set(latency) >= {"p50", "p95", "p99"}
     assert latency["p50"] > 0
     assert stats["frames"] > 0
+
+
+def test_per_session_latency_series_are_bounded():
+    """The histogram map is keyed by a client-supplied name: it and
+    the labelled series behind it must not grow with every name."""
+    cap = server_module._MAX_CLIENT_KEYED_ENTRIES
+    config = ServerConfig(
+        engine="nvm-inp",
+        group_commit=GroupCommitConfig(batch_size=1, max_hold_ns=1e18,
+                                       max_hold_wall_s=0.005))
+    with ServerThread(config, procedures=_registry()) as thread:
+        server = thread.server
+        with ReproClient(*server.address) as c:
+            c.create_table(KV)
+            for index in range(cap + 40):
+                with c.session(f"one-shot-{index}") as session:
+                    session.call("put", index, "x")
+            with c.session("measured") as session:
+                session.call("put", -1, "x")
+            latency = c.stats()["latency_ns"]
+        assert len(server._latency_hists) == cap
+        series = [metric for metric in server.metrics.collect()
+                  if metric.name == "server.txn_latency_ns"]
+        assert len(series) == cap
+        # Oldest names went first; the newest are all still reported.
+        assert "one-shot-0" not in latency
+        assert f"one-shot-{cap + 39}" in latency
+        assert latency["measured"]["p50"] > 0
 
 
 def test_multi_partition_sessions(tmp_path):
