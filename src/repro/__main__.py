@@ -135,27 +135,21 @@ class _Telemetry:
             print(f"events: {self._log.lines} -> {self.events_path}")
         status = 0
         if self.phases_path or self.collapsed_path:
-            import json as _json
-
             from .obs.profiler import merge_profiles, write_collapsed
             merged = merge_profiles(profiles)
-            try:
-                if self.phases_path:
-                    with open(self.phases_path, "w",
-                              encoding="utf-8") as stream:
-                        _json.dump(merged, stream, indent=2,
-                                   sort_keys=True)
-                        stream.write("\n")
-                    print(f"phases: {len(merged['phases'])} stacks -> "
-                          f"{self.phases_path}")
-                if self.collapsed_path:
+            if self.phases_path:
+                status = _write_json(
+                    self.phases_path, merged,
+                    f"phases: {len(merged['phases'])} stacks")
+            if self.collapsed_path:
+                try:
                     lines = write_collapsed(merged, self.collapsed_path)
                     print(f"collapsed stacks: {lines} -> "
                           f"{self.collapsed_path}")
-            except OSError as error:
-                print(f"cannot write phase profile: {error}",
-                      file=sys.stderr)
-                status = 2
+                except OSError as error:
+                    print(f"cannot write {self.collapsed_path}: {error}",
+                          file=sys.stderr)
+                    status = 2
         return status
 
 
@@ -179,6 +173,23 @@ def _export_obs(args, session) -> int:
         print(f"cannot write observability output: {error}",
               file=sys.stderr)
         return 2
+    return 0
+
+
+def _write_json(path: str, payload, label: str = "report",
+                sort_keys: bool = True) -> int:
+    """Write one JSON report file and say where it went; returns the
+    CLI's I/O-error status (2) when the file cannot be written."""
+    import json
+
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle, indent=2, sort_keys=sort_keys)
+            handle.write("\n")
+    except OSError as error:
+        print(f"cannot write {path}: {error}", file=sys.stderr)
+        return 2
+    print(f"{label} -> {path}")
     return 0
 
 
@@ -293,42 +304,6 @@ def _cmd_tpcc(args) -> int:
                            title=f"TPC-C @ {args.latency}")
 
 
-def _cmd_twopc_crashtest(args, engines) -> int:
-    """``crashtest --twopc``: sweep the distributed-commit fault
-    points (in-process, serial — the coordinate space is tiny)."""
-    from .dist import campaign
-
-    report = campaign.run_twopc_campaign(
-        engines, seed=args.seed, ops=args.ops,
-        max_hits_per_point=args.max_hits)
-    if args.json:
-        import json
-
-        try:
-            with open(args.json, "w", encoding="utf-8") as handle:
-                json.dump(report.to_dict(), handle, indent=2,
-                          sort_keys=True)
-                handle.write("\n")
-            print(f"report -> {args.json}")
-        except OSError as error:
-            print(f"cannot write {args.json}: {error}",
-                  file=sys.stderr)
-            return 2
-    print(format_table(
-        ["engine", "fault point", "coords", "crashes", "violations",
-         "status"],
-        report.point_rows(),
-        title=f"2PC crash campaign, seed {args.seed} "
-              f"({len(report.results)} coordinates)"))
-    for violation in report.violations:
-        print(f"oracle violation: {violation}", file=sys.stderr)
-    for engine, points in sorted(report.uncovered.items()):
-        for point in points:
-            print(f"uncovered fault point: {engine}/{point}",
-                  file=sys.stderr)
-    return 0 if report.ok else 1
-
-
 def _cmd_crashtest(args) -> int:
     # Imported lazily: the campaign pulls in the full database stack.
     from .fault import campaign
@@ -341,8 +316,11 @@ def _cmd_crashtest(args) -> int:
         print(f"unknown engines: {', '.join(unknown) or '(none given)'}"
               f"; choose from {', '.join(known)}", file=sys.stderr)
         return 2
+    workload = campaign.SingleRow
     if args.twopc:
-        return _cmd_twopc_crashtest(args, engines)
+        # Same kernel, same sweep: pair-writes across two partitions.
+        from .dist.campaign import PairWrite
+        workload = PairWrite
     telemetry = _Telemetry(args)
     report = None
     try:
@@ -350,36 +328,16 @@ def _cmd_crashtest(args) -> int:
             engines, seed=args.seed, ops=args.ops, jobs=args.jobs,
             max_hits_per_point=args.max_hits, timeout_s=args.timeout,
             retries=args.retries, artifacts_dir=args.artifacts,
-            bus=telemetry.bus)
+            bus=telemetry.bus, workload=workload)
     finally:
-        profiles = []
-        if report is not None:
-            profiles = [counting.phases
-                        for counting in report.counting.values()
-                        if counting.phases]
-            profiles.extend(
-                outcome.result.phases for outcome in report.outcomes
-                if outcome.result is not None
-                and getattr(outcome.result, "phases", None))
-        telemetry.finish(profiles)
-    if args.json:
-        import json
-
-        try:
-            with open(args.json, "w", encoding="utf-8") as handle:
-                json.dump(report.to_dict(), handle, indent=2,
-                          sort_keys=True)
-                handle.write("\n")
-            print(f"report -> {args.json}")
-        except OSError as error:
-            print(f"cannot write {args.json}: {error}",
-                  file=sys.stderr)
-            return 2
+        telemetry.finish(report.profiles if report is not None else [])
+    if args.json and _write_json(args.json, report.to_dict()):
+        return 2
     print(format_table(
         ["engine", "fault point", "coords", "crashes", "violations",
          "status"],
         report.point_rows(),
-        title=f"Crash campaign, seed {args.seed} "
+        title=f"{workload.title}, seed {args.seed} "
               f"({len(report.outcomes)} coordinates)"))
     for violation in report.violations:
         print(f"oracle violation: {violation}", file=sys.stderr)
@@ -415,16 +373,10 @@ def _cmd_check(args) -> int:
                    "rules": ORDERING_RULES,
                    "engines": [outcome.to_dict()
                                for outcome in outcomes]}
-        try:
-            if args.json == "-":
-                json.dump(payload, sys.stdout, indent=2)
-                print()
-            else:
-                with open(args.json, "w") as handle:
-                    json.dump(payload, handle, indent=2)
-                print(f"report -> {args.json}")
-        except OSError as error:
-            print(f"cannot write {args.json}: {error}", file=sys.stderr)
+        if args.json == "-":
+            json.dump(payload, sys.stdout, indent=2)
+            print()
+        elif _write_json(args.json, payload, sort_keys=False):
             return 2
     rows = []
     for outcome in outcomes:
@@ -589,20 +541,15 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    import json
-
     from .obs.history import build_report, render_markdown
 
     scan_dirs = args.scan or ["artifacts"]
     report = build_report(bench_dir=args.bench_dir,
                           scan_dirs=scan_dirs)
     markdown = render_markdown(report)
+    if args.json and _write_json(args.json, report, "report JSON"):
+        return 2
     try:
-        if args.json:
-            with open(args.json, "w", encoding="utf-8") as handle:
-                json.dump(report, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-            print(f"report JSON -> {args.json}")
         if args.out:
             with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(markdown)
@@ -669,9 +616,6 @@ def _cmd_serve(args) -> int:
 
 def _cmd_chaos(args) -> int:
     # Imported lazily: the campaign pulls in the full network stack.
-    import dataclasses
-    import json
-
     from .chaos import ChaosConfig, run_chaos_campaign
 
     base = ChaosConfig()
@@ -699,17 +643,9 @@ def _cmd_chaos(args) -> int:
         report = run_chaos_campaign(config, publisher=publisher)
     finally:
         telemetry.finish([])
-    if args.json:
-        payload = dict(report.to_dict(), kind="repro-chaos-report")
-        try:
-            with open(args.json, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-            print(f"report -> {args.json}")
-        except OSError as error:
-            print(f"cannot write {args.json}: {error}",
-                  file=sys.stderr)
-            return 2
+    if args.json and _write_json(
+            args.json, dict(report.to_dict(), kind="repro-chaos-report")):
+        return 2
     proxy = report.proxy_stats
     print(format_table(
         ["metric", "value"],

@@ -9,7 +9,7 @@ halves:
   drops, delays, truncates, corrupts, duplicates, or one-way
   blackholes wire frames.
 - :mod:`repro.chaos.campaign` — the chaos campaign: N closed-loop
-  clients drive idempotent read-modify-write transactions through the
+  clients (the :mod:`repro.harness.closed_loop` fleet) drive idempotent read-modify-write transactions through the
   proxy while a nemesis crashes and recovers the database, and a
   client-side **oracle** tracks a sound ``[min, max]`` bound on every
   key's final value (acked commit → both bounds advance; ambiguous

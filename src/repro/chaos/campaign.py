@@ -36,16 +36,14 @@ group-commit waiters, no forever-pending ledger entries.
 
 from __future__ import annotations
 
-import random
+import dataclasses
 import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..core.schema import Column, ColumnType, Schema
-from ..errors import (CrashedError, ProtocolError, ReproError,
-                      RetryAfterError, ServerDisconnected, ServerError,
-                      SessionError)
+from ..errors import ReproError
+from ..harness.closed_loop import ClosedLoopConfig, load_table, run_fleet
 from .proxy import FaultConfig, FaultProxyThread
 
 __all__ = ["ChaosConfig", "ChaosReport", "run_chaos_campaign"]
@@ -111,144 +109,7 @@ class ChaosReport:
         return not self.violations
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "config": self.config,
-            "committed": self.committed,
-            "ambiguous": self.ambiguous,
-            "resolved_durable": self.resolved_durable,
-            "resolved_not_applied": self.resolved_not_applied,
-            "still_ambiguous": self.still_ambiguous,
-            "failed_attempts": self.failed_attempts,
-            "crashes": self.crashes,
-            "recoveries": self.recoveries,
-            "keys_checked": self.keys_checked,
-            "final_total": self.final_total,
-            "wall_seconds": self.wall_seconds,
-            "proxy_stats": dict(self.proxy_stats),
-            "violations": list(self.violations),
-            "ok": self.ok,
-        }
-
-
-def _schema(config: ChaosConfig) -> Schema:
-    return Schema.build(
-        config.table,
-        [Column("k", ColumnType.INT), Column("v", ColumnType.INT)],
-        primary_key=["k"])
-
-
-class _ChaosWorker(threading.Thread):
-    """One closed-loop client committing through the fault proxy."""
-
-    def __init__(self, index: int, host: str, port: int,
-                 config: ChaosConfig,
-                 start_barrier: threading.Barrier) -> None:
-        super().__init__(name=f"chaos-{index}", daemon=True)
-        self.index = index
-        self.host = host
-        self.port = port
-        self.config = config
-        self.start_barrier = start_barrier
-        #: key -> certainly-applied increments (acked commits).
-        self.acked: Dict[int, int] = {}
-        #: (key, token) of commits whose fate is unresolved.
-        self.ambiguous: List[Tuple[int, str]] = []
-        self.failed_attempts = 0
-        self.error: Optional[BaseException] = None
-
-    def run(self) -> None:
-        try:
-            self._loop()
-        except BaseException as exc:
-            self.error = exc
-
-    def _loop(self) -> None:
-        from ..client import ReproClient
-
-        config = self.config
-        rng = random.Random(config.seed * 104729 + self.index)
-        client = ReproClient(
-            self.host, self.port, timeout=config.client_timeout_s,
-            retries=4, retry_backoff_s=0.02,
-            jitter_seed=config.seed * 31 + self.index)
-        session = self._open(client, rng)
-        self.start_barrier.wait(timeout=60.0)
-        try:
-            for _ in range(config.txns_per_client):
-                session = self._one_txn(client, session, rng)
-        finally:
-            try:
-                session.close()
-            except ReproError:
-                pass
-            client.close()
-
-    def _open(self, client, rng, label: str = ""):
-        """Connect (through the proxy) and open a session, retrying
-        through whatever the fault plan throws at the attempt."""
-        for attempt in range(self.config.max_attempts_per_txn):
-            try:
-                if not client.connected:
-                    client.connect()
-                return client.session(
-                    f"chaos-{self.index}{label}a{attempt}")
-            except (ServerError, ProtocolError, CrashedError):
-                client.close()
-                time.sleep(self.config.retry_sleep_s
-                           + rng.uniform(0, self.config.retry_sleep_s))
-        raise RuntimeError(
-            f"chaos worker {self.index} could not open a session")
-
-    def _one_txn(self, client, session, rng):
-        """Run one read-increment-write transaction to a classified
-        outcome; returns the live session."""
-        config = self.config
-        key = rng.randrange(config.keys)
-        for attempt in range(config.max_attempts_per_txn):
-            token = None
-            try:
-                session.begin()
-                row = session.get(config.table, key)
-                session.update(config.table, key, {"v": row["v"] + 1})
-                token = client.commit_token()
-                session.commit(deadline=config.commit_deadline_s,
-                               token=token)
-                self.acked[key] = self.acked.get(key, 0) + 1
-                return session
-            except ReproError as exc:
-                if token is not None:
-                    # The commit verb itself failed: its fate is
-                    # ambiguous until reconciled against the ledger.
-                    self.ambiguous.append((key, token))
-                    session = self._recover_session(client, session,
-                                                    rng, exc)
-                    return session
-                self.failed_attempts += 1
-                session = self._retry_setup(client, session, rng, exc)
-        raise RuntimeError(
-            f"chaos worker {self.index} gave up on key {key} after "
-            f"{config.max_attempts_per_txn} attempts")
-
-    def _retry_setup(self, client, session, rng, exc):
-        """Recover from a pre-commit failure (nothing was applied)."""
-        if isinstance(exc, RetryAfterError):
-            time.sleep(rng.uniform(0, exc.retry_after_s * 2))
-            return session
-        if isinstance(exc, CrashedError):
-            # Wait out the nemesis; the session survived the crash.
-            time.sleep(self.config.retry_sleep_s)
-            return session
-        return self._recover_session(client, session, rng, exc)
-
-    def _recover_session(self, client, session, rng, exc):
-        """The session (or its connection) is suspect: replace it."""
-        try:
-            session.close()
-        except ReproError:
-            pass
-        if isinstance(exc, (ServerDisconnected, ProtocolError)):
-            client.close()
-        return self._open(client, rng, label="r")
+        return dict(dataclasses.asdict(self), ok=self.ok)
 
 
 class _Nemesis(threading.Thread):
@@ -338,7 +199,9 @@ def run_chaos_campaign(config: Optional[ChaosConfig] = None, *,
         admin = ReproClient(host, port)
         admin.connect()
         try:
-            _load(admin, config)
+            # Durable before the first fault or crash can touch it.
+            load_table(admin, _fleet_config(config))
+            admin.flush()
             with FaultProxyThread(host, port,
                                   config=config.faults) as proxy:
                 proxy_host, proxy_port = proxy.proxy.address
@@ -361,35 +224,31 @@ def run_chaos_campaign(config: Optional[ChaosConfig] = None, *,
     return report
 
 
-def _load(admin, config: ChaosConfig) -> None:
-    """Create and populate the counter table — and make it durable
-    before the first fault or crash can touch it."""
-    admin.create_table(_schema(config))
-    with admin.session("chaos-loader") as session:
-        for base in range(0, config.keys, 256):
-            session.begin()
-            for key in range(base, min(base + 256, config.keys)):
-                session.insert(config.table, {"k": key, "v": 0})
-            session.commit()
-    admin.flush()
+def _fleet_config(config: ChaosConfig) -> ClosedLoopConfig:
+    """The chaos workload is the closed-loop one at one key per
+    transaction."""
+    return ClosedLoopConfig(
+        clients=config.clients, txns_per_client=config.txns_per_client,
+        ops_per_txn=1, keys=config.keys, seed=config.seed,
+        table=config.table, max_txn_retries=config.max_attempts_per_txn,
+        retry_sleep_s=config.retry_sleep_s)
 
 
 def _run_workers(proxy_host: str, proxy_port: int,
                  server_host: str, server_port: int,
                  config: ChaosConfig, report: ChaosReport,
-                 publisher) -> List[_ChaosWorker]:
-    barrier = threading.Barrier(config.clients)
-    workers = [_ChaosWorker(i, proxy_host, proxy_port, config, barrier)
-               for i in range(config.clients)]
-    for worker in workers:
-        worker.start()
+                 publisher) -> list:
     # The nemesis must bypass the proxy: a fault eating its crash or
     # recover exchange would leave the database crashed forever.
     nemesis = _Nemesis(server_host, server_port, config, publisher)
     nemesis.start()
-    deadline = time.monotonic() + config.max_wall_s
+    workers = run_fleet(
+        proxy_host, proxy_port, _fleet_config(config),
+        client_options={"timeout": config.client_timeout_s,
+                        "retries": 4, "retry_backoff_s": 0.02},
+        commit_deadline_s=config.commit_deadline_s,
+        max_wall_s=config.max_wall_s)
     for worker in workers:
-        worker.join(max(0.1, deadline - time.monotonic()))
         if worker.is_alive():
             report.violations.append(
                 f"worker {worker.index} stalled past "
@@ -402,7 +261,7 @@ def _run_workers(proxy_host: str, proxy_port: int,
         report.violations.append(f"nemesis died: {nemesis.error!r}")
     report.crashes = nemesis.crashes
     report.recoveries = nemesis.recoveries
-    report.committed = sum(sum(w.acked.values()) for w in workers)
+    report.committed = sum(w.committed for w in workers)
     report.ambiguous = sum(len(w.ambiguous) for w in workers)
     report.failed_attempts = sum(w.failed_attempts for w in workers)
     return workers
@@ -420,7 +279,7 @@ def _settle(admin, config: ChaosConfig) -> None:
             time.sleep(0.02)
 
 
-def _reconcile(admin, workers: List[_ChaosWorker],
+def _reconcile(admin, workers: list,
                report: ChaosReport) -> Dict[int, Tuple[int, int]]:
     """Per-key ``[min, max]`` applied-increment bounds, tightened by
     asking the commit ledger about every ambiguous token."""
@@ -429,13 +288,14 @@ def _reconcile(admin, workers: List[_ChaosWorker],
     for worker in workers:
         for key, count in worker.acked.items():
             certain[key] = certain.get(key, 0) + count
-        for key, token in worker.ambiguous:
+        for keys, token in worker.ambiguous:
             try:
                 fate = admin.commit_status(token).get("status")
             except ReproError:
                 fate = "unreachable"
             if fate == "durable":
-                certain[key] = certain.get(key, 0) + 1
+                for key in keys:
+                    certain[key] = certain.get(key, 0) + 1
                 report.resolved_durable += 1
             elif fate == "unknown":
                 # Never recorded: the commit verb never started, so
@@ -444,7 +304,8 @@ def _reconcile(admin, workers: List[_ChaosWorker],
             else:
                 # pending / failed / forgotten / unreachable: keep the
                 # increment inside the upper bound.
-                unresolved[key] = unresolved.get(key, 0) + 1
+                for key in keys:
+                    unresolved[key] = unresolved.get(key, 0) + 1
                 report.still_ambiguous += 1
     return {key: (certain.get(key, 0),
                   certain.get(key, 0) + unresolved.get(key, 0))
@@ -478,21 +339,13 @@ def _check_leaks(admin, report: ChaosReport) -> None:
     """After quiescence the server must hold no residual resources."""
     stats = admin.stats()
     admission = stats.get("admission", {})
-    if admission.get("in_flight"):
-        report.violations.append(
-            f"leaked admission slots: in_flight="
-            f"{admission.get('in_flight')}")
-    if admission.get("queue"):
-        report.violations.append(
-            f"admission queue not drained: {admission.get('queue')}")
-    if stats.get("locks_held"):
-        report.violations.append(
-            f"leaked partition locks: {stats.get('locks_held')}")
-    for stage in stats.get("group_commit", []):
-        if stage.get("pending"):
-            report.violations.append(
-                f"group-commit waiters leaked: {stage.get('pending')}")
-    if stats.get("ledger", {}).get("pending"):
-        report.violations.append(
-            f"ledger entries stuck pending: "
-            f"{stats['ledger']['pending']}")
+    held = [("leaked admission slots: in_flight",
+             admission.get("in_flight")),
+            ("admission queue not drained", admission.get("queue")),
+            ("leaked partition locks", stats.get("locks_held")),
+            ("ledger entries stuck pending",
+             stats.get("ledger", {}).get("pending"))]
+    held += [("group-commit waiters leaked", stage.get("pending"))
+             for stage in stats.get("group_commit", [])]
+    report.violations.extend(f"{what}: {count}"
+                             for what, count in held if count)

@@ -235,6 +235,14 @@ class Database:
         self._require_alive()
         self._on_all("flush")
 
+    def barrier(self) -> None:
+        """Wait until every operation issued so far has been executed;
+        a power failure inside one of them is raised here. Partitions
+        in this process run each operation before returning, so there
+        is nothing to wait for — a transport that *posts* its writes
+        (:class:`~repro.dist.coordinator.ShardedDatabase`) drains
+        them."""
+
     def settle(self) -> None:
         """Write back all dirty CPU-cache lines (steady state before a
         measurement window; the cost is charged outside it)."""

@@ -21,8 +21,9 @@ package turns that simulation into a parallel system:
   :meth:`Database.execute_distributed
   <repro.core.database.Database.execute_distributed>` runs with
   two-phase commit (:mod:`repro.core.twopc`) on either transport.
-- :mod:`repro.dist.campaign` — the 2PC crash campaign, on either
-  transport.
+- :mod:`repro.dist.campaign` — the 2PC crash campaign: the pair-write
+  workload the campaign kernel (:mod:`repro.fault.campaign`) runs on
+  either transport.
 
 See ``docs/scaleout.md`` for the architecture, the 2PC state machine,
 and the determinism contract.

@@ -35,15 +35,15 @@ COMPRESS_NS_PER_BYTE = 0.4
 register_fault_point(
     "checkpoint.write.before_fsync",
     "snapshot written to the inactive slot, not yet fsync'd",
-    engines=("inp",))
+    engines=("inp", "hybrid-inp"))
 register_fault_point(
     "checkpoint.write.after_fsync",
     "snapshot durable in the inactive slot, pointer not yet flipped",
-    engines=("inp",))
+    engines=("inp", "hybrid-inp"))
 register_fault_point(
     "checkpoint.swap.after_write",
     "pointer byte written in place, not yet fsync'd",
-    engines=("inp",))
+    engines=("inp", "hybrid-inp"))
 
 
 class Checkpointer:

@@ -42,7 +42,7 @@ _U64 = struct.Struct("<Q")
 register_fault_point(
     "checkpoint.truncate_wal.before",
     "checkpoint installed, WAL about to be truncated",
-    engines=("inp",))
+    engines=("inp", "hybrid-inp"))
 
 
 class _Table:

@@ -28,19 +28,19 @@ _HEADER = struct.Struct("<IBQH")  # entry length, op, txn id, table id
 register_fault_point(
     "wal.append.before",
     "filesystem WAL: before the entry bytes are appended",
-    engines=("inp", "log"))
+    engines=("inp", "hybrid-inp", "log"))
 register_fault_point(
     "wal.append.after",
     "filesystem WAL: entry appended but not yet fsync'd",
-    engines=("inp", "log"))
+    engines=("inp", "hybrid-inp", "log"))
 register_fault_point(
     "wal.fsync.before",
     "group-commit boundary: entries pending, before the WAL fsync",
-    engines=("inp", "log"))
+    engines=("inp", "hybrid-inp", "log"))
 register_fault_point(
     "wal.fsync.after",
     "group-commit boundary: right after the WAL fsync",
-    engines=("inp", "log"))
+    engines=("inp", "hybrid-inp", "log"))
 
 OP_INSERT = 1
 OP_UPDATE = 2

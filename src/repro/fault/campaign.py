@@ -1,25 +1,34 @@
-"""Systematic crash-point recovery campaigns.
+"""Systematic crash-point recovery campaigns: the one campaign kernel.
 
 A campaign answers the question the paper's Section 5.4 recovery
 experiments leave open: does every engine actually *survive* a power
 failure at every interesting instant, not just recover quickly? It
 
-1. runs a scripted single-operation workload once per engine with the
-   fault injector in **counting mode**, recording how often every
-   registered fault point is hit;
+1. runs a scripted workload once per engine with the fault injector in
+   **counting mode**, recording how often every registered fault point
+   is hit;
 2. re-runs the identical workload once per ``(point, hit)``
    **coordinate**, arming a :class:`~repro.fault.injector.FaultPlan`
    that crashes the platform mid-operation at exactly that instant;
 3. recovers — possibly through *nested* crashes when the plan also
    targets a recovery-phase point — and checks a tracking **oracle**:
-   every acknowledged transaction's effect must survive, every
-   unacknowledged transaction must be atomic (fully applied or fully
-   absent, disambiguated by reading the row back), and no phantom rows
-   may appear.
+   every acknowledged step's effect must survive on every partition,
+   the interrupted step must be atomic (fully applied or fully absent,
+   disambiguated by reading the row back), and no phantom rows may
+   appear.
 
 Coordinates fan out across worker processes through the experiment
 scheduler (:func:`~repro.harness.scheduler.run_sweep`), so a campaign
 is parallel, deterministic, and crash-isolated like any other sweep.
+
+The loop is parameterised only by a :class:`Workload` — what one step
+does and which fault points it should reach. There are exactly two:
+:class:`SingleRow` here (single-operation transactions against one
+partition: the storage campaign) and
+:class:`repro.dist.campaign.PairWrite` (a two-partition pair-write
+through two-phase commit). Everything else — the harsh configuration,
+arming, nested recovery, the oracle, coordinate planning, the report —
+is this module, so a new oracle plugs in once.
 
 The campaign schema is deliberately a single table without secondary
 indexes: the NVM-CoW engine's master-record flip is atomic per
@@ -33,14 +42,16 @@ the database/engine stack that itself imports the injector.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
+                    Type)
 
 from ..config import CacheConfig, EngineConfig, PlatformConfig
 from ..core.database import Database
 from ..core.schema import Column, ColumnType, Schema
-from ..errors import SimulatedCrash, StorageEngineError
+from ..errors import SimulatedCrash, StorageEngineError, TransactionError
 from ..harness.scheduler import PointOutcome, run_sweep
 from ..obs import bus as _bus
 from ..obs.bus import (DEFAULT_HEARTBEAT_S, BusPublisher, EventBus,
@@ -48,68 +59,117 @@ from ..obs.bus import (DEFAULT_HEARTBEAT_S, BusPublisher, EventBus,
 from ..obs.profiler import PhaseProfiler
 from .injector import FaultPlan, fault_points_for_engine
 
-__all__ = ["CampaignSpec", "CampaignPointResult", "CampaignReport",
-           "run_crash_campaign", "build_script", "plan_coordinates"]
-
-TABLE = "crashtest"
+__all__ = ["Workload", "SingleRow", "CampaignSpec", "CampaignPointResult",
+           "CampaignReport", "run_crash_campaign", "build_script",
+           "plan_coordinates"]
 
 #: Keys the scripted workload draws from — small enough that updates
 #: and deletes keep landing on rows with history.
 KEY_SPACE = 25
 
 #: Key used by the post-recovery operational probe; never produced by
-#: the script, so the oracle ignores it.
+#: a script, so the oracle ignores it.
 SENTINEL_KEY = 9999
 
 #: Recovery attempts before the oracle declares the database stuck.
 MAX_NESTED_RECOVERIES = 10
 
-#: Shared disabled profiler: phase scopes become no-ops, so internal
-#: helpers can profile unconditionally.
-_NULL_PROFILER = PhaseProfiler(enabled=False)
+#: One script step: ``(how, key, value)``. The kernel tracks the
+#: ``key -> value`` effect (``None`` deletes the key); ``how`` belongs
+#: to the workload (the operation name, the home partition, ...).
+Step = Tuple[Any, int, Optional[str]]
 
 
-def _schema() -> Schema:
-    return Schema.build(
-        TABLE,
-        [Column("id", ColumnType.INT),
-         Column("v", ColumnType.STRING, capacity=16)],
-        primary_key=["id"])
+class Workload:
+    """The seam between the campaign kernel and what it crashes: a
+    schema and partition count, a deterministic script, how to apply
+    one step, and the fault points the script must reach. The oracle
+    (:meth:`landed`, :meth:`verify`) reads the table through that
+    schema and partition count: both workloads keep the same ``key ->
+    value`` map on every partition, so at two partitions it is the
+    distributed-commit oracle. Stateless: the class itself is what a
+    spec carries (it pickles by reference)."""
+
+    #: Slug prefix, spec ``kind``, observability label, and the
+    #: report's ``kind`` (``repro-<name>-report``).
+    name: str
+    title: str
+    table: str
+    partitions = 1
+    #: ``points(engine)``: the fault points a counting run must reach.
+    points: Callable[[str], Sequence[str]]
+    #: ``build_script(seed, ops)``: the deterministic steps.
+    build_script: Callable[[int, int], List[Step]]
+    #: ``apply(db, step)``: run one step as one transaction that is
+    #: acknowledged only once durable.
+    apply: Callable[[Database, Step], None]
+
+    @classmethod
+    def schema(cls) -> Schema:
+        return Schema.build(
+            cls.table,
+            [Column("id", ColumnType.INT),
+             Column("v", ColumnType.STRING, capacity=16)],
+            primary_key=["id"])
+
+    @classmethod
+    def landed(cls, db: Database, step: Step, previous: Optional[str],
+               violations: List[str], when: str) -> bool:
+        """Did the interrupted step commit? It was never acknowledged,
+        so either outcome is legal — but it must be atomic across every
+        partition. Read each side to learn which way recovery decided:
+        violations if a side shows a value that is neither the new nor
+        the last-acknowledged one, or the partitions disagree (a
+        partial commit)."""
+        __, key, value = step
+        sides = []
+        for pid in range(cls.partitions):
+            row = db.get(cls.table, key, partition=pid)
+            side = None if row is None else row["v"]
+            sides.append(side)
+            if side not in (value, previous):
+                violations.append(
+                    f"{when}: partition {pid} key {key} is {side!r}, "
+                    f"expected {value!r} or {previous!r}")
+        if len(set(sides)) > 1:
+            violations.append(
+                f"{when}: partial commit for key {key}: the "
+                f"partitions hold {sides!r}")
+        return all(side == value for side in sides)
+
+    @classmethod
+    def verify(cls, db: Database, expected: Dict[int, str],
+               violations: List[str], when: str) -> None:
+        """The oracle: every partition must hold exactly the expected
+        (acknowledged) rows at their latest values."""
+        for pid in range(cls.partitions):
+            where = f"partition {pid} " if cls.partitions > 1 else ""
+            rows = {key: values["v"] for key, values
+                    in db.partitions[pid].scan(cls.table)}
+            for key, value in sorted(expected.items()):
+                if key not in rows:
+                    violations.append(
+                        f"{when}: {where}lost committed row {key} "
+                        f"(expected {value!r})")
+                elif rows[key] != value:
+                    violations.append(
+                        f"{when}: {where}row {key} is {rows[key]!r}, "
+                        f"expected {value!r}")
+            for key in sorted(rows):
+                if key not in expected and key != SENTINEL_KEY:
+                    violations.append(
+                        f"{when}: {where}phantom row {key} = "
+                        f"{rows[key]!r}")
 
 
-def _make_database(engine: str, seed: int) -> Database:
-    """A deliberately harsh configuration: every commit is durable the
-    moment it is acknowledged (group commit of 1 — the oracle's
-    invariant), checkpoints/flushes/compactions all happen within a
-    short script, and *no* dirty cache line survives a crash by luck
-    (eviction probability 0), so a missing fence always loses data."""
-    platform_config = PlatformConfig(
-        seed=seed,
-        cache=CacheConfig(crash_eviction_probability=0.0))
-    engine_config = EngineConfig(
-        group_commit_size=1,
-        checkpoint_interval_txns=12,
-        memtable_threshold_bytes=512,
-        lsm_max_runs_per_level=2,
-        btree_node_size=256,
-        cow_btree_node_size=512,
-        nvm_cow_node_size=512)
-    db = Database(engine=engine, partitions=1,
-                  platform_config=platform_config,
-                  engine_config=engine_config)
-    db.create_table(_schema())
-    return db
-
-
-def build_script(seed: int, ops: int
-                 ) -> List[Tuple[str, int, Optional[str]]]:
+def build_script(seed: int, ops: int) -> List[Step]:
     """The deterministic single-operation workload: ``(op, key,
     value)`` triples mixing inserts, updates, and deletes over a small
     key space. Every written value is unique, so the oracle can tell
     *which* version of a row survived."""
     rng = random.Random(f"crashtest-{seed}")
     live: set = set()
-    script: List[Tuple[str, int, Optional[str]]] = []
+    script: List[Step] = []
     for i in range(ops):
         value = f"v{i:04d}"
         choices = []
@@ -130,12 +190,61 @@ def build_script(seed: int, ops: int
     return script
 
 
-def _apply_expected(expected: Dict[int, str], op: str, key: int,
-                    value: Optional[str]) -> None:
-    if op == "delete":
-        expected.pop(key, None)
-    else:
-        expected[key] = value
+class SingleRow(Workload):
+    """The storage campaign: one insert/update/delete per transaction
+    against a single partition, sweeping the engine's own fault
+    points."""
+
+    name = "crashtest"
+    title = "Crash campaign"
+    table = "crashtest"
+    points = staticmethod(fault_points_for_engine)
+    build_script = staticmethod(build_script)
+
+    @classmethod
+    def apply(cls, db: Database, step: Step) -> None:
+        op, key, value = step
+        if op == "insert":
+            db.insert(cls.table, {"id": key, "v": value})
+        elif op == "update":
+            db.update(cls.table, key, {"v": value})
+        else:
+            db.delete(cls.table, key)
+        # Acknowledged == executed: a transport that posts its writes
+        # reports the power failure here, not at some later verb.
+        db.barrier()
+
+
+def _make_database(engine: str, seed: int,
+                   workload: Type[Workload] = SingleRow,
+                   factory: Callable[..., Database] = Database
+                   ) -> Database:
+    """A deliberately harsh configuration: every commit is durable the
+    moment it is acknowledged (group commit of 1 — the oracle's
+    invariant), checkpoints/flushes/compactions all happen within a
+    short script, and *no* dirty cache line survives a crash by luck
+    (eviction probability 0), so a missing fence always loses data.
+    ``factory`` picks the transport (``Database`` or
+    ``ShardedDatabase``)."""
+    platform_config = PlatformConfig(
+        seed=seed,
+        cache=CacheConfig(crash_eviction_probability=0.0),
+        # The hybrid engine refuses to run without a DRAM tier.
+        dram_capacity_bytes=(32 * 1024 * 1024
+                             if engine.startswith("hybrid") else 0))
+    engine_config = EngineConfig(
+        group_commit_size=1,
+        checkpoint_interval_txns=12,
+        memtable_threshold_bytes=512,
+        lsm_max_runs_per_level=2,
+        btree_node_size=256,
+        cow_btree_node_size=512,
+        nvm_cow_node_size=512)
+    db = factory(engine=engine, partitions=workload.partitions,
+                 platform_config=platform_config,
+                 engine_config=engine_config)
+    db.create_table(workload.schema())
+    return db
 
 
 @dataclass
@@ -150,7 +259,10 @@ class CampaignPointResult:
     recoveries: int = 0
     nested_crashes: int = 0
     ops_applied: int = 0
-    #: Fault-point name -> times the workload passed through it.
+    #: Fault-point name -> times the workload passed through it: the
+    #: per-partition maximum (a trigger can only fire against one
+    #: injector's counter, so the maximum — not the cross-partition
+    #: sum — bounds the plannable hits).
     hits: Dict[str, int] = field(default_factory=dict)
     #: ``(point, hit)`` triggers that actually fired.
     fired: Tuple[Tuple[str, int], ...] = ()
@@ -164,29 +276,18 @@ class CampaignPointResult:
         return not self.violations
 
     def to_dict(self) -> Dict[str, Any]:
-        payload = {
-            "engine": self.engine,
-            "seed": self.seed,
-            "triggers": [list(pair) for pair in self.triggers],
-            "crashes": self.crashes,
-            "recoveries": self.recoveries,
-            "nested_crashes": self.nested_crashes,
-            "ops_applied": self.ops_applied,
-            "hits": dict(sorted(self.hits.items())),
-            "fired": [list(pair) for pair in self.fired],
-            "violations": list(self.violations),
-            "ok": self.ok,
-        }
+        payload = dataclasses.asdict(self)
+        payload["ok"] = self.ok
         # Wall-clock side-band data: only present on telemetry runs, so
         # default campaign reports stay identical with or without it.
-        if self.phases is not None:
-            payload["phases"] = self.phases
+        if self.phases is None:
+            del payload["phases"]
         return payload
 
 
 @dataclass(frozen=True)
 class CampaignSpec:
-    """One campaign run: a scripted workload against one engine, with
+    """One campaign run: a workload's script against one engine, with
     an optional fault plan. Picklable, deterministic, and runnable by
     the experiment scheduler (it provides its own :meth:`execute`)."""
 
@@ -196,18 +297,20 @@ class CampaignSpec:
     #: ``(point, hit)`` pairs; empty means counting mode (no crashes).
     triggers: Tuple[Tuple[str, int], ...] = ()
     observe: bool = False
+    workload: Type[Workload] = SingleRow
+    factory: Callable[..., Database] = Database
 
     def slug(self) -> str:
+        prefix = f"{self.workload.name}-{self.engine}-s{self.seed}-"
         if not self.triggers:
-            return f"crashtest-{self.engine}-s{self.seed}-count"
+            return prefix + "count"
         coordinate = "+".join(f"{point}@{hit}"
                               for point, hit in self.triggers)
-        return (f"crashtest-{self.engine}-s{self.seed}-"
-                f"{coordinate.replace('.', '_')}")
+        return prefix + coordinate.replace('.', '_')
 
     def to_dict(self) -> Dict[str, Any]:
         return {
-            "kind": "crashtest",
+            "kind": self.workload.name,
             "engine": self.engine,
             "seed": self.seed,
             "ops": self.ops,
@@ -223,11 +326,11 @@ class CampaignSpec:
                 telemetry=None) -> CampaignPointResult:
         """Run the scripted workload under this spec's fault plan and
         verify the oracle after every recovery. ``database`` lets tests
-        substitute a sabotaged engine; it must use the campaign schema.
-        ``telemetry`` (a :class:`~repro.obs.bus.TelemetryPublisher`)
-        streams heartbeats — with crash/recovery counters — and phase
-        transitions while the point runs, and attaches the phase
-        profile to the result."""
+        substitute a sabotaged engine; it must use the workload's
+        schema. ``telemetry`` (a
+        :class:`~repro.obs.bus.TelemetryPublisher`) streams heartbeats
+        — with crash/recovery counters — and phase transitions while
+        the point runs, and attaches the phase profile to the result."""
         result = CampaignPointResult(engine=self.engine, seed=self.seed,
                                      triggers=self.triggers)
         profiler = PhaseProfiler(publisher=telemetry,
@@ -235,27 +338,33 @@ class CampaignSpec:
         profiler.start()
         with profiler.phase("setup"):
             db = database if database is not None \
-                else _make_database(self.engine, self.seed)
-        if obs is not None:
-            obs.attach(db, self.engine, "crashtest")
+                else _make_database(self.engine, self.seed,
+                                    self.workload, self.factory)
         heartbeat = None
-        if telemetry is not None:
-            heartbeat = HeartbeatEmitter(
-                telemetry, db,
-                extra=lambda: {"crashes": result.crashes,
-                               "recoveries": result.recoveries,
-                               "ops": result.ops_applied})
-            heartbeat.install()
         try:
+            if obs is not None:
+                obs.attach(db, self.engine, self.workload.name)
+            # Per-commit heartbeats hook partition objects directly,
+            # which executor processes do not expose.
+            if telemetry is not None \
+                    and not getattr(db, "is_sharded", False):
+                heartbeat = HeartbeatEmitter(
+                    telemetry, db,
+                    extra=lambda: {"crashes": result.crashes,
+                                   "recoveries": result.recoveries,
+                                   "ops": result.ops_applied})
+                heartbeat.install()
             self._run_script(db, result, profiler)
         finally:
+            # Also on an engine bug's traceback: a sharded database
+            # owns executor processes that must not outlive the point.
             if heartbeat is not None:
                 heartbeat.uninstall()
-        db.disarm_faults()
-        if obs is not None:
-            obs.detach(db)
-        with profiler.phase("teardown", db):
-            db.close()
+            db.disarm_faults()
+            if obs is not None:
+                obs.detach(db)
+            with profiler.phase("teardown", db):
+                db.close()
         profiler.stop()
         if profiler.enabled:
             result.phases = profiler.to_dict()
@@ -263,63 +372,72 @@ class CampaignSpec:
 
     def _run_script(self, db: Database, result: CampaignPointResult,
                     profiler: PhaseProfiler) -> None:
+        workload = self.workload
         db.arm_faults(FaultPlan(self.triggers))
         expected: Dict[int, str] = {}
+
+        def acknowledge(key: int, value: Optional[str]) -> None:
+            if value is None:
+                expected.pop(key, None)
+            else:
+                expected[key] = value
+
+        def verify(when: str) -> None:
+            with profiler.phase("verify", db):
+                workload.verify(db, expected, result.violations, when)
+
         with profiler.phase("load", db):
-            script = build_script(self.seed, self.ops)
+            script = workload.build_script(self.seed, self.ops)
         index = 0
         with profiler.phase("run", db):
             while index < len(script):
-                op, key, value = script[index]
+                step = how, key, value = script[index]
                 try:
-                    if op == "insert":
-                        db.insert(TABLE, {"id": key, "v": value})
-                    elif op == "update":
-                        db.update(TABLE, key, {"v": value})
-                    else:
-                        db.delete(TABLE, key)
+                    workload.apply(db, step)
                 except SimulatedCrash:
-                    result.crashes += 1
                     self._recover(db, result, profiler)
-                    # The interrupted transaction was never
-                    # acknowledged, so either outcome is legal — but it
-                    # must be atomic. Read the row to learn which way
-                    # recovery decided.
-                    if self._op_applied(db, op, key, value):
-                        _apply_expected(expected, op, key, value)
+                    if workload.landed(db, step, expected.get(key),
+                                       result.violations, f"op {index}"):
+                        acknowledge(key, value)
                         index += 1
-                    self._verify(db, expected, result,
-                                 f"after crash at op {index}", profiler)
+                    verify(f"after crash at op {index}")
                     continue
-                except StorageEngineError as exc:
-                    # A correct engine never rejects a script op: the
-                    # oracle keeps `expected` in lockstep with the
-                    # database. An engine error here means recovery
-                    # silently diverged.
+                except (StorageEngineError, TransactionError) as exc:
+                    # A correct engine never rejects a script step (and
+                    # a 2PC participant never vetoes one): the oracle
+                    # keeps `expected` in lockstep with the database.
+                    # An error here means recovery silently diverged.
                     result.violations.append(
-                        f"op {index} ({op} {key}): "
+                        f"op {index} ({how} {key}): "
                         f"{type(exc).__name__}: {exc}")
                     break
-                _apply_expected(expected, op, key, value)
+                acknowledge(key, value)
                 result.ops_applied += 1
                 index += 1
         # Final clean crash + recovery: exercises the recovery-phase
         # fault points every run and catches any commit whose
         # durability silently depended on volatile state.
         db.crash()
-        result.crashes += 1
         self._recover(db, result, profiler)
-        self._verify(db, expected, result, "final", profiler)
+        verify("final")
         self._probe(db, result, profiler)
-        result.hits = db.fault_hits()
+        # Through the Partition contract, so the same lines serve an
+        # executor process on the far side of a pipe.
+        sides = [partition.fault_hits() for partition in db.partitions]
+        result.hits = {
+            point: max(side.get(point, 0) for side in sides)
+            for point in workload.points(self.engine)
+            if any(side.get(point, 0) for side in sides)}
         result.fired = tuple(
-            (trigger.point, trigger.hit)
-            for partition in db.partitions
-            for trigger in partition.platform.faults.fired)
+            tuple(trigger) for partition in db.partitions
+            for trigger in partition.faults_fired())
 
     def _recover(self, db: Database, result: CampaignPointResult,
-                 profiler: PhaseProfiler = _NULL_PROFILER) -> None:
-        """Recover, riding out nested crash-during-recovery faults."""
+                 profiler: PhaseProfiler) -> None:
+        """Recover from the crash that just happened, riding out
+        nested crash-during-recovery faults — the one place idempotent
+        redo is exercised, so every workload inherits it."""
+        result.crashes += 1
         with profiler.phase("recovery", db):
             for __ in range(MAX_NESTED_RECOVERIES):
                 try:
@@ -334,52 +452,23 @@ class CampaignSpec:
                 f"stuck-recovery: not recovered after "
                 f"{MAX_NESTED_RECOVERIES} attempts")
 
-    def _op_applied(self, db: Database, op: str, key: int,
-                    value: Optional[str]) -> bool:
-        row = db.get(TABLE, key)
-        if op == "delete":
-            return row is None
-        return row is not None and row["v"] == value
-
-    def _verify(self, db: Database, expected: Dict[int, str],
-                result: CampaignPointResult, when: str,
-                profiler: PhaseProfiler = _NULL_PROFILER) -> None:
-        """The oracle: the surviving rows must be exactly the expected
-        (acknowledged) state."""
-        with profiler.phase("verify", db):
-            rows = {key: values["v"]
-                    for key, values in db.scan(TABLE)}
-        for key, value in sorted(expected.items()):
-            if key not in rows:
-                result.violations.append(
-                    f"{when}: lost committed row {key} "
-                    f"(expected {value!r})")
-            elif rows[key] != value:
-                result.violations.append(
-                    f"{when}: row {key} is {rows[key]!r}, "
-                    f"expected {value!r}")
-        for key in sorted(rows):
-            if key not in expected and key != SENTINEL_KEY:
-                result.violations.append(
-                    f"{when}: phantom row {key} = {rows[key]!r}")
-
     def _probe(self, db: Database, result: CampaignPointResult,
-               profiler: PhaseProfiler = _NULL_PROFILER) -> None:
+               profiler: PhaseProfiler) -> None:
         """Operational sentinel: the recovered database must still take
         writes, not just answer reads."""
+        table = self.workload.table
         for __ in range(2):
             try:
-                if db.get(TABLE, SENTINEL_KEY) is None:
-                    db.insert(TABLE, {"id": SENTINEL_KEY, "v": "probe"})
-                row = db.get(TABLE, SENTINEL_KEY)
+                if db.get(table, SENTINEL_KEY) is None:
+                    db.insert(table, {"id": SENTINEL_KEY, "v": "probe"})
+                row = db.get(table, SENTINEL_KEY)
                 if row is None or row["v"] != "probe":
                     result.violations.append(
                         "sentinel: probe row unreadable after recovery")
-                db.delete(TABLE, SENTINEL_KEY)
+                db.delete(table, SENTINEL_KEY)
                 return
             except SimulatedCrash:
                 # A leftover trigger fired mid-probe; recover and retry.
-                result.crashes += 1
                 self._recover(db, result, profiler)
             except Exception as exc:
                 result.violations.append(
@@ -393,7 +482,7 @@ class CampaignSpec:
 # Campaign orchestration
 # ----------------------------------------------------------------------
 
-def plan_coordinates(engine: str, hits: Dict[str, int],
+def plan_coordinates(points: Sequence[str], hits: Dict[str, int],
                      max_hits_per_point: int = 3
                      ) -> List[Tuple[Tuple[str, int], ...]]:
     """Turn a counting run's hit profile into the crash coordinates to
@@ -401,27 +490,18 @@ def plan_coordinates(engine: str, hits: Dict[str, int],
     sampled hits (always the first and the last); for every
     recovery-phase point, a nested plan that crashes in-operation
     first and then again during the resulting recovery."""
-    points = fault_points_for_engine(engine)
-    data_points = [p for p in points if not p.startswith("recovery.")]
-    recovery_points = [p for p in points if p.startswith("recovery.")]
+    reached = [point for point in points if hits.get(point, 0) > 0]
+    data_points = [point for point in reached
+                   if not point.startswith("recovery.")]
     coordinates: List[Tuple[Tuple[str, int], ...]] = []
-    first_data: Optional[str] = None
     for point in data_points:
-        total = hits.get(point, 0)
-        if total <= 0:
-            continue
-        if first_data is None:
-            first_data = point
-        sampled = {1, total, (1 + total) // 2}
+        sampled = {1, hits[point], (1 + hits[point]) // 2}
         for hit in sorted(sampled)[:max_hits_per_point]:
             coordinates.append(((point, hit),))
-    for point in recovery_points:
-        if hits.get(point, 0) <= 0:
-            continue
-        if first_data is not None:
-            coordinates.append(((first_data, 1), (point, 1)))
-        else:
-            coordinates.append(((point, 1),))
+    first_crash = ((data_points[0], 1),) if data_points else ()
+    for point in reached:
+        if point.startswith("recovery."):
+            coordinates.append(first_crash + ((point, 1),))
     return coordinates
 
 
@@ -435,6 +515,7 @@ class CampaignReport:
     outcomes: List[PointOutcome]
     #: engine -> registered points the counting run never even reached.
     uncovered: Dict[str, List[str]]
+    workload: Type[Workload] = SingleRow
 
     @property
     def violations(self) -> List[str]:
@@ -460,39 +541,42 @@ class CampaignReport:
         return not self.violations and not self.failures \
             and not any(self.uncovered.values())
 
+    @property
+    def profiles(self) -> List[Dict[str, Any]]:
+        """Phase profiles of every run that recorded one."""
+        results = list(self.counting.values()) + [
+            outcome.result for outcome in self.outcomes
+            if outcome.result is not None]
+        return [result.phases for result in results if result.phases]
+
     def point_rows(self) -> List[List[str]]:
         """Per-(engine, point) aggregation for the CLI table."""
-        stats: Dict[Tuple[str, str], Dict[str, int]] = {}
+        groups: Dict[Tuple[str, str], List[PointOutcome]] = {}
         for outcome in self.outcomes:
             spec = outcome.spec
             target = spec.triggers[-1][0] if spec.triggers else "-"
-            entry = stats.setdefault((spec.engine, target), {
-                "coords": 0, "crashes": 0, "violations": 0,
-                "failures": 0})
-            entry["coords"] += 1
-            if outcome.result is not None:
-                entry["crashes"] += outcome.result.crashes
-                entry["violations"] += len(outcome.result.violations)
-            if not outcome.ok:
-                entry["failures"] += 1
+            groups.setdefault((spec.engine, target), []).append(outcome)
         rows = []
-        for (engine, point), entry in sorted(stats.items()):
+        for (engine, point), outcomes in sorted(groups.items()):
+            results = [outcome.result for outcome in outcomes
+                       if outcome.result is not None]
+            violations = sum(len(result.violations) for result in results)
             status = "ok"
-            if entry["failures"]:
+            if not all(outcome.ok for outcome in outcomes):
                 status = "FAILED"
-            elif entry["violations"]:
+            elif violations:
                 status = "VIOLATED"
-            rows.append([engine, point, str(entry["coords"]),
-                         str(entry["crashes"]),
-                         str(entry["violations"]), status])
-        for engine in self.engines:
-            for point in self.uncovered.get(engine, []):
-                rows.append([engine, point, "0", "0", "0", "UNCOVERED"])
+            rows.append([engine, point, str(len(outcomes)),
+                         str(sum(result.crashes for result in results)),
+                         str(violations), status])
+        rows.extend([engine, point, "0", "0", "0", "UNCOVERED"]
+                    for engine in self.engines
+                    for point in self.uncovered.get(engine, []))
         return rows
 
     def to_dict(self) -> Dict[str, Any]:
         return {
-            "kind": "repro-crashtest-report",
+            "kind": f"repro-{self.workload.name}-report",
             "engines": list(self.engines),
             "seed": self.seed,
             "ok": self.ok,
@@ -520,7 +604,9 @@ def run_crash_campaign(engines: Sequence[str], seed: int = 7,
                        retries: int = 1, observe: bool = False,
                        artifacts_dir: Optional[str] = None,
                        bus: Optional[EventBus] = None,
-                       heartbeat_s: float = DEFAULT_HEARTBEAT_S
+                       heartbeat_s: float = DEFAULT_HEARTBEAT_S,
+                       workload: Type[Workload] = SingleRow,
+                       factory: Callable[..., Database] = Database
                        ) -> CampaignReport:
     """The full campaign: count fault-point hits per engine, then
     systematically crash at every sampled ``(point, hit)`` coordinate
@@ -540,19 +626,20 @@ def run_crash_campaign(engines: Sequence[str], seed: int = 7,
         publisher = BusPublisher(bus, source=f"count-{engine}",
                                  heartbeat_s=heartbeat_s) \
             if bus is not None else None
-        count_spec = CampaignSpec(engine=engine, seed=seed, ops=ops)
-        count_result = count_spec.execute(telemetry=publisher) \
-            if publisher is not None else count_spec.execute()
+        count_spec = CampaignSpec(engine=engine, seed=seed, ops=ops,
+                                  workload=workload, factory=factory)
+        count_result = count_spec.execute(telemetry=publisher)
         counting[engine] = count_result
-        uncovered[engine] = [
-            point for point in fault_points_for_engine(engine)
-            if count_result.hits.get(point, 0) <= 0]
-        coordinates = plan_coordinates(engine, count_result.hits,
+        points = workload.points(engine)
+        uncovered[engine] = [point for point in points
+                             if count_result.hits.get(point, 0) <= 0]
+        coordinates = plan_coordinates(points, count_result.hits,
                                        max_hits_per_point)
         for triggers in coordinates:
             specs.append(CampaignSpec(engine=engine, seed=seed, ops=ops,
                                       triggers=triggers,
-                                      observe=observe))
+                                      observe=observe, workload=workload,
+                                      factory=factory))
         if bus is not None:
             bus.publish(_bus.CAMPAIGN_COUNTED, source=f"count-{engine}",
                         engine=engine, coordinates=len(coordinates),
@@ -564,4 +651,4 @@ def run_crash_campaign(engines: Sequence[str], seed: int = 7,
                          heartbeat_s=heartbeat_s)
     return CampaignReport(engines=tuple(engines), seed=seed,
                           counting=counting, outcomes=outcomes,
-                          uncovered=uncovered)
+                          uncovered=uncovered, workload=workload)

@@ -81,11 +81,11 @@ register_fault_point(
 register_fault_point(
     "recovery.checkpoint_loaded",
     "InP recovery: checkpoint snapshot loaded, WAL not yet replayed",
-    engines=("inp",))
+    engines=("inp", "hybrid-inp"))
 register_fault_point(
     "recovery.wal_replayed",
     "redo recovery: committed WAL entries replayed, before epilogue",
-    engines=("inp", "log"))
+    engines=("inp", "hybrid-inp", "log"))
 register_fault_point(
     "recovery.wal_undone",
     "undo recovery: in-flight NVM WAL transactions rolled back",

@@ -15,6 +15,14 @@ simulated power failure (``CrashedError``) or a dropped connection
 session, and the loop carries on — which is exactly what lets the CI
 smoke job crash and recover the server mid-run under live load.
 
+There is one closed-loop client (:class:`_Worker`) and one way to run
+a fleet of them (:func:`run_fleet`). The worker keeps the detail an
+oracle needs — per-key acked counts, the ``(keys, token)`` of every
+commit whose fate it could not learn, failed attempts —
+:class:`ClosedLoopResult` reads only the totals, and the chaos
+campaign (:mod:`repro.chaos.campaign`) points the same fleet at a
+fault proxy and reconciles the detail against the commit ledger.
+
 Client count is a sweep dimension: :func:`sweep_clients` runs the same
 workload at increasing client counts against fresh servers, showing
 durability rounds per transaction fall as batches fill
@@ -23,6 +31,7 @@ durability rounds per transaction fall as batches fill
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import threading
 import time
@@ -31,11 +40,10 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.schema import Column, ColumnType, Schema
 from ..errors import (CrashedError, ProtocolError, ReproError,
-                      RetryAfterError, ServerDisconnected,
-                      SessionError)
+                      RetryAfterError, ServerDisconnected, ServerError)
 
 __all__ = ["ClosedLoopConfig", "ClosedLoopResult", "run_closed_loop",
-           "run_loopback", "sweep_clients"]
+           "run_fleet", "run_loopback", "sweep_clients"]
 
 
 @dataclass(frozen=True)
@@ -74,18 +82,9 @@ class ClosedLoopResult:
     server_stats: Dict[str, Any] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "clients": self.clients,
-            "committed": self.committed,
-            "failed": self.failed,
-            "wall_seconds": self.wall_seconds,
-            "throughput": self.throughput,
-            "durability_rounds": self.durability_rounds,
-            "rounds_per_txn": self.rounds_per_txn,
-            "mean_batch": self.mean_batch,
-            "max_batch": self.max_batch,
-            "flush_reasons": dict(self.flush_reasons),
-        }
+        payload = dataclasses.asdict(self)
+        del payload["server_stats"]     # the raw verb reply, not a result
+        return payload
 
 
 def table_schema(config: ClosedLoopConfig) -> Schema:
@@ -107,19 +106,42 @@ def load_table(client, config: ClosedLoopConfig) -> None:
 
 
 class _Worker(threading.Thread):
-    """One closed-loop client."""
+    """The one closed-loop client: runs ``txns_per_client``
+    read-increment-write transactions, each to an *acknowledged*
+    durable commit, and classifies every attempt on the way:
 
-    def __init__(self, index: int, host: str, port: int,
-                 config: ClosedLoopConfig,
-                 start_barrier: threading.Barrier) -> None:
+    * **acked** — ``commit`` returned: the increments are durable
+      (``acked`` counts them per key, ``committed`` per transaction);
+    * **ambiguous** — the ``commit`` verb itself raised: the
+      transaction may or may not have been applied (even a
+      ``CrashedError`` is ambiguous for engines whose logical commit is
+      their durable point). Recorded as ``(keys, token)`` so a caller
+      with an oracle can ask the server's commit ledger; the worker
+      just runs the transaction again;
+    * **failed** — anything before ``commit`` raised: certainly not
+      applied, retried. Load shedding (``RetryAfterError``) is waited
+      out, not counted — the transaction never started.
+
+    Every value written is the absolute ``v + 1``, so each
+    in-transaction frame is idempotent and the only frame whose loss
+    or duplication matters is ``commit``."""
+
+    def __init__(self, index: int, client, config: ClosedLoopConfig,
+                 start_barrier: threading.Barrier,
+                 commit_deadline_s: Optional[float]) -> None:
         super().__init__(name=f"closed-loop-{index}", daemon=True)
         self.index = index
-        self.host = host
-        self.port = port
+        self.client = client
         self.config = config
+        self.rng = random.Random(config.seed * 7919 + index)
         self.start_barrier = start_barrier
+        self.commit_deadline_s = commit_deadline_s
         self.committed = 0
-        self.failed = 0
+        #: key -> certainly-applied increments (acked commits).
+        self.acked: Dict[int, int] = {}
+        #: (keys, token) of commits whose fate is unresolved.
+        self.ambiguous: List[Tuple[Tuple[int, ...], str]] = []
+        self.failed_attempts = 0
         self.error: Optional[BaseException] = None
 
     def run(self) -> None:
@@ -129,73 +151,121 @@ class _Worker(threading.Thread):
             self.error = exc
 
     def _loop(self) -> None:
-        from ..client import ReproClient
-
-        config = self.config
-        rng = random.Random(config.seed * 7919 + self.index)
-        client = ReproClient(self.host, self.port)
-        client.connect()
-        session = client.session(f"client-{self.index}")
+        session = self._open()
         # A bounded wait so one worker failing to connect cannot hang
         # the whole fleet on the barrier.
         self.start_barrier.wait(timeout=60.0)
         try:
-            for _ in range(config.txns_per_client):
-                session = self._one_txn(client, session, rng)
+            for _ in range(self.config.txns_per_client):
+                session = self._one_txn(session)
         finally:
             try:
                 session.close()
             except ReproError:
                 pass
-            client.close()
+            self.client.close()
 
-    def _one_txn(self, client, session, rng):
-        """Run one transaction to durable commit, re-opening the
-        session (or connection) as needed; returns the live session."""
-        config = self.config
+    def _open(self, label: str = ""):
+        """Connect and open a session, retrying through a crashed
+        server or whatever a fault proxy throws at the attempt."""
+        config, client = self.config, self.client
         for attempt in range(config.max_txn_retries):
             try:
+                if not client.connected:
+                    client.connect()
+                return client.session(
+                    f"client-{self.index}{label}a{attempt}")
+            except (ServerError, ProtocolError, CrashedError):
+                client.close()
+                time.sleep(config.retry_sleep_s
+                           + self.rng.uniform(0, config.retry_sleep_s))
+        raise RuntimeError(
+            f"client {self.index} could not open a session")
+
+    def _one_txn(self, session):
+        """Run one transaction to an acknowledged commit, re-opening
+        the session (or connection) as needed; returns the live
+        session."""
+        config = self.config
+        keys = tuple(self.rng.randrange(config.keys)
+                     for _ in range(config.ops_per_txn))
+        for _ in range(config.max_txn_retries):
+            token = None
+            try:
                 session.begin()
-                for _ in range(config.ops_per_txn):
-                    key = rng.randrange(config.keys)
+                for key in keys:
                     row = session.get(config.table, key)
                     session.update(config.table, key,
                                    {"v": row["v"] + 1})
-                session.commit()
+                token = self.client.commit_token()
+                session.commit(deadline=self.commit_deadline_s,
+                               token=token)
+                for key in keys:
+                    self.acked[key] = self.acked.get(key, 0) + 1
                 self.committed += 1
                 return session
-            except RetryAfterError as exc:
-                # Load shed before any work: honor the server's hint
-                # (the transaction never started, so nothing failed).
-                time.sleep(exc.retry_after_s)
-            except CrashedError:
-                # Power failure: the transaction (possibly logically
-                # committed, not yet durable) is gone. Wait out the
-                # recovery, then retry with the same session.
-                self.failed += 1
-                time.sleep(config.retry_sleep_s)
-            except SessionError:
-                # Session state got out of step with a failure above,
-                # or the lease reaper expired the session; start over
-                # with a fresh one. The server may still be crashed —
-                # then wait it out and retry, same as above.
-                try:
-                    session = client.session(
-                        f"client-{self.index}r{attempt}")
-                except CrashedError:
-                    self.failed += 1
-                    time.sleep(config.retry_sleep_s)
-            except (ServerDisconnected, ProtocolError):
-                # A dropped connection — or a session handle gone
-                # stale across a mid-call reconnect ("no open
-                # session"): reconnect and start a fresh session.
-                self.failed += 1
-                client.connect()
-                session = client.session(
-                    f"client-{self.index}r{attempt}")
+            except ReproError as exc:
+                if token is not None:
+                    self.ambiguous.append((keys, token))
+                elif not isinstance(exc, RetryAfterError):
+                    self.failed_attempts += 1
+                session = self._after_failure(session, exc)
         raise RuntimeError(
             f"client {self.index} could not commit after "
             f"{config.max_txn_retries} attempts")
+
+    def _after_failure(self, session, exc):
+        """Wait out what can be waited out; otherwise the session (or
+        its connection) is suspect and is replaced."""
+        if isinstance(exc, RetryAfterError):
+            # Load shed before any work: honor the server's hint.
+            time.sleep(self.rng.uniform(0, exc.retry_after_s * 2))
+            return session
+        if isinstance(exc, CrashedError):
+            # Power failure: wait out the recovery; the session
+            # survived the crash. (If its state got out of step, the
+            # next attempt's SessionError replaces it below.)
+            time.sleep(self.config.retry_sleep_s)
+            return session
+        try:
+            session.close()
+        except ReproError:
+            pass
+        if isinstance(exc, (ServerDisconnected, ProtocolError)):
+            # A dropped connection — or a session handle gone stale
+            # across a mid-call reconnect ("no open session").
+            self.client.close()
+        return self._open(label="r")
+
+
+def run_fleet(host: str, port: int, config: ClosedLoopConfig, *,
+              client_options: Optional[Dict[str, Any]] = None,
+              commit_deadline_s: Optional[float] = None,
+              max_wall_s: Optional[float] = None) -> List[_Worker]:
+    """Start ``config.clients`` workers on a common barrier and join
+    them — giving up on the join (never on CI) after ``max_wall_s``.
+    Returns the workers: the caller reads ``is_alive()`` / ``error``
+    and the outcome records. ``client_options`` are extra
+    :class:`~repro.client.ReproClient` keyword arguments (a short
+    socket ``timeout`` turns a blackholed direction into a retryable
+    disconnect instead of a hang)."""
+    from ..client import ReproClient
+
+    barrier = threading.Barrier(config.clients)
+    workers = [_Worker(index,
+                       ReproClient(host, port,
+                                   jitter_seed=config.seed * 31 + index,
+                                   **(client_options or {})),
+                       config, barrier, commit_deadline_s)
+               for index in range(config.clients)]
+    for worker in workers:
+        worker.start()
+    deadline = None if max_wall_s is None \
+        else time.monotonic() + max_wall_s
+    for worker in workers:
+        worker.join(None if deadline is None
+                    else max(0.1, deadline - time.monotonic()))
+    return workers
 
 
 def _gc_totals(stats: Dict[str, Any]) -> Tuple[int, int, int, int,
@@ -225,14 +295,8 @@ def run_closed_loop(host: str, port: int,
         if load:
             load_table(admin, config)
         before = _gc_totals(admin.stats())
-        barrier = threading.Barrier(config.clients)
-        workers = [_Worker(i, host, port, config, barrier)
-                   for i in range(config.clients)]
         started = time.perf_counter()
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join()
+        workers = run_fleet(host, port, config)
         wall = time.perf_counter() - started
         for worker in workers:
             if worker.error is not None:
@@ -246,7 +310,8 @@ def run_closed_loop(host: str, port: int,
     batches = after[1] - before[1]
     rounds = after[2] - before[2]
     committed = sum(worker.committed for worker in workers)
-    failed = sum(worker.failed for worker in workers)
+    failed = sum(worker.failed_attempts + len(worker.ambiguous)
+                 for worker in workers)
     return ClosedLoopResult(
         clients=config.clients,
         committed=committed,
@@ -282,8 +347,6 @@ def sweep_clients(client_counts: List[int], server_config=None,
                   ) -> List[ClosedLoopResult]:
     """The client-count sweep dimension: one fresh loopback server per
     point, same workload shape, increasing concurrency."""
-    import dataclasses
-
     base = config or ClosedLoopConfig()
     return [run_loopback(server_config,
                          dataclasses.replace(base, clients=clients))

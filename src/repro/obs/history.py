@@ -40,45 +40,77 @@ DEFAULT_SCAN_DIRS = ("artifacts",)
 #: Default bench results directory (committed trajectory).
 DEFAULT_BENCH_DIR = os.path.join("benchmarks", "results")
 
+#: Where copies of the ``benchmarks/ladder`` payloads are committed,
+#: under the bench results directory.
+LADDER_SUBDIR = "ladder"
+
+#: The crash-campaign report kinds — one schema, two workloads.
+CRASHTEST_KINDS = ("repro-crashtest-report",
+                   "repro-twopc-crashtest-report")
+
 
 # ----------------------------------------------------------------------
 # Bench trajectory
 # ----------------------------------------------------------------------
 
-def collect_bench_history(results_dir: str = DEFAULT_BENCH_DIR
-                          ) -> List[Dict[str, Any]]:
-    """Every valid ``BENCH_*.json`` in ``results_dir``, oldest first
-    (the committed ``BENCH_baseline.json`` leads). Invalid payloads are
-    reported, not silently skipped."""
-    from ..bench.report import load_payload
+def _bench_names(directory: str) -> List[str]:
     try:
-        names = sorted(
-            name for name in os.listdir(results_dir)
+        return sorted(
+            name for name in os.listdir(directory)
             if name.startswith("BENCH_") and name.endswith(".json"))
     except OSError:
         return []
+
+
+def collect_bench_history(results_dir: str = DEFAULT_BENCH_DIR
+                          ) -> List[Dict[str, Any]]:
+    """Every valid ``BENCH_*.json`` in ``results_dir``, oldest first
+    (the committed ``BENCH_baseline.json`` leads), then the
+    ``ladder-bench`` payloads of ``results_dir/ladder/`` — one series
+    per workload, ``ladder/<workload>``, whose ops/s is the end-to-end
+    ``txn_per_s``. Invalid payloads are reported, not silently
+    skipped."""
+    from ..bench.report import load_payload
+    names = _bench_names(results_dir)
     # Timestamped names sort chronologically; the baseline predates all.
     names.sort(key=lambda name: (name != "BENCH_baseline.json", name))
+    names += [os.path.join(LADDER_SUBDIR, name) for name
+              in _bench_names(os.path.join(results_dir, LADDER_SUBDIR))]
     history = []
     for name in names:
         path = os.path.join(results_dir, name)
         entry: Dict[str, Any] = {"path": path, "name": name}
         try:
-            payload = load_payload(path)
+            if name.startswith(LADDER_SUBDIR + os.sep):
+                entry.update(_ladder_entry(path))
+            else:
+                payload = load_payload(path)
+                entry["created_utc"] = payload.get("created_utc")
+                entry["quick"] = payload.get("quick")
+                entry["results"] = {
+                    result["name"]: {
+                        "ops_per_s": result.get("ops_per_s"),
+                        "sim_time_ns": result.get("sim_time_ns"),
+                    }
+                    for result in payload.get("results", [])
+                    if isinstance(result, dict) and "name" in result}
         except (ValueError, OSError, json.JSONDecodeError) as exc:
             entry["error"] = str(exc)
-        else:
-            entry["created_utc"] = payload.get("created_utc")
-            entry["quick"] = payload.get("quick")
-            entry["results"] = {
-                result["name"]: {
-                    "ops_per_s": result.get("ops_per_s"),
-                    "sim_time_ns": result.get("sim_time_ns"),
-                }
-                for result in payload.get("results", [])
-                if isinstance(result, dict) and "name" in result}
         history.append(entry)
     return history
+
+
+def _ladder_entry(path: str) -> Dict[str, Any]:
+    """Digest one ``benchmarks/ladder`` payload (``kind:
+    "ladder-bench"``) into the bench-history entry shape."""
+    payload = _load_json_kind(path)
+    if not payload or payload.get("kind") != "ladder-bench":
+        raise ValueError(f"{path}: not a ladder-bench payload")
+    return {"quick": payload.get("smoke"), "results": {
+        f"{LADDER_SUBDIR}/{workload}": {
+            "ops_per_s": body.get("end_to_end", {})
+                             .get("txn_per_s", {}).get("value")}
+        for workload, body in payload.get("workloads", {}).items()}}
 
 
 def bench_trajectory(history: Sequence[Dict[str, Any]]
@@ -167,17 +199,17 @@ def collect_sweep_summaries(roots: Sequence[str] = DEFAULT_SCAN_DIRS
 
 def collect_crashtest_reports(roots: Sequence[str] = DEFAULT_SCAN_DIRS
                               ) -> List[Dict[str, Any]]:
-    """Every ``repro-crashtest-report`` JSON under ``roots``, digested
-    to outcome counts (violations and failures stay verbatim — they are
-    the campaign's entire point)."""
+    """Every crash-campaign report (storage or 2PC: one schema) under
+    ``roots``, digested to outcome counts (violations and failures stay
+    verbatim — they are the campaign's entire point)."""
     reports = []
     for path in _walk_files(roots, ".json"):
         document = _load_json_kind(path)
-        if not document or \
-                document.get("kind") != "repro-crashtest-report":
+        if not document or document.get("kind") not in CRASHTEST_KINDS:
             continue
         reports.append({
             "path": path,
+            "kind": document["kind"],
             "ok": document.get("ok"),
             "engines": document.get("engines", []),
             "coordinates": len(document.get("coordinates", [])),

@@ -12,7 +12,7 @@ import pytest
 from repro.config import CacheConfig, EngineConfig, PlatformConfig
 from repro.core.schema import Column, ColumnType, Schema
 from repro.core import twopc
-from repro.dist.campaign import TWOPC_POINTS, run_twopc_campaign
+from repro.dist.campaign import PairWrite, run_twopc_campaign
 from repro.dist.txn import Branch, DistributedTransaction
 from repro.errors import (ConfigError, SimulatedCrash,
                           TransactionAborted)
@@ -175,11 +175,22 @@ def test_resolution_is_idempotent_across_repeated_recovery(db):
 def test_twopc_campaign_finds_no_violations(factory):
     report = run_twopc_campaign(["nvm-inp"], seed=11, ops=24,
                                 factory=factory)
-    assert report.ok, report.violations
+    assert report.ok, (report.violations, report.failures)
     assert not any(report.uncovered.values())
     # All three protocol points were reached and swept.
-    assert set(report.counting["nvm-inp"].hits) == set(TWOPC_POINTS)
-    assert len(report.results) >= 3
-    for result in report.results:
-        assert result.crashes >= 1
-        assert result.fired, "trigger never fired"
+    assert set(report.counting["nvm-inp"].hits) == \
+        set(PairWrite.points("nvm-inp"))
+    assert len(report.outcomes) >= 3
+    for outcome in report.outcomes:
+        assert outcome.result.crashes >= 1
+        assert outcome.result.fired, "trigger never fired"
+
+
+def test_twopc_campaign_parallel_sweep_matches_serial():
+    """The 2PC campaign is the same ``run_sweep`` path as the storage
+    one: fanned out over worker processes it reports exactly what the
+    serial run does."""
+    serial = run_twopc_campaign(["nvm-inp"], seed=11, ops=24, jobs=1)
+    parallel = run_twopc_campaign(["nvm-inp"], seed=11, ops=24, jobs=2)
+    assert parallel.to_dict() == serial.to_dict()
+    assert serial.to_dict()["kind"] == "repro-twopc-crashtest-report"

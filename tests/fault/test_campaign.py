@@ -1,14 +1,18 @@
 """Crash-campaign tests: coverage, nested crashes, and the oracle's
-ability to catch a deliberately broken durability protocol."""
+ability to catch a deliberately broken durability protocol — the one
+kernel under both workloads and both transports."""
 
 import pytest
 
+from repro.core.twopc import FP_DECIDE_AFTER
+from repro.dist.campaign import PairWrite
 from repro.engines.base import ENGINE_NAMES
 from repro.fault import campaign, fault_points_for_engine
-from repro.fault.campaign import (CampaignSpec, build_script,
+from repro.fault.campaign import (CampaignSpec, SingleRow, build_script,
                                   plan_coordinates, run_crash_campaign)
+from tests.core.test_database_contract import FACTORIES
 
-ALL_ENGINES = list(ENGINE_NAMES.ALL) + ["nvm-mvcc"]
+ALL_ENGINES = list(ENGINE_NAMES.ALL) + ["nvm-mvcc", "hybrid-inp"]
 
 
 def test_script_is_deterministic_and_feasible():
@@ -41,7 +45,8 @@ def test_counting_run_covers_every_registered_point(engine):
 def test_plan_coordinates_sample_first_and_last_hit():
     hits = {"wal.append.before": 9, "recovery.begin": 1,
             "recovery.end": 1}
-    coordinates = plan_coordinates("inp", hits, max_hits_per_point=3)
+    coordinates = plan_coordinates(fault_points_for_engine("inp"), hits,
+                                   max_hits_per_point=3)
     append_hits = sorted(hit for (point, hit), in
                          [c for c in coordinates if len(c) == 1
                           and c[0][0] == "wal.append.before"])
@@ -52,13 +57,26 @@ def test_plan_coordinates_sample_first_and_last_hit():
     assert (("wal.append.before", 1), ("recovery.begin", 1)) in nested
 
 
-def test_single_coordinate_crashes_and_recovers():
-    spec = CampaignSpec(engine="nvm-inp",
-                        triggers=(("nvm_wal.append.after_persist", 3),))
+@pytest.mark.parametrize("factory", FACTORIES)
+@pytest.mark.parametrize("workload, trigger", [
+    (SingleRow, ("nvm_wal.append.after_persist", 3)),
+    (PairWrite, (FP_DECIDE_AFTER, 2)),
+], ids=["single-row", "pair-write"])
+def test_single_coordinate_crashes_and_recovers(workload, trigger,
+                                                factory):
+    """One coordinate of each workload on each transport: the kernel
+    reads hits and fired triggers through the partition contract, so
+    the plan may fire on the far side of a pipe."""
+    spec = CampaignSpec(engine="nvm-inp", ops=24, triggers=(trigger,),
+                        workload=workload, factory=factory)
     result = spec.execute()
     assert result.ok, result.violations
     assert result.crashes >= 2  # the trigger + the final clean crash
-    assert result.fired == (("nvm_wal.append.after_persist", 3),)
+    assert result.recoveries == result.crashes
+    # Every partition runs the same plan: a pair-write's trigger may
+    # fire once per partition.
+    assert set(result.fired) == {trigger}
+    assert result.hits[trigger[0]] >= trigger[1]
 
 
 def test_nested_crash_during_recovery():
@@ -72,15 +90,24 @@ def test_nested_crash_during_recovery():
                                  ("recovery.begin", 1)}
 
 
-def test_campaign_full_engine_zero_violations():
-    report = run_crash_campaign(["nvm-inp"], seed=7)
+@pytest.mark.parametrize("engine", ["nvm-inp", "hybrid-inp"])
+def test_campaign_full_engine_zero_violations(engine):
+    report = run_crash_campaign([engine], seed=7)
     assert report.ok, (report.violations, report.failures,
                        report.uncovered)
-    assert report.uncovered == {"nvm-inp": []}
+    assert report.uncovered == {engine: []}
     targeted = {spec_point
                 for outcome in report.outcomes
                 for spec_point, __ in outcome.spec.triggers}
-    assert targeted == set(fault_points_for_engine("nvm-inp"))
+    assert targeted == set(fault_points_for_engine(engine))
+
+
+def test_hybrid_engine_is_crashed_mid_operation():
+    """The hybrid engine inherits InP's durability protocol, so it is
+    registered for InP's points — not just the generic recovery pair."""
+    points = fault_points_for_engine("hybrid-inp")
+    assert points == fault_points_for_engine("inp")
+    assert len(points) >= 12
 
 
 def test_broken_master_record_fence_is_caught():

@@ -77,6 +77,32 @@ def test_trajectory_rows_first_last_best_delta(tmp_path):
     assert by_name["tpcc"][1:] == [1, 50.0, 50.0, 50.0, "-"]
 
 
+def test_history_includes_ladder_payloads(tmp_path):
+    """`kind: "ladder-bench"` payloads under results/ladder/ join the
+    trajectory as one `ladder/<workload>` series each."""
+    results = str(tmp_path)
+    _write(os.path.join(results, "BENCH_baseline.json"),
+           _bench_payload({"ycsb": 100.0}))
+    for name, rate in (("BENCH_pr13.json", 5000.0),
+                       ("BENCH_pr16.json", 5500.0)):
+        _write(os.path.join(results, "ladder", name), {
+            "kind": "ladder-bench", "smoke": False, "workloads": {
+                "ycsb-inproc": {"end_to_end": {
+                    "txn_per_s": {"value": rate, "unit": "1/s"}}}}})
+    _write(os.path.join(results, "ladder", "BENCH_bad.json"),
+           {"kind": "something-else"})
+    history = collect_bench_history(results)
+    assert [entry["name"] for entry in history] == [
+        "BENCH_baseline.json", "ladder/BENCH_bad.json",
+        "ladder/BENCH_pr13.json", "ladder/BENCH_pr16.json"]
+    assert "not a ladder-bench payload" in history[1]["error"]
+    __, rows = bench_trajectory(history)
+    by_name = {row[0]: row for row in rows}
+    assert by_name["ladder/ycsb-inproc"][1:] == [
+        2, 5000.0, 5500.0, 5500.0, "+10.0%"]
+    assert by_name["ycsb"][1] == 1
+
+
 # ----------------------------------------------------------------------
 # Artifact discovery by content
 # ----------------------------------------------------------------------
@@ -114,6 +140,23 @@ def test_crashtest_reports_collected(tmp_path):
     assert report["coordinates"] == 2
     assert report["violations"] == ["lost committed txn 7"]
     assert report["failures"] == ["RuntimeError: died"]
+
+
+def test_twopc_crashtest_reports_collected_by_the_same_digest(tmp_path):
+    """The 2PC campaign writes the storage campaign's schema, so a real
+    report goes through the same parser."""
+    from repro.dist.campaign import run_twopc_campaign
+
+    root = str(tmp_path)
+    _write(os.path.join(root, "twopc.json"),
+           run_twopc_campaign(["nvm-inp"], ops=8,
+                              max_hits_per_point=1).to_dict())
+    (report,) = collect_crashtest_reports([root])
+    assert report["kind"] == "repro-twopc-crashtest-report"
+    assert report["ok"] is True
+    assert report["engines"] == ["nvm-inp"]
+    assert report["coordinates"] == 3
+    assert report["violations"] == [] and report["failures"] == []
 
 
 def test_event_logs_digested_and_non_logs_rejected(tmp_path):

@@ -173,3 +173,55 @@ def test_chaos_command_fault_free_json_report(tmp_path, capsys):
     assert payload["kind"] == "repro-chaos-report"
     assert payload["ok"] is True
     assert payload["committed"] == 8
+
+
+def test_crashtest_command_hybrid_engine(capsys):
+    """The storage campaign's harsh configuration carries a DRAM tier
+    for the hybrid engine (once a ConfigError traceback) and crashes it
+    mid-operation, not only during recovery."""
+    assert main(["crashtest", "--engines", "hybrid-inp", "--ops", "24",
+                 "--max-hits", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "Crash campaign, seed 7" in out
+    assert "wal.fsync.before" in out and "recovery.end" in out
+    assert "UNCOVERED" not in out and "VIOLATED" not in out
+
+
+def test_crashtest_twopc_command_json_report(tmp_path, capsys):
+    """`--twopc` is the same command body and the same sweep: it
+    honours --jobs/--events, and its report has the storage campaign's
+    schema."""
+    report_path = tmp_path / "twopc.json"
+    events_path = tmp_path / "events.jsonl"
+    assert main(["crashtest", "--twopc", "--engines", "nvm-inp",
+                 "--ops", "16", "--jobs", "2",
+                 "--events", str(events_path),
+                 "--json", str(report_path)]) == 0
+    out = capsys.readouterr().out
+    assert "2PC crash campaign, seed 7" in out
+    assert f"report -> {report_path}" in out
+    payload = json.loads(report_path.read_text())
+    assert payload["kind"] == "repro-twopc-crashtest-report"
+    assert payload["ok"] is True and payload["failures"] == []
+    assert len(payload["coordinates"]) >= 3
+    for coordinate in payload["coordinates"]:
+        assert set(coordinate) == {"spec", "ok", "error", "attempts",
+                                   "result"}
+        assert coordinate["spec"]["kind"] == "twopc-crashtest"
+        assert coordinate["result"]["ops_applied"] >= 1
+        assert coordinate["result"]["fired"]
+    # Two coordinates in flight at once: the sweep really fanned out.
+    in_flight = peak = 0
+    for line in events_path.read_text().splitlines():
+        kind = json.loads(line)["kind"]
+        in_flight += {"point_started": 1, "point_finished": -1}.get(
+            kind, 0)
+        peak = max(peak, in_flight)
+    assert peak >= 2, "coordinates did not fan out"
+
+
+def test_crashtest_json_write_failure_returns_two(tmp_path, capsys):
+    assert main(["crashtest", "--twopc", "--engines", "nvm-inp",
+                 "--ops", "8", "--max-hits", "1",
+                 "--json", str(tmp_path / "missing" / "r.json")]) == 2
+    assert "cannot write" in capsys.readouterr().err
