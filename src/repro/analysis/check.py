@@ -97,10 +97,7 @@ def check_engine(engine: str, *,
                  latency: Optional[LatencyProfile] = None,
                  seed: int = 31) -> CheckOutcome:
     """Run the YCSB ordering smoke for one engine."""
-    platform_config = PlatformConfig(seed=seed)
-    if engine == "hybrid-inp":
-        platform_config = PlatformConfig(
-            seed=seed, dram_capacity_bytes=32 * 1024 * 1024)
+    platform_config = PlatformConfig.for_engine(engine, seed=seed)
     db = Database(engine=engine, platform_config=platform_config,
                   latency=latency, engine_config=EngineConfig(),
                   seed=seed)

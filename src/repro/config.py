@@ -133,6 +133,15 @@ class CacheConfig:
             raise ConfigError("cache must hold at least one line")
         if not 0.0 <= self.crash_eviction_probability <= 1.0:
             raise ConfigError("crash_eviction_probability must be in [0, 1]")
+        # The cache model batches its charges past SimClock.advance
+        # (which would reject a negative one), so a negative latency
+        # here would run the simulated clock backwards.
+        for name in ("hit_latency_ns", "fence_latency_ns",
+                     "flush_latency_ns", "sync_extra_latency_ns"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0")
+        if not 0.0 <= self.prefetch_discount <= 1.0:
+            raise ConfigError("prefetch_discount must be in [0, 1]")
 
     @property
     def capacity_lines(self) -> int:
@@ -177,6 +186,15 @@ class PlatformConfig:
 
     def with_latency(self, latency: LatencyProfile) -> "PlatformConfig":
         return replace(self, latency=latency)
+
+    @classmethod
+    def for_engine(cls, engine: str, **fields) -> "PlatformConfig":
+        """The platform ``engine`` runs on when the caller sizes no
+        DRAM tier itself: the Appendix D hybrid engines refuse to run
+        without one and get 32 MiB; every other engine is NVM-only."""
+        if engine.startswith("hybrid"):
+            fields.setdefault("dram_capacity_bytes", 32 * 1024 * 1024)
+        return cls(**fields)
 
 
 @dataclass(frozen=True)

@@ -226,12 +226,9 @@ def _make_database(engine: str, seed: int,
     (eviction probability 0), so a missing fence always loses data.
     ``factory`` picks the transport (``Database`` or
     ``ShardedDatabase``)."""
-    platform_config = PlatformConfig(
-        seed=seed,
-        cache=CacheConfig(crash_eviction_probability=0.0),
-        # The hybrid engine refuses to run without a DRAM tier.
-        dram_capacity_bytes=(32 * 1024 * 1024
-                             if engine.startswith("hybrid") else 0))
+    platform_config = PlatformConfig.for_engine(
+        engine, seed=seed,
+        cache=CacheConfig(crash_eviction_probability=0.0))
     engine_config = EngineConfig(
         group_commit_size=1,
         checkpoint_interval_txns=12,

@@ -30,8 +30,8 @@ __all__ = ["DEFAULT_CACHE_BYTES", "ExperimentResult", "ExperimentSpec",
 
 
 def _make_database(spec: ExperimentSpec) -> Database:
-    platform_config = PlatformConfig(
-        latency=spec.latency,
+    platform_config = PlatformConfig.for_engine(
+        spec.engine, latency=spec.latency,
         cache=CacheConfig(capacity_bytes=spec.cache_bytes),
         seed=spec.seed)
     if spec.sharded:

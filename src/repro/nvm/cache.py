@@ -17,13 +17,18 @@ The durable **sync primitive** from Section 2.3 (CLFLUSH of the
 affected lines followed by SFENCE) is provided by :meth:`sync`; its
 extra latency knob backs the Fig. 16 PCOMMIT/CLWB what-if experiment.
 
-Fast paths (see docs/performance.md): this model is the wall-clock hot
-spot of the whole reproduction, so each public operation batches its
+One kernel (see docs/performance.md): this model is the wall-clock hot
+spot of the whole reproduction, so the touch/evict bookkeeping exists
+exactly once, in :meth:`CPUCache._access`, and every load, store and
+touch is a one-call wrapper around it. A helper call *per line* is the
+cost this module exists to avoid; one kernel call *per operation*,
+taking the operation's whole range list, amortises. The kernel (and
+:meth:`CPUCache._flush_run`, its counterpart for flushes) batches its
 bookkeeping — simulated-time charges accumulate in locals and post to
 the clock once, counter deltas post once per operation — while
-replaying *the same per-event float additions in the same order* as
-the line-at-a-time generic path, so every simulated output stays
-byte-identical. The rules that keep that true:
+replaying *the same per-event float additions in the same order* as a
+line-at-a-time model, so every simulated output stays byte-identical.
+The rules that keep that true:
 
 * Every charge lands as the same ``+=`` float addition, in the same
   order, whether it goes through :meth:`SimClock.advance` or a batched
@@ -35,25 +40,20 @@ byte-identical. The rules that keep that true:
   flush) counts before store counts — the same relative order in
   which the per-event path would first insert those keys — preserving
   the first-insertion order of the counter table (visible in exports).
-* The batched multi-line paths bypass :meth:`SimClock.advance`, so
-  they are only taken when no clock listeners are subscribed; with an
-  observability sampler attached the generic per-line path runs
-  instead. Single-line operations charge through ``advance`` and are
-  always fast.
+* The same loop runs whether or not anyone is watching: a batch
+  bypasses :meth:`SimClock.advance`, so after posting it the cache
+  tells the clock's listeners itself, once, with the nanoseconds the
+  operation covered (:meth:`SimClock.notify`).
 
-The hot loops deliberately repeat the touch/evict bookkeeping inline
-(three copies: touch runs, multi-line stores, batched loads) instead
-of sharing a helper — a function call per cache line is exactly the
-cost this module exists to avoid. Change one copy, change all three;
-``tests/nvm/test_cache_fastpath.py`` holds them to the reference
-model's outputs bit for bit.
+``tests/nvm/test_cache_fastpath.py`` holds the kernel to a per-event
+reference model's outputs bit for bit.
 """
 
 from __future__ import annotations
 
 import random
 from collections import OrderedDict
-from typing import Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..config import CacheConfig
 from ..sim.clock import SimClock
@@ -97,6 +97,15 @@ class CPUCache:
         #: last touched run. A new access starting there is treated as a
         #: continuation of the stream (its first miss is discounted).
         self._stream_next = -1
+        # The per-event charges, computed once: CacheConfig and
+        # LatencyProfile are frozen, so these are the very products a
+        # per-event model computes at every miss and writeback.
+        latency = device.latency
+        self._miss_ns = 1.0 * latency.read_latency_ns
+        self._prefetched_miss_ns = (config.prefetch_discount
+                                    * latency.read_latency_ns)
+        self._writeback_ns = (device.line_size
+                              / latency.bandwidth_bytes_per_ns)
         # Prebound hot counters: one dict add per batched event group
         # instead of a bump() call per line.
         self._n_loads = stats.counter_handle("nvm.loads")
@@ -107,205 +116,159 @@ class CPUCache:
         self._n_sync = stats.counter_handle("cache.sync")
 
     # ------------------------------------------------------------------
-    # Internal line management (single-line / generic path)
+    # The touch/evict kernel
     # ------------------------------------------------------------------
 
-    def _touch_line(self, base: int, write: bool, byte_backed: bool,
-                    miss_equivalent: float = 1.0) -> Tuple[_Line, bool]:
-        """Bring the line at ``base`` into the cache and refresh LRU.
+    def _access(self, ranges, stream: bool, write: bool = False,
+                data: Optional[bytes] = None,
+                collect: bool = False) -> List[bytes]:
+        """Bring every line of every ``(addr, size)`` range into the
+        cache, in order: a hit refreshes LRU; a miss fetches the line
+        from NVM (read-for-ownership on a store miss, plain fill on a
+        load miss), evicting — and, if dirty, writing back — the
+        coldest line at capacity.
 
-        ``miss_equivalent`` discounts the latency of prefetched
-        sequential misses (the miss is still counted in full). Returns
-        (line, missed). Charges go through ``advance``, so this path is
-        valid with clock listeners attached.
+        The first miss pays full latency; once one line has missed,
+        later misses of the same call are prefetch-discounted (still
+        counted in full). With ``stream`` each range is a sequential
+        run: it reads and sets the prefetcher's ``_stream_next``, so a
+        run that starts exactly where the previous one ended continues
+        the hardware stream and even its first miss is discounted
+        (adjacent pool allocations read back-to-back).
+
+        ``write`` marks the lines dirty; with ``data`` (the bytes of
+        the single range) they also become byte-backed and receive
+        their share of it. ``collect`` returns each range's logical
+        bytes.
         """
-        missed = False
-        lines = self._lines
-        line = lines.get(base)
-        if line is not None:
-            self.hits += 1
-            self._clock.advance(self.config.hit_latency_ns)
-            lines.move_to_end(base)  # refresh to MRU position
-        else:
-            missed = True
-            self.misses += 1
-            # A miss fetches the line from NVM (read-for-ownership on a
-            # store miss, plain fill on a load miss).
-            device = self.device
-            device.loads += 1
-            device.bytes_loaded += device.line_size
-            self._n_loads.add(1)
-            self._clock.advance(
-                miss_equivalent * device.latency.read_latency_ns)
-            line = _Line(dirty=False, buffer=None)
-            if len(lines) >= self.capacity_lines:
-                self._evict_one()
-            lines[base] = line  # insert at MRU position
-        if write:
-            line.dirty = True
-            if byte_backed and line.buffer is None:
-                line.buffer = bytearray(
-                    self.device.read_raw(base, self.line_size))
-        return line, missed
-
-    def _touch_run_generic(self, addr: int, size: int, write: bool,
-                           byte_backed: bool) -> None:
-        """Line-at-a-time reference path (kept for clock listeners)."""
-        discount = self.config.prefetch_discount
-        lines = self._line_range(addr, size)
-        missed_before = lines.start == self._stream_next
-        for base in lines:
-            equivalent = discount if missed_before else 1.0
-            __, missed = self._touch_line(base, write, byte_backed,
-                                          miss_equivalent=equivalent)
-            missed_before = missed_before or missed
-        self._stream_next = lines[-1] + self.line_size
-
-    def _touch_run(self, addr: int, size: int, write: bool,
-                   byte_backed: bool) -> None:
-        """Touch a contiguous range: the first miss pays full latency,
-        consecutive follower misses are prefetch-discounted. A run that
-        starts exactly where the previous one ended continues the
-        hardware prefetcher's stream, so even its first miss is
-        discounted (adjacent pool allocations read back-to-back)."""
-        line_size = self.line_size
-        base = addr - addr % line_size
-        if addr + size <= base + line_size:
-            equivalent = (self.config.prefetch_discount
-                          if base == self._stream_next else 1.0)
-            self._touch_line(base, write, byte_backed, equivalent)
-            self._stream_next = base + line_size
-            return
-        if self._clock._listeners:
-            self._touch_run_generic(addr, size, write, byte_backed)
-            return
-        config = self.config
         device = self.device
         clock = self._clock
         cell = clock._cell
         lines_map = self._lines
         get_line = lines_map.get
         move_line = lines_map.move_to_end
-        popitem = lines_map.popitem
         new_line = _Line
         capacity = self.capacity_lines
-        dev_line = device.line_size
-        hit_ns = config.hit_latency_ns
-        discount = config.prefetch_discount
-        read_ns = device.latency.read_latency_ns
-        wb_ns = dev_line / device.latency.bandwidth_bytes_per_ns
+        line_size = self.line_size
+        hit_ns = self.config.hit_latency_ns
+        miss_ns = self._miss_ns
+        prefetched_miss_ns = self._prefetched_miss_ns
+        wb_ns = self._writeback_ns
+        # Re-read per call: reset_counters() rebinds the histogram.
         wear = device._wear
         read_raw = device.read_raw
-        seg = device.WEAR_SEGMENT_BYTES
-        now = clock._now_ns
+        start = now = clock._now_ns
         cat = cell[0]
-        hits = miss_total = pending = stores = 0
-        last = ((addr + (size if size > 1 else 1) - 1)
-                // line_size) * line_size
-        missed_before = base == self._stream_next
-        if write:
+        hits = misses = stores = 0
+        streamed = False
+        results: List[bytes] = []
+        for addr, size in ranges:
+            base = addr - addr % line_size
+            end = addr + size
+            last = ((end - 1 if size > 1 else addr)
+                    // line_size) * line_size
+            if stream:
+                streamed = base == self._stream_next
+                self._stream_next = last + line_size
+            if collect:
+                parts: List[bytearray] = []
+                offsets: List[int] = []
+                holes = False
             for line_base in range(base, last + 1, line_size):
                 line = get_line(line_base)
                 if line is not None:
                     hits += 1
                     now += hit_ns
                     cat += hit_ns
+                    move_line(line_base)  # refresh to MRU position
+                else:
+                    misses += 1
+                    charge = prefetched_miss_ns if streamed else miss_ns
+                    streamed = True
+                    now += charge
+                    cat += charge
+                    if len(lines_map) >= capacity:
+                        evict_base, evicted = lines_map.popitem(False)
+                        if evicted.dirty:
+                            stores += 1
+                            if evicted.buffer is not None:
+                                device.write_raw(evict_base,
+                                                 bytes(evicted.buffer))
+                            if wear is not None:
+                                wear[evict_base
+                                     // device.WEAR_SEGMENT_BYTES] += 1
+                            now += wb_ns
+                            cat += wb_ns
+                    # Insert at MRU position.
+                    line = lines_map[line_base] = new_line(False, None)
+                if write:
                     line.dirty = True
-                    if byte_backed and line.buffer is None:
-                        line.buffer = bytearray(read_raw(line_base,
-                                                         line_size))
-                    move_line(line_base)
-                    continue
-                miss_total += 1
-                pending += 1
-                charge = (discount if missed_before else 1.0) * read_ns
-                missed_before = True
-                now += charge
-                cat += charge
-                line = new_line(True, None)
-                if len(lines_map) >= capacity:
-                    evict_base, evicted = popitem(False)
-                    if evicted.dirty:
-                        stores += 1
-                        if evicted.buffer is not None:
-                            device.write_raw(evict_base,
-                                             bytes(evicted.buffer))
-                        if wear is not None:
-                            wear[evict_base // seg] += 1
-                        evicted.dirty = False
-                        now += wb_ns
-                        cat += wb_ns
-                if byte_backed:
-                    line.buffer = bytearray(read_raw(line_base,
-                                                     line_size))
-                lines_map[line_base] = line
-        else:
-            for line_base in range(base, last + 1, line_size):
-                line = get_line(line_base)
-                if line is not None:
-                    hits += 1
-                    now += hit_ns
-                    cat += hit_ns
-                    move_line(line_base)
-                    continue
-                miss_total += 1
-                pending += 1
-                charge = (discount if missed_before else 1.0) * read_ns
-                missed_before = True
-                now += charge
-                cat += charge
-                line = new_line(False, None)
-                if len(lines_map) >= capacity:
-                    evict_base, evicted = popitem(False)
-                    if evicted.dirty:
-                        stores += 1
-                        if evicted.buffer is not None:
-                            device.write_raw(evict_base,
-                                             bytes(evicted.buffer))
-                        if wear is not None:
-                            wear[evict_base // seg] += 1
-                        evicted.dirty = False
-                        now += wb_ns
-                        cat += wb_ns
-                lines_map[line_base] = line
+                    if data is not None:
+                        buffer = line.buffer
+                        if buffer is None:
+                            buffer = line.buffer = bytearray(
+                                read_raw(line_base, line_size))
+                        # The byte write happens line by line, inside
+                        # the run: a run long enough to evict its own
+                        # earlier lines must write back those lines
+                        # *with* the new bytes.
+                        lo = addr if addr > line_base else line_base
+                        line_end = line_base + line_size
+                        hi = end if end < line_end else line_end
+                        buffer[lo - line_base:hi - line_base] = \
+                            data[lo - addr:hi - addr]
+                elif collect:
+                    # Slice pending bytes at touch time: a later line
+                    # of this call may evict this one, but reads never
+                    # modify buffers and evictions write them back, so
+                    # these are the bytes an overlay taken after the
+                    # whole range would see.
+                    buffer = line.buffer
+                    if buffer is None:
+                        holes = True
+                    else:
+                        lo = addr if addr > line_base else line_base
+                        line_end = line_base + line_size
+                        hi = end if end < line_end else line_end
+                        offsets.append(lo - addr)
+                        parts.append(buffer[lo - line_base:hi - line_base])
+            if collect:
+                if holes:
+                    # Some line has no pending bytes: device bytes
+                    # overlaid with the buffered content that has not
+                    # reached the device. (read_raw charges no time,
+                    # so the batched clock need not settle first.)
+                    image = read_raw(addr, size)
+                    if parts:
+                        overlay = bytearray(image)
+                        for offset, part in zip(offsets, parts):
+                            overlay[offset:offset + len(part)] = part
+                        image = bytes(overlay)
+                    results.append(image)
+                else:
+                    # Every line is buffer-resident: the device copy is
+                    # stale for these bytes anyway, so skip the
+                    # read_raw round trip.
+                    results.append(b"".join(parts))
         self.hits += hits
-        self.misses += miss_total
+        self.misses += misses
         # Post batched counters once per call, loads before stores:
         # within a call the first load-miss always precedes the first
         # eviction writeback, so first-insertion order in the counter
-        # table matches the per-event reference path.
-        if pending:
-            device.loads += pending
-            device.bytes_loaded += pending * dev_line
-            self._n_loads.add(pending)
+        # table matches a per-event model.
+        if misses:
+            device.loads += misses
+            device.bytes_loaded += misses * device.line_size
+            self._n_loads.add(misses)
         if stores:
             device.stores += stores
-            device.bytes_stored += stores * dev_line
+            device.bytes_stored += stores * device.line_size
             self._n_stores.add(stores)
         clock._now_ns = now
         cell[0] = cat
-        self._stream_next = last + line_size
-
-    def _evict_one(self) -> None:
-        base, line = self._lines.popitem(last=False)
-        if line.dirty:
-            self._writeback(base, line)
-
-    def _writeback(self, base: int, line: _Line) -> None:
-        """Posted store of one dirty line reaching NVM (inlined
-        equivalent of :meth:`NVMDevice.charge_store`)."""
-        device = self.device
-        if line.buffer is not None:
-            device.write_raw(base, bytes(line.buffer))
-        device.stores += 1
-        device.bytes_stored += device.line_size
-        self._n_stores.add(1)
-        wear = device._wear
-        if wear is not None:
-            wear[base // device.WEAR_SEGMENT_BYTES] += 1
-        self._clock.advance(
-            device.line_size / device.latency.bandwidth_bytes_per_ns)
-        line.dirty = False
+        if clock._listeners:
+            clock.notify(now - start)
+        return results
 
     def _line_range(self, addr: int, size: int) -> range:
         first = (addr // self.line_size) * self.line_size
@@ -318,171 +281,13 @@ class CPUCache:
 
     def load(self, addr: int, size: int) -> bytes:
         """Read ``size`` bytes at ``addr`` through the cache."""
-        line_size = self.line_size
-        base = addr - addr % line_size
-        if addr + size <= base + line_size:
-            equivalent = (self.config.prefetch_discount
-                          if base == self._stream_next else 1.0)
-            line, __ = self._touch_line(base, False, True, equivalent)
-            self._stream_next = base + line_size
-            buffer = line.buffer
-            if buffer is None:
-                return self.device.read_raw(addr, size)
-            # Line fully buffer-resident: the device copy is stale for
-            # these bytes anyway, so skip the read_raw round trip.
-            offset = addr - base
-            return bytes(buffer[offset:offset + size])
-        if self._clock._listeners:
-            self._touch_run_generic(addr, size, write=False,
-                                    byte_backed=True)
-            return self._overlay(addr, size)
-        self._touch_run(addr, size, write=False, byte_backed=True)
-        return self._assemble(addr, size)
-
-    def _overlay(self, addr: int, size: int) -> bytes:
-        """Reference materialisation: device bytes overlaid with dirty
-        buffered content that has not reached the device."""
-        data = bytearray(self.device.read_raw(addr, size))
-        for base in self._line_range(addr, size):
-            line = self._lines.get(base)
-            if line is None or line.buffer is None:
-                continue
-            lo = max(addr, base)
-            hi = min(addr + size, base + self.line_size)
-            data[lo - addr:hi - addr] = line.buffer[lo - base:hi - base]
-        return bytes(data)
-
-    def _assemble(self, addr: int, size: int) -> bytes:
-        """Materialise a loaded range: when every overlapping line is
-        buffer-resident the device read is skipped entirely (the
-        buffers already hold the current logical bytes); otherwise fall
-        back to the reference overlay."""
-        line_size = self.line_size
-        end = addr + size
-        get_line = self._lines.get
-        parts = []
-        for base in self._line_range(addr, size):
-            line = get_line(base)
-            if line is None or line.buffer is None:
-                return self._overlay(addr, size)
-            lo = addr if addr > base else base
-            line_end = base + line_size
-            hi = end if end < line_end else line_end
-            parts.append(line.buffer[lo - base:hi - base])
-        return b"".join(parts)
+        return self._access(((addr, size),), True, collect=True)[0]
 
     def store(self, addr: int, data: bytes) -> None:
         """Write ``data`` at ``addr``; bytes stay in cache until
         evicted or flushed."""
-        size = len(data)
-        if size == 0:
-            return
-        line_size = self.line_size
-        base = addr - addr % line_size
-        if addr + size <= base + line_size:
-            equivalent = (self.config.prefetch_discount
-                          if base == self._stream_next else 1.0)
-            line, __ = self._touch_line(base, True, True, equivalent)
-            self._stream_next = base + line_size
-            offset = addr - base
-            line.buffer[offset:offset + size] = data
-            return
-        if self._clock._listeners:
-            discount = self.config.prefetch_discount
-            lines = self._line_range(addr, size)
-            missed_before = lines.start == self._stream_next
-            for line_base in lines:
-                equivalent = discount if missed_before else 1.0
-                line, missed = self._touch_line(line_base, write=True,
-                                                byte_backed=True,
-                                                miss_equivalent=equivalent)
-                missed_before = missed_before or missed
-                lo = max(addr, line_base)
-                hi = min(addr + size, line_base + line_size)
-                line.buffer[lo - line_base:hi - line_base] = \
-                    data[lo - addr:hi - addr]
-            self._stream_next = lines[-1] + line_size
-            return
-        config = self.config
-        device = self.device
-        clock = self._clock
-        cell = clock._cell
-        lines_map = self._lines
-        get_line = lines_map.get
-        move_line = lines_map.move_to_end
-        popitem = lines_map.popitem
-        new_line = _Line
-        capacity = self.capacity_lines
-        dev_line = device.line_size
-        hit_ns = config.hit_latency_ns
-        discount = config.prefetch_discount
-        read_ns = device.latency.read_latency_ns
-        wb_ns = dev_line / device.latency.bandwidth_bytes_per_ns
-        wear = device._wear
-        read_raw = device.read_raw
-        seg = device.WEAR_SEGMENT_BYTES
-        now = clock._now_ns
-        cat = cell[0]
-        hits = miss_total = pending = stores = 0
-        end = addr + size
-        last = ((end - 1) // line_size) * line_size
-        missed_before = base == self._stream_next
-        for line_base in range(base, last + 1, line_size):
-            line = get_line(line_base)
-            if line is not None:
-                hits += 1
-                now += hit_ns
-                cat += hit_ns
-                move_line(line_base)
-            else:
-                miss_total += 1
-                pending += 1
-                charge = (discount if missed_before else 1.0) * read_ns
-                missed_before = True
-                now += charge
-                cat += charge
-                line = new_line(False, None)
-                if len(lines_map) >= capacity:
-                    evict_base, evicted = popitem(False)
-                    if evicted.dirty:
-                        stores += 1
-                        if evicted.buffer is not None:
-                            device.write_raw(evict_base,
-                                             bytes(evicted.buffer))
-                        if wear is not None:
-                            wear[evict_base // seg] += 1
-                        evicted.dirty = False
-                        now += wb_ns
-                        cat += wb_ns
-                lines_map[line_base] = line
-            line.dirty = True
-            buffer = line.buffer
-            if buffer is None:
-                buffer = line.buffer = bytearray(read_raw(line_base,
-                                                          line_size))
-            # The byte write happens line by line, inside the run: a
-            # run long enough to evict its own earlier lines must write
-            # back those lines *with* the new bytes, exactly as the
-            # generic path does.
-            lo = addr if addr > line_base else line_base
-            line_end = line_base + line_size
-            hi = end if end < line_end else line_end
-            buffer[lo - line_base:hi - line_base] = \
-                data[lo - addr:hi - addr]
-        self.hits += hits
-        self.misses += miss_total
-        # Loads posted before stores — see _touch_run.
-        if pending:
-            device.loads += pending
-            device.bytes_loaded += pending * dev_line
-            self._n_loads.add(pending)
-        if stores:
-            device.stores += stores
-            device.bytes_stored += stores * dev_line
-            self._n_stores.add(stores)
-        clock._now_ns = now
-        cell[0] = cat
-        self._stream_next = last + line_size
+        if data:
+            self._access(((addr, len(data)),), True, True, data)
 
     def load_batch(self, ranges) -> list:
         """Read several independent ranges whose addresses are all
@@ -490,165 +295,7 @@ class CPUCache:
         slot was read). Out-of-order hardware overlaps such loads
         (memory-level parallelism), so only the first miss of the whole
         batch pays full latency."""
-        if self._clock._listeners:
-            return self._load_batch_generic(ranges)
-        config = self.config
-        device = self.device
-        clock = self._clock
-        cell = clock._cell
-        lines_map = self._lines
-        get_line = lines_map.get
-        move_line = lines_map.move_to_end
-        popitem = lines_map.popitem
-        new_line = _Line
-        capacity = self.capacity_lines
-        line_size = self.line_size
-        dev_line = device.line_size
-        hit_ns = config.hit_latency_ns
-        discount = config.prefetch_discount
-        read_ns = device.latency.read_latency_ns
-        wb_ns = dev_line / device.latency.bandwidth_bytes_per_ns
-        wear = device._wear
-        read_raw = device.read_raw
-        seg = device.WEAR_SEGMENT_BYTES
-        now = clock._now_ns
-        cat = cell[0]
-        hits = miss_total = pending = stores = 0
-        missed_before = False
-        results = []
-        for addr, size in ranges:
-            base = addr - addr % line_size
-            if addr + size <= base + line_size:
-                # Single-line range: by far the common case (a tuple's
-                # individual variable-length fields).
-                line = get_line(base)
-                if line is not None:
-                    hits += 1
-                    now += hit_ns
-                    cat += hit_ns
-                    move_line(base)
-                else:
-                    miss_total += 1
-                    pending += 1
-                    charge = (discount if missed_before else 1.0) * read_ns
-                    missed_before = True
-                    now += charge
-                    cat += charge
-                    line = new_line(False, None)
-                    if len(lines_map) >= capacity:
-                        evict_base, evicted = popitem(False)
-                        if evicted.dirty:
-                            stores += 1
-                            if evicted.buffer is not None:
-                                device.write_raw(evict_base,
-                                                 bytes(evicted.buffer))
-                            if wear is not None:
-                                wear[evict_base // seg] += 1
-                            evicted.dirty = False
-                            now += wb_ns
-                            cat += wb_ns
-                    lines_map[base] = line
-                buffer = line.buffer
-                if buffer is None:
-                    # read_raw charges no time, so the batched clock
-                    # state does not need settling first.
-                    results.append(read_raw(addr, size))
-                else:
-                    offset = addr - base
-                    results.append(bytes(buffer[offset:offset + size]))
-                continue
-            end = addr + size
-            last = ((end - 1) // line_size) * line_size
-            range_lines: List[_Line] = []
-            append_line = range_lines.append
-            for line_base in range(base, last + 1, line_size):
-                line = get_line(line_base)
-                if line is not None:
-                    hits += 1
-                    now += hit_ns
-                    cat += hit_ns
-                    move_line(line_base)
-                else:
-                    miss_total += 1
-                    pending += 1
-                    charge = (discount if missed_before else 1.0) * read_ns
-                    missed_before = True
-                    now += charge
-                    cat += charge
-                    line = new_line(False, None)
-                    if len(lines_map) >= capacity:
-                        evict_base, evicted = popitem(False)
-                        if evicted.dirty:
-                            stores += 1
-                            if evicted.buffer is not None:
-                                device.write_raw(evict_base,
-                                                 bytes(evicted.buffer))
-                            if wear is not None:
-                                wear[evict_base // seg] += 1
-                            evicted.dirty = False
-                            now += wb_ns
-                            cat += wb_ns
-                    lines_map[line_base] = line
-                append_line(line)
-            # Materialise this range from the collected line objects
-            # (evicted lines wrote their buffers back to the device, so
-            # buffer and device contents agree wherever both exist —
-            # same bytes as the generic path's interleaved overlay).
-            parts = []
-            line_start = base
-            complete = True
-            for line in range_lines:
-                buffer = line.buffer
-                if buffer is None:
-                    complete = False
-                    break
-                lo = addr if addr > line_start else line_start
-                line_end = line_start + line_size
-                hi = end if end < line_end else line_end
-                parts.append(buffer[lo - line_start:hi - line_start])
-                line_start = line_end
-            if complete:
-                results.append(b"".join(parts))
-            else:
-                data = bytearray(read_raw(addr, size))
-                line_start = base
-                for line in range_lines:
-                    buffer = line.buffer
-                    if buffer is not None:
-                        lo = addr if addr > line_start else line_start
-                        line_end = line_start + line_size
-                        hi = end if end < line_end else line_end
-                        data[lo - addr:hi - addr] = \
-                            buffer[lo - line_start:hi - line_start]
-                    line_start += line_size
-                results.append(bytes(data))
-        self.hits += hits
-        self.misses += miss_total
-        if pending:
-            device.loads += pending
-            device.bytes_loaded += pending * dev_line
-            self._n_loads.add(pending)
-        if stores:
-            device.stores += stores
-            device.bytes_stored += stores * dev_line
-            self._n_stores.add(stores)
-        clock._now_ns = now
-        cell[0] = cat
-        return results
-
-    def _load_batch_generic(self, ranges) -> list:
-        discount = self.config.prefetch_discount
-        missed_before = False
-        results = []
-        for addr, size in ranges:
-            for base in self._line_range(addr, size):
-                equivalent = discount if missed_before else 1.0
-                __, missed = self._touch_line(
-                    base, write=False, byte_backed=True,
-                    miss_equivalent=equivalent)
-                missed_before = missed_before or missed
-            results.append(self._overlay(addr, size))
-        return results
+        return self._access(ranges, False, collect=True)
 
     # ------------------------------------------------------------------
     # Accounting-only access (object regions: index nodes, MemTables...)
@@ -656,60 +303,41 @@ class CPUCache:
 
     def touch_read(self, addr: int, size: int) -> None:
         """Charge the cost of reading an object region (no byte move)."""
-        self._touch_run(addr, size, write=False, byte_backed=False)
+        self._access(((addr, size),), True)
 
     def touch_write(self, addr: int, size: int) -> None:
         """Charge the cost of writing an object region (no byte move)."""
-        self._touch_run(addr, size, write=True, byte_backed=False)
+        self._access(((addr, size),), True, True)
 
     def touch_read_scattered(self, addr: int, size: int,
                              probes: int) -> None:
         """Charge ``probes`` non-sequential single-line reads spread
-        over a region (Bloom filter probes): no prefetch discount."""
+        over a region (Bloom filter probes): no prefetch discount, so
+        each probe is an access of its own."""
         if size <= 0:
             return
         span = max(1, size // max(probes, 1))
         for index in range(probes):
-            position = addr + (index * span) % size
-            self._touch_line((position // self.line_size)
-                             * self.line_size,
-                             write=False, byte_backed=False)
+            self._access(((addr + (index * span) % size, 1),), False)
 
     # ------------------------------------------------------------------
     # Persistence primitives
     # ------------------------------------------------------------------
 
-    def _flush_line(self, base: int, keep: bool) -> None:
-        if keep:
-            line = self._lines.get(base)
-            self._n_clwb.add(1)
-        else:
-            line = self._lines.pop(base, None)
-            self._n_clflush.add(1)
-        self._clock.advance(self.config.flush_latency_ns)
-        if line is not None and line.dirty:
-            self._writeback(base, line)
-
     def _flush_run(self, bases: Iterable[int], keep: bool) -> None:
         """Flush each line base once, batching the per-line flush
         latency and CLWB/CLFLUSH counts; all counters post once at the
         end of the run (same first-insertion ordering discipline as
-        :meth:`_touch_run`)."""
-        if self._clock._listeners:
-            for base in bases:
-                self._flush_line(base, keep)
-            return
+        :meth:`_access`)."""
         clock = self._clock
         cell = clock._cell
         device = self.device
         flush_ns = self.config.flush_latency_ns
-        dev_line = device.line_size
-        wb_ns = dev_line / device.latency.bandwidth_bytes_per_ns
+        wb_ns = self._writeback_ns
         wear = device._wear
         lines_map = self._lines
-        seg = device.WEAR_SEGMENT_BYTES
         handle = self._n_clwb if keep else self._n_clflush
-        now = clock._now_ns
+        start = now = clock._now_ns
         cat = cell[0]
         pending = stores = 0
         for base in bases:
@@ -725,21 +353,23 @@ class CPUCache:
                 if line.buffer is not None:
                     device.write_raw(base, bytes(line.buffer))
                 if wear is not None:
-                    wear[base // seg] += 1
+                    wear[base // device.WEAR_SEGMENT_BYTES] += 1
                 line.dirty = False
                 now += wb_ns
                 cat += wb_ns
         # Flush count posted before the store count: a writeback is
         # always preceded by its own line's flush event, so the counter
-        # table's first-insertion order matches the per-event path.
+        # table's first-insertion order matches a per-event model.
         if pending:
             handle.add(pending)
         if stores:
             device.stores += stores
-            device.bytes_stored += stores * dev_line
+            device.bytes_stored += stores * device.line_size
             self._n_stores.add(stores)
         clock._now_ns = now
         cell[0] = cat
+        if clock._listeners:
+            clock.notify(now - start)
 
     def clflush(self, addr: int, size: int) -> None:
         """Flush-and-invalidate every line overlapping the range."""
@@ -754,17 +384,19 @@ class CPUCache:
         self._n_sfence.add(1)
         self._clock.advance(self.config.fence_latency_ns)
 
+    def _sync_lines(self, bases: Iterable[int]) -> None:
+        self._flush_run(bases, keep=self.config.use_clwb)
+        self.sfence()
+        self._n_sync.add(1)
+        if self.config.sync_extra_latency_ns:
+            self._clock.advance(self.config.sync_extra_latency_ns)
+
     def sync(self, addr: int, size: int) -> None:
         """The allocator's durable sync primitive (Section 2.3):
         CLFLUSH (or, with ``use_clwb``, the Appendix C CLWB variant
         that keeps lines cached) over the range, then SFENCE, plus the
         configurable extra latency swept in the Fig. 16 experiment."""
-        self._flush_run(self._line_range(addr, size),
-                        keep=self.config.use_clwb)
-        self.sfence()
-        self._n_sync.add(1)
-        if self.config.sync_extra_latency_ns:
-            self._clock.advance(self.config.sync_extra_latency_ns)
+        self._sync_lines(self._line_range(addr, size))
 
     def sync_ranges(self, ranges) -> None:
         """Batched sync primitive: flush each distinct line covered by
@@ -774,27 +406,23 @@ class CPUCache:
         syncing them one by one flushes those lines twice and pays one
         fence per range."""
         line_size = self.line_size
-        seen = set()
-        bases: List[int] = []
+        bases: Dict[int, None] = {}     # insertion-ordered set
         for addr, size in ranges:
             base = addr - addr % line_size
             last = ((addr + (size if size > 1 else 1) - 1)
                     // line_size) * line_size
             for line_base in range(base, last + 1, line_size):
-                if line_base not in seen:
-                    seen.add(line_base)
-                    bases.append(line_base)
-        self._flush_run(bases, keep=self.config.use_clwb)
-        self.sfence()
-        self._n_sync.add(1)
-        if self.config.sync_extra_latency_ns:
-            self._clock.advance(self.config.sync_extra_latency_ns)
+                bases[line_base] = None
+        self._sync_lines(bases)
 
     def drain(self) -> None:
         """Write back every dirty line (used by orderly shutdown)."""
-        for base, line in list(self._lines.items()):
+        device = self.device
+        for base, line in self._lines.items():
             if line.dirty:
-                self._writeback(base, line)
+                if line.buffer is not None:
+                    device.write_raw(base, bytes(line.buffer))
+                device.charge_store(1, addr=base)
         self._lines.clear()
         # The prefetch stream must not survive an empty cache: a
         # post-drain access that happens to start at the stale

@@ -7,6 +7,12 @@ fsyncs) every ``interval_ms`` of *simulated* time. A run therefore
 produces a trajectory — "when did the flush storm happen" — instead of
 only end-of-run totals.
 
+The clock notifies after every *posted advance* — one ``advance()``
+charge, or one cache operation's whole batch — so a sample is taken at
+the end of the operation that crossed the deadline: less than one
+cache operation late, never in the middle of one. The cache model
+does not change what it does when a sampler is attached.
+
 The sample list is bounded: when it fills up, every other sample is
 dropped and the interval doubles, preserving the overall shape of the
 trajectory at half the resolution (the classic decimating profiler
@@ -69,6 +75,8 @@ class TimeSeriesSampler:
     # ------------------------------------------------------------------
 
     def _on_advance(self, ns: float) -> None:
+        # ``ns`` (what the posted advance covered) is not needed: the
+        # clock is already up to date, and only the deadline matters.
         now = self._clock.now_ns
         if now < self._next_ns:
             return

@@ -6,9 +6,11 @@ by the benchmark harness are transactions per *simulated* second, which
 is what makes the reproduction independent of the speed of the host
 Python interpreter (see DESIGN.md, substitution list).
 
-``advance`` is the single hottest call in the whole simulator (every
-cache hit, miss, flush, and fence goes through it), so its bookkeeping
-is kept to two float additions:
+``advance`` is one of the hottest calls in the simulator (every fence,
+filesystem and CPU charge goes through it; the cache model replays the
+same two additions per cache-line event on locals and writes the
+result back once per operation), so its bookkeeping is kept to two
+float additions:
 
 * Per-category time attribution does not use a callback. The owning
   :class:`~repro.sim.stats.StatsCollector` installs its *current
@@ -19,7 +21,13 @@ is kept to two float additions:
   listener-callback design — so attribution stays byte-identical.
 * Subscribed listeners (e.g. the observability time-series sampler)
   are only iterated when at least one is registered, which makes the
-  observability layer cost nothing when no session is attached.
+  observability layer cost nothing when no session is attached. A
+  listener is told after every **posted advance** — one ``advance()``
+  charge, or one cache operation's whole batch with the nanoseconds it
+  covered (the cache model writes its batched time back directly and
+  then calls :meth:`SimClock.notify`) — not after every per-line
+  charge inside such a batch, so being observed never changes which
+  code charges the clock.
 """
 
 from __future__ import annotations
@@ -33,8 +41,9 @@ AttributionCell = List[float]
 class SimClock:
     """Accumulates simulated time in nanoseconds.
 
-    Listeners (e.g. the observability sampler) are invoked with every
-    charge; per-category statistics use the cheaper attribution cell.
+    Listeners (e.g. the observability sampler) are invoked after every
+    posted advance with the nanoseconds it covered; per-category
+    statistics use the cheaper attribution cell.
     """
 
     __slots__ = ("_now_ns", "_listeners", "_cell")
@@ -66,8 +75,15 @@ class SimClock:
         self._now_ns += ns
         self._cell[0] += ns
         if self._listeners:
-            for listener in self._listeners:
-                listener(ns)
+            self.notify(ns)
+
+    def notify(self, ns: float) -> None:
+        """Tell every listener that ``ns`` nanoseconds were just
+        posted. Called by :meth:`advance`, and by the cache model after
+        it writes one operation's batched charges straight into the
+        clock."""
+        for listener in self._listeners:
+            listener(ns)
 
     def set_attribution_cell(self, cell: AttributionCell) -> None:
         """Install the accumulator every subsequent charge is added to
@@ -76,7 +92,11 @@ class SimClock:
         self._cell = cell
 
     def subscribe(self, listener: Callable[[float], None]) -> None:
-        """Register ``listener`` to be called with every charge."""
+        """Register ``listener`` to be called after every posted
+        advance — a single :meth:`advance` charge or one cache
+        operation's batch — with the nanoseconds it covered. The sum
+        of what a listener is told equals the time elapsed while it was
+        subscribed; ``now_ns`` is already up to date when it runs."""
         self._listeners.append(listener)
 
     def unsubscribe(self, listener: Callable[[float], None]) -> None:

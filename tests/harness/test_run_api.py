@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.engines.base import engine_names
 from repro.harness.runner import run
 from repro.harness.spec import ExperimentSpec
 from repro.obs.session import ObservabilitySession
+from repro.workloads.tpcc import TPCCConfig
 
 TINY = dict(num_tuples=200, num_txns=150, cache_bytes=64 * 1024)
 
@@ -49,3 +51,30 @@ def test_run_with_observability_session():
     components = {record.get("component")
                   for record in session.records}
     assert "recovery" in components
+
+
+def _simulated_fields(result):
+    return (result.sim_seconds, result.nvm_loads, result.nvm_stores,
+            result.time_breakdown, result.storage_breakdown,
+            result.extra["recovery_seconds"])
+
+
+@pytest.mark.parametrize("workload", ["ycsb", "tpcc"])
+@pytest.mark.parametrize("engine", engine_names())
+def test_observing_does_not_change_the_simulation(engine, workload):
+    """Attaching tracers and the time-series sampler must leave every
+    simulated output exactly as it is unobserved — through load, run,
+    crash and recovery, on every engine."""
+    if workload == "ycsb":
+        spec = ExperimentSpec.ycsb(engine, "balanced", "low",
+                                   crash_recover=True, **TINY)
+    else:
+        spec = ExperimentSpec.tpcc(
+            engine, num_txns=40, cache_bytes=TINY["cache_bytes"],
+            crash_recover=True,
+            tpcc_config=TPCCConfig(warehouses=1, items=40,
+                                   customers_per_district=10,
+                                   initial_orders_per_district=5))
+    observed = run(spec, obs=ObservabilitySession())
+    assert observed.timeseries
+    assert _simulated_fields(observed) == _simulated_fields(run(spec))

@@ -1,20 +1,21 @@
-"""Equivalence tests for the batched cache fast paths.
+"""Equivalence tests for the batched cache kernel.
 
-``CPUCache``'s hot loops batch their clock and counter bookkeeping
-(see the module docstring in ``repro.nvm.cache``), but must replay
-exactly the same per-event charges as a line-at-a-time model that
-calls ``SimClock.advance`` and ``StatsCollector.bump`` per event.
-``ReferenceCache`` below *is* that model — the pre-fast-path
+``CPUCache``'s one touch/evict kernel batches its clock and counter
+bookkeeping (see the module docstring in ``repro.nvm.cache``), but
+must replay exactly the same per-event charges as a line-at-a-time
+model that calls ``SimClock.advance`` and ``StatsCollector.bump`` per
+event. ``ReferenceCache`` below *is* that model — the pre-fast-path
 implementation kept verbatim — and the property-style tests drive
 both with the same randomized operation sequences, asserting
 byte-identical simulated time (exact float equality), identical
 counter tables *including first-insertion order*, identical
 hit/miss totals, and identical returned bytes after every operation.
 
-The three inlined copies of the touch/evict bookkeeping in
-``CPUCache`` (touch runs, multi-line stores, batched loads) are all
-exercised here; a change to any one of them that skews a single float
-addition or counter ordering fails these tests.
+Every public entry point runs through that kernel (or the flush loop)
+whether or not a clock listener is subscribed, so the random
+sequences also subscribe and unsubscribe one mid-stream; a change
+that skews a single float addition or counter ordering fails these
+tests.
 """
 
 import random
@@ -24,6 +25,7 @@ import pytest
 from repro.config import CacheConfig, LatencyProfile
 from repro.nvm.cache import CPUCache
 from repro.nvm.device import NVMDevice
+from repro.obs.sampler import TimeSeriesSampler
 from repro.sim.clock import SimClock
 from repro.sim.stats import StatsCollector
 
@@ -255,23 +257,30 @@ def _make(cls, capacity_bytes=4096, crash_prob=0.5, wear=False):
     return cache, device, clock, stats
 
 
+def _ignore(ns):
+    """The clock listener the ``listen`` op subscribes."""
+
+
 def _random_ops(rng, count, span):
     """A randomized op sequence hitting every public cache entry
-    point, with enough address pressure to force constant eviction."""
+    point, with enough address pressure to force constant eviction.
+    ``listen`` ops subscribe and unsubscribe a clock listener
+    mid-sequence: being watched must not change what the cache does."""
     ops = []
+    listening = False
     for __ in range(count):
         kind = rng.choice(
             ["load", "load", "store", "store", "load_batch",
              "touch_read", "touch_write", "scattered", "sync",
-             "sync_ranges", "clflush", "clwb", "drain"])
+             "sync_ranges", "clflush", "clwb", "drain", "listen"])
         addr = rng.randrange(0, span)
         if kind in ("load", "store"):
-            # Mix of sub-line and multi-line (occasionally longer than
-            # the whole cache, so a run evicts its own earlier lines).
-            size = rng.choice([1, 8, 40, 64, 100, 400,
+            # Mix of empty, sub-line and multi-line (occasionally
+            # longer than the whole cache, so a run evicts its own
+            # earlier lines).
+            size = rng.choice([0, 1, 8, 40, 64, 100, 400,
                                rng.randrange(4096, 8192)])
-            size = min(size, span - addr)
-            ops.append((kind, addr, max(size, 1)))
+            ops.append((kind, addr, min(size, span - addr)))
         elif kind == "load_batch":
             ranges = []
             for __r in range(rng.randrange(1, 5)):
@@ -294,6 +303,9 @@ def _random_ops(rng, count, span):
                 raddr = rng.randrange(0, span - 256)
                 ranges.append((raddr, rng.choice([8, 48, 130])))
             ops.append((kind, tuple(ranges)))
+        elif kind == "listen":
+            listening = not listening
+            ops.append((kind, listening))
         else:
             ops.append((kind,))
     return ops
@@ -324,6 +336,9 @@ def _apply(cache, op):
         return cache.clwb(op[1], op[2])
     if kind == "drain":
         return cache.drain()
+    if kind == "listen":
+        clock = cache._clock
+        return (clock.subscribe if op[1] else clock.unsubscribe)(_ignore)
     raise AssertionError(kind)
 
 
@@ -366,10 +381,10 @@ def test_fastpath_matches_reference_with_wear_tracking():
     assert fd.wear_histogram() == rd.wear_histogram()
 
 
-def test_generic_path_with_listener_matches_reference():
-    """With a clock listener attached the cache takes its per-line
-    generic paths; they must match the reference model too, and the
-    listener must see every charge."""
+def test_listener_is_told_every_posted_batch_and_state_matches_reference():
+    """With a clock listener attached the cache runs the same kernel;
+    it must match the reference model, and what the listener is told
+    — one figure per posted batch — must add up to the elapsed time."""
     fast, __, fc, fs = _make(CPUCache)
     ref, __r, rc, rs = _make(ReferenceCache)
     seen = []
@@ -379,6 +394,37 @@ def test_generic_path_with_listener_matches_reference():
         assert _apply(fast, op) == _apply(ref, op)
         _assert_same_state(fast, ref, fc, rc, fs, rs, (step, op))
     assert sum(seen) == pytest.approx(fc.now_ns)
+    assert all(ns > 0 for ns in seen)
+
+
+def test_sampler_samples_once_per_crossing_at_an_operation_boundary():
+    """A real ``TimeSeriesSampler`` on a real cache: one sample per
+    deadline crossing, taken at the end of the cache operation that
+    crossed it (never inside one, never a whole operation late)."""
+    cache, device, clock, __ = _make(CPUCache)
+    interval_ns = 2_000.0
+    sampler = TimeSeriesSampler(
+        clock, {"loads": lambda: float(device.loads)},
+        interval_ms=interval_ns / 1e6)
+    sampler.attach()
+    # Operations that post exactly one batch each.
+    ops = [op for op in _random_ops(random.Random(3), 600, 32 * 1024)
+           if op[0] in ("load", "store", "load_batch", "touch_read",
+                        "touch_write", "clflush", "clwb")]
+    boundaries = [(clock.now_ns, device.loads)]
+    for op in ops:
+        _apply(cache, op)
+        boundaries.append((clock.now_ns, device.loads))
+    sampler.detach()
+    crossings = [
+        after for before, after in zip(boundaries, boundaries[1:])
+        if after[0] // interval_ns > before[0] // interval_ns]
+    assert len(crossings) > 20
+    # Baseline sample first, detach sample last, crossings between.
+    assert ([(sample["t_ms"], sample["loads"])
+             for sample in sampler.samples[1:-1]]
+            == [(now_ns / 1e6, float(loads))
+                for now_ns, loads in crossings])
 
 
 def test_crash_equivalence_with_seeded_rng():

@@ -75,3 +75,14 @@ def test_reset_keeps_listeners():
     assert clock.now_ns == 0.0
     clock.advance(7)
     assert seen == [10, 7]
+
+
+def test_notify_tells_listeners_without_charging():
+    """The cache model posts a whole operation's batch into the clock
+    itself and then reports the nanoseconds it covered."""
+    clock = SimClock()
+    seen = []
+    clock.subscribe(seen.append)
+    clock.notify(12.5)
+    assert seen == [12.5]
+    assert clock.now_ns == 0.0

@@ -36,6 +36,18 @@ def test_tpcc_command(capsys):
     assert "TPC-C" in out
 
 
+@pytest.mark.parametrize("command", [
+    ["ycsb", "--tuples", "100", "--txns", "100"],
+    ["tpcc", "--txns", "20"]])
+def test_hybrid_engine_runs_from_the_cli(command, capsys):
+    """``repro engines`` lists hybrid-inp, so the workload commands
+    must size its DRAM tier themselves (once a ConfigError
+    traceback)."""
+    assert main(command + ["--engine", "hybrid-inp"]) == 0
+    out = capsys.readouterr().out
+    assert "hybrid-inp" in out and "txn/s" in out
+
+
 def test_figure_one(capsys):
     assert main(["figure", "1"]) == 0
     out = capsys.readouterr().out

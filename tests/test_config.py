@@ -44,6 +44,25 @@ def test_cache_config_validation():
         CacheConfig(crash_eviction_probability=2.0)
 
 
+@pytest.mark.parametrize("field", ["hit_latency_ns", "fence_latency_ns",
+                                   "flush_latency_ns",
+                                   "sync_extra_latency_ns"])
+def test_cache_config_rejects_negative_latency(field):
+    """The cache model batches charges past ``SimClock.advance``, so a
+    negative latency would run the simulated clock backwards."""
+    assert getattr(CacheConfig(**{field: 0.0}), field) == 0.0
+    with pytest.raises(ConfigError, match=field):
+        CacheConfig(**{field: -4.0})
+
+
+def test_cache_config_prefetch_discount_range():
+    for discount in (0.0, 1.0):
+        assert CacheConfig(prefetch_discount=discount)
+    for discount in (-0.25, 1.5):
+        with pytest.raises(ConfigError, match="prefetch_discount"):
+            CacheConfig(prefetch_discount=discount)
+
+
 def test_filesystem_config_validation():
     assert FilesystemConfig().copies_per_write == 1
     with pytest.raises(ConfigError):
