@@ -573,31 +573,37 @@ def _cmd_obs(args) -> int:
 
 
 def _cmd_serve(args) -> int:
+    from .errors import ConfigError
     from .server import DatabaseServer, GroupCommitConfig, ServerConfig
 
-    group_commit = GroupCommitConfig(
-        enabled=not args.no_group_commit,
-        batch_size=args.batch_size,
-        max_hold_ns=args.hold_ns,
-        max_hold_wall_s=args.hold_wall_ms / 1000.0)
-    config = ServerConfig(
-        host=args.host, port=args.port, engine=args.engine,
-        partitions=args.partitions, latency=args.latency,
-        seed=args.seed, max_inflight=args.max_inflight,
-        group_commit=group_commit,
-        max_admission_queue=args.max_queue,
-        session_lease_s=args.session_lease,
-        watchdog_recover_s=args.watchdog)
-    server = DatabaseServer(config)
-
     def _ready(address):
-        print(f"repro server: {config.engine} engine, "
-              f"{config.partitions} partition(s), group commit "
+        print(f"repro server: {args.engine} engine, "
+              f"{args.partitions} partition(s), group commit "
               f"{'off' if args.no_group_commit else 'on'} — listening "
               f"on {address[0]}:{address[1]} (ctrl-C to stop)",
               flush=True)
 
-    server.run(ready=_ready)    # blocks until SIGINT/SIGTERM/shutdown
+    try:
+        server = DatabaseServer(ServerConfig(
+            host=args.host, port=args.port, engine=args.engine,
+            partitions=args.partitions, latency=args.latency,
+            seed=args.seed, max_inflight=args.max_inflight,
+            group_commit=GroupCommitConfig(
+                enabled=not args.no_group_commit,
+                batch_size=args.batch_size,
+                max_hold_ns=args.hold_ns,
+                max_hold_wall_s=args.hold_wall_ms / 1000.0),
+            max_admission_queue=args.max_queue,
+            session_lease_s=args.session_lease,
+            watchdog_recover_s=args.watchdog))
+    except (ConfigError, ValueError) as error:  # a bad option value
+        print(f"repro serve: {error}", file=sys.stderr)
+        return 2
+    try:
+        server.run(ready=_ready)    # blocks until SIGINT/SIGTERM/shutdown
+    except OSError as error:        # the address cannot be bound
+        print(f"repro serve: {error}", file=sys.stderr)
+        return 2
     host, port = server.address or (args.host, args.port)
     stats = [stage.stats() for __, stage
              in sorted(server._stages.items())]

@@ -22,11 +22,16 @@ serially against the active storage engine. Typical usage::
 
     db.crash()                    # simulated power failure
     seconds = db.recover()        # engine-specific recovery
+
+A power failure — :meth:`Database.crash`, or a
+:class:`~repro.errors.SimulatedCrash` inside any operation — is where
+open transactions end: no session can commit work recovery rolled back.
 """
 
 from __future__ import annotations
 
 import itertools
+import weakref
 import zlib
 from typing import Any, Dict, List, Optional
 
@@ -81,6 +86,8 @@ class Database:
         self._crashed = False
         self._closed = False
         self._session_ids = itertools.count(1)
+        #: Open sessions, held weakly: :meth:`crash` ends their transactions.
+        self._sessions: "weakref.WeakSet[Session]" = weakref.WeakSet()
         self._dtxn_ids = itertools.count(1)
 
     # ------------------------------------------------------------------
@@ -114,7 +121,9 @@ class Database:
                 s.commit()
         """
         self._require_alive()
-        return Session(self, next(self._session_ids), name=name)
+        session = Session(self, next(self._session_ids), name=name)
+        self._sessions.add(session)
+        return session
 
     def __enter__(self) -> "Database":
         self._require_open("enter")
@@ -304,10 +313,15 @@ class Database:
 
     def crash(self) -> None:
         """Simulated power failure across all partitions (their
-        volatile state — prepared 2PC branches included — is wiped)."""
+        volatile state — prepared 2PC branches included — is wiped).
+        Every open session's transaction ends here, with no engine
+        rollback — recovery decides its fate — so a later ``commit()``
+        on it raises :class:`~repro.errors.SessionStateError`."""
         self._require_open("crash")
         self._partition_class.broadcast(self.partitions, "crash")
         self._crashed = True
+        for session in self._sessions:
+            session.invalidate()
 
     def recover(self) -> float:
         """Run engine recovery, then presumed-abort resolution of

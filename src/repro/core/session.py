@@ -21,10 +21,14 @@ Error taxonomy: a closed database raises
 recovered) database raises :class:`~repro.errors.CrashedError`, a verb
 called in the wrong session state raises
 :class:`~repro.errors.SessionStateError`, and anything on a closed
-session raises :class:`~repro.errors.SessionClosedError`. A
+session raises :class:`~repro.errors.SessionClosedError`.
+
+A power failure has one path (:meth:`Session._guarded`): a
 :class:`~repro.errors.SimulatedCrash` escaping a session verb has
-already crashed the whole database (power failure), exactly like the
-one-shot path.
+already crashed the whole database, exactly like the one-shot path,
+and :meth:`Database.crash <repro.core.database.Database.crash>` ended
+the transaction of this and every other open session — a verb after a
+crash finds none (:class:`~repro.errors.SessionStateError`).
 """
 
 from __future__ import annotations
@@ -32,9 +36,8 @@ from __future__ import annotations
 import enum
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..errors import (CrashedError, LeaseExpiredError,
-                      SessionClosedError, SessionStateError,
-                      SimulatedCrash, TransactionAborted)
+from ..errors import (LeaseExpiredError, SessionClosedError,
+                      SessionStateError, SimulatedCrash)
 from .executor import TransactionContext
 from .partition import Partition, StoredProcedure
 
@@ -61,7 +64,7 @@ class Session:
 
     __slots__ = ("database", "session_id", "name", "_state", "_context",
                  "_partition", "txns_committed", "txns_aborted",
-                 "_expired_reason")
+                 "_expired_reason", "__weakref__")
 
     def __init__(self, database, session_id: int,
                  name: str = "") -> None:
@@ -109,25 +112,23 @@ class Session:
         the server's lease reaper)."""
         return self._expired_reason is not None
 
-    def _require_open(self) -> None:
+    def _require_usable(self) -> None:
         if self._expired_reason is not None:
             raise LeaseExpiredError(
                 f"{self.name} expired: {self._expired_reason}")
         if self._state is SessionState.CLOSED:
             raise SessionClosedError(
                 f"{self.name} is closed; open a new session")
+
+    def _require_open(self) -> None:
+        self._require_usable()
         if self._state is SessionState.ACTIVE:
             raise SessionStateError(
                 f"{self.name} already has an active transaction; "
                 "commit() or abort() it first")
 
     def _require_active(self) -> None:
-        if self._expired_reason is not None:
-            raise LeaseExpiredError(
-                f"{self.name} expired: {self._expired_reason}")
-        if self._state is SessionState.CLOSED:
-            raise SessionClosedError(
-                f"{self.name} is closed; open a new session")
+        self._require_usable()
         if self._state is not SessionState.ACTIVE:
             raise SessionStateError(
                 f"{self.name} has no active transaction; call begin()")
@@ -140,9 +141,10 @@ class Session:
 
     def invalidate(self, reason: str = "database crashed") -> bool:
         """Drop the active transaction without touching the engine —
-        used when the platform crashed underneath the session (the
-        engine's volatile state is gone; recovery decides the
-        transaction's fate). Returns True if a transaction was open."""
+        :meth:`Database.crash <repro.core.database.Database.crash>`
+        calls this on every open session (the engine's volatile state
+        is gone; recovery decides the transaction's fate). Returns
+        True if a transaction was open."""
         had_txn = self._state is SessionState.ACTIVE
         if had_txn:
             self.txns_aborted += 1
@@ -153,6 +155,16 @@ class Session:
     # Transaction lifecycle
     # ------------------------------------------------------------------
 
+    def _guarded(self, operation, *args: Any) -> Any:
+        """Run one engine call. A power failure inside it is not an
+        abort — the engine must not run its rollback path: the whole
+        database crashes, which ends every session's transaction."""
+        try:
+            return operation(*args)
+        except SimulatedCrash:
+            self.database.crash()
+            raise
+
     def begin(self, partition: int = 0) -> TransactionContext:
         """Start a transaction on ``partition``; returns the live
         :class:`~repro.core.executor.TransactionContext` so in-process
@@ -161,93 +173,69 @@ class Session:
         self._require_open()
         self.database._require_alive()
         part = self.database.partitions[partition]
-        try:
-            context = part.begin()
-        except SimulatedCrash:
-            self.database.crash()
-            raise
-        self._context = context
+        self._context = self._guarded(part.begin)
         self._partition = part
         self._state = SessionState.ACTIVE
-        return context
+        return self._context
 
     def commit(self) -> int:
         """Commit the active transaction; returns its transaction id.
         Durability may still await the engine's next group-commit
         flush (see :meth:`flush`)."""
-        self._require_active()
-        context = self._context
-        try:
-            self._partition.commit(context)
-        except SimulatedCrash:
-            self._finish_txn()
-            self.database.crash()
-            raise
-        self._finish_txn()
-        self.txns_committed += 1
-        return context.txn.txn_id
+        return self._end(commit=True)
 
     def abort(self) -> int:
         """Abort the active transaction and roll back its effects;
         returns its transaction id."""
+        return self._end(commit=False)
+
+    def _end(self, commit: bool) -> int:
         self._require_active()
         context = self._context
-        try:
-            self._partition.abort(context)
-        except SimulatedCrash:
-            self._finish_txn()
-            self.database.crash()
-            raise
+        partition = self._partition
+        self._guarded(partition.commit if commit else partition.abort,
+                      context)
         self._finish_txn()
-        self.txns_aborted += 1
+        if commit:
+            self.txns_committed += 1
+        else:
+            self.txns_aborted += 1
         return context.txn.txn_id
 
     def execute(self, procedure: StoredProcedure, *args: Any,
                 partition: int = 0) -> Any:
-        """One-shot: run a stored procedure as a single transaction.
-
-        Commits on normal return; aborts (and re-raises) on
-        :class:`~repro.errors.TransactionAborted` or any other
-        exception — :meth:`Database.execute
+        """One-shot: run a stored procedure as a single transaction
+        and commit on normal return — :meth:`Database.execute
         <repro.core.database.Database.execute>` with this session's
         counters and state checks."""
-        context = self.begin(partition=partition)
+        self.begin(partition=partition)
+        result = self.run(procedure, *args)
+        self.commit()
+        return result
+
+    def run(self, procedure: StoredProcedure, *args: Any) -> Any:
+        """Run a stored procedure inside the active transaction;
+        aborts it (and re-raises) on
+        :class:`~repro.errors.TransactionAborted` or any other
+        exception. The network tier's ``call`` runs through here."""
         try:
-            result = procedure(context, *args)
+            return self._op(procedure, *args)
         except SimulatedCrash:
-            # Power failure, not an abort: the engine must not run its
-            # rollback path — recovery decides the transaction's fate.
-            self._finish_txn()
-            self.database.crash()
-            raise
-        except TransactionAborted:
-            self.abort()
+            # Power failure, not an abort: recovery decides the
+            # transaction's fate.
             raise
         except Exception:
             self.abort()
             raise
-        self.commit()
-        return result
 
     # ------------------------------------------------------------------
     # In-transaction operations (server-facing verb surface)
     # ------------------------------------------------------------------
 
-    def _active_context(self) -> TransactionContext:
-        self._require_active()
-        return self._context
-
     def _op(self, operation, *args: Any) -> Any:
-        """Run one engine operation of the active transaction,
-        converting a mid-operation power failure exactly like the
-        one-shot path does."""
-        context = self._active_context()
-        try:
-            return operation(context, *args)
-        except SimulatedCrash:
-            self._finish_txn()
-            self.database.crash()
-            raise
+        """Run one engine operation of the active transaction."""
+        self._require_active()
+        return self._guarded(operation, self._context, *args)
 
     def insert(self, table: str, values: Dict[str, Any]) -> None:
         self._op(TransactionContext.insert, table, values)
@@ -280,18 +268,13 @@ class Session:
 
     def close(self) -> None:
         """Close the session. An active transaction is aborted first
-        (best effort — a crashed or closed database just drops it).
-        Idempotent."""
-        if self._state is SessionState.CLOSED:
-            return
+        (a closed database just drops it; a crash has already ended
+        it). Idempotent."""
         if self._state is SessionState.ACTIVE:
-            if self.database.closed or self.database.crashed:
+            if self.database.closed:
                 self.invalidate()
             else:
-                try:
-                    self.abort()
-                except CrashedError:
-                    self.invalidate()
+                self.abort()
         self._state = SessionState.CLOSED
 
     def expire(self, reason: str) -> None:

@@ -21,6 +21,16 @@ mirrors the paper's testbed:
   parks, and because each connection processes frames sequentially,
   that parks the whole connection — natural backpressure down the
   socket.
+* **Grants follow session state.** No verb releases a grant by hand:
+  the lock belongs to a session with an active transaction, the slot
+  to one that is active or awaiting its durable point, and
+  :meth:`DatabaseServer._settle` gives back whatever a session holds
+  beyond that — at every verb exit, around the group-commit park, on
+  a crash and on close.
+* **A power failure has one path.** ``_dispatch`` catches
+  :class:`~repro.errors.SimulatedCrash` once: the database crashes
+  (ending every open session's transaction), parked commits fail,
+  every session is settled, the client gets the error frame.
 
 All database work runs on the event-loop thread; engine calls never
 await, so each verb handler is atomic between awaits by construction.
@@ -135,6 +145,26 @@ class _RemoteSession:
         self.awaiting = False         # parked on a group-commit future
         self.busy = 0                 # verb handlers currently running
         self.last_seen = now          # loop time of the last frame
+
+
+def _wire_rows(rows) -> list:
+    """``scan``'s wire shape: ``[[key, row], ...]``."""
+    return [[wire_value(key), wire_value(row)] for key, row in rows]
+
+
+def _table_verb(verb: str, *names: str, reply: Optional[str] = None,
+                encode=wire_value):
+    """The handler of one in-transaction table verb: the arguments
+    ``names`` are decoded in wire order (table and index names are
+    strings, everything else a wire value), the session method of the
+    same name runs, and its result is encoded under the ``reply`` key."""
+    async def handler(server, conn_sessions, remote, args):
+        remote = server._remote(conn_sessions, remote, args)
+        result = getattr(remote.session, verb)(*[
+            str(args.get(name, "")) if name in ("table", "index")
+            else unwire_value(args.get(name)) for name in names])
+        return {} if reply is None else {reply: encode(result)}
+    return handler
 
 
 class DatabaseServer:
@@ -345,27 +375,36 @@ class DatabaseServer:
         verb = payload.get("verb")
         args = payload.get("args", {})
         self._frames.inc()
-        handler = self._HANDLERS.get(verb) if isinstance(verb, str) \
-            else None
-        if handler is None:
-            self._error_count.inc()
-            return error_response(request_id, ProtocolError(
-                f"unknown verb {verb!r}"))
-        if not isinstance(args, dict):
-            self._error_count.inc()
-            return error_response(request_id, ProtocolError(
-                f"args must be an object, got {type(args).__name__}"))
-        # Lease bookkeeping: any frame naming a session renews its
-        # lease, and a session with a handler mid-flight (e.g. parked
-        # in ``begin`` on admission) is never reaped out from under it.
-        remote = self._sessions.get(args.get("session"))
-        if remote is not None:
-            remote.busy += 1
-            remote.last_seen = self._loop.time()
+        remote = None
         try:
-            result = await handler(self, conn_sessions, args)
-        except asyncio.CancelledError:
-            raise
+            handler = self._HANDLERS.get(verb) \
+                if isinstance(verb, str) else None
+            if handler is None:
+                raise ProtocolError(f"unknown verb {verb!r}")
+            if not isinstance(args, dict):
+                raise ProtocolError(f"args must be an object, "
+                                    f"got {type(args).__name__}")
+            session_id = args.get("session")
+            if session_id is not None \
+                    and not isinstance(session_id, int):
+                raise ProtocolError(
+                    f"session must be an integer id, got {session_id!r}")
+            # The one session look-up of a frame: an id only works on
+            # the connection that opened it. The frame renews the lease,
+            # and a session with a handler mid-flight (e.g. parked in
+            # ``begin`` on admission) is never reaped from under it.
+            if session_id in conn_sessions:
+                remote = self._sessions.get(session_id)
+            if remote is not None:
+                remote.busy += 1
+                remote.last_seen = self._loop.time()
+            result = await handler(self, conn_sessions, remote, args)
+        except SimulatedCrash as exc:
+            # The one power-failure path: whatever verb it struck, the
+            # platform is down — never an abort.
+            self._error_count.inc()
+            self._crash_from_engine()
+            return error_response(request_id, exc)
         except ReproError as exc:
             self._error_count.inc()
             return error_response(request_id, exc)
@@ -377,38 +416,36 @@ class DatabaseServer:
             if remote is not None:
                 remote.busy -= 1
                 remote.last_seen = self._loop.time()
+                # Not while another handler of this session is in
+                # flight: a ``begin`` parked in ``_admit`` must not be
+                # settled from under itself.
+                if not remote.busy:
+                    self._settle(remote)
         return ok_response(request_id, result)
 
     # ------------------------------------------------------------------
     # Crash plumbing
     # ------------------------------------------------------------------
 
-    def _crash_from_engine(self) -> None:
-        """A SimulatedCrash escaped an engine flush: convert it into a
+    def _crash_from_engine(self) -> int:
+        """A SimulatedCrash escaped the engine (inside a verb, a
+        group-commit flush, the watchdog's recovery): convert it into a
         full platform crash, exactly like Database.flush does."""
         if not (self.database.closed or self.database.crashed):
             self.database.crash()
-        self._after_crash()
+        return self._after_crash()
 
     def _after_crash(self) -> int:
-        """The database just crashed: fail pending durability waiters,
-        invalidate every session's live transaction, and release
-        execution locks/admission slots the dead transactions held.
-        Commit coroutines parked on a group-commit future release their
-        own admission slot when the future fails. Returns the number of
-        logically-committed transactions that were lost."""
-        self._crashed_at = self._loop.time() \
-            if self._loop is not None else None
-        lost = 0
-        for stage in self._stages.values():
-            lost += stage.fail_pending("power failure")
+        """The database just crashed, which ended every session's
+        transaction: fail the parked commits (each gives its slot back
+        as its future fails) and settle the grants the dead
+        transactions held. Returns the number of logically-committed
+        transactions that were lost."""
+        self._crashed_at = self._loop.time()
+        lost = sum(stage.fail_pending("power failure")
+                   for stage in self._stages.values())
         for remote in self._sessions.values():
-            remote.session.invalidate()
-            if remote.lock_held:
-                remote.lock_held = False
-                self._locks[remote.partition_id].release()
-            if not remote.awaiting:
-                self._sem_release(remote)
+            self._settle(remote)
         return lost
 
     # ------------------------------------------------------------------
@@ -430,6 +467,7 @@ class DatabaseServer:
         lease = self.config.session_lease_s
         if lease is None:
             return
+        reason = f"exceeded the {lease:g}s session lease while idle"
         for session_id, remote in list(self._sessions.items()):
             # A handler mid-flight (parked in begin, executing a
             # procedure) or a commit awaiting durability is server-side
@@ -438,30 +476,7 @@ class DatabaseServer:
                 continue
             if now - remote.last_seen < lease:
                 continue
-            self._reap_session(session_id, remote, lease)
-
-    def _reap_session(self, session_id: int, remote: _RemoteSession,
-                      lease: float) -> None:
-        self._sessions.pop(session_id, None)
-        reason = f"exceeded the {lease:g}s session lease while idle"
-        logger.info("reaping session %s (%s)", remote.session.name,
-                    reason)
-        try:
-            if remote.session.in_transaction \
-                    and not (self.database.closed
-                             or self.database.crashed):
-                remote.session.abort()
-            else:
-                remote.session.invalidate()
-        except SimulatedCrash:
-            self._after_crash()
-        finally:
-            self._release_all(remote)
-            remote.session.expire(reason)
-            self._reaped_count.inc()
-            self._expired[session_id] = reason
-            while len(self._expired) > _MAX_CLIENT_KEYED_ENTRIES:
-                self._expired.popitem(last=False)
+            self._close_session(session_id, expired=reason)
 
     def _watchdog_check(self, now: float) -> None:
         delay = self.config.watchdog_recover_s
@@ -476,7 +491,7 @@ class DatabaseServer:
         try:
             seconds = self.database.recover()
         except SimulatedCrash:
-            self._after_crash()
+            self._crash_from_engine()
             return
         self._crashed_at = None
         self._watchdog_recoveries.inc()
@@ -488,26 +503,18 @@ class DatabaseServer:
     # ------------------------------------------------------------------
 
     def _remote(self, conn_sessions: Set[int],
+                remote: Optional[_RemoteSession],
                 args: Dict[str, Any]) -> _RemoteSession:
-        session_id = args.get("session")
-        remote = self._sessions.get(session_id) \
-            if session_id in conn_sessions else None
+        """The session a verb needs: the one ``_dispatch`` resolved
+        for this frame, or the reason there is none."""
         if remote is None:
-            if session_id in conn_sessions \
-                    and session_id in self._expired:
-                raise LeaseExpiredError(
-                    f"session {session_id} "
-                    f"{self._expired[session_id]}")
+            session_id = args.get("session")
+            reason = self._expired.get(session_id)
+            if reason is not None and session_id in conn_sessions:
+                raise LeaseExpiredError(f"session {session_id} {reason}")
             raise ProtocolError(
                 f"no open session {session_id!r} on this connection")
         return remote
-
-    def _partition_id(self, args: Dict[str, Any]) -> int:
-        pid = args.get("partition", 0)
-        if not isinstance(pid, int) \
-                or not 0 <= pid < len(self.database.partitions):
-            raise ProtocolError(f"no such partition {pid!r}")
-        return pid
 
     async def _admit(self, remote: _RemoteSession, pid: int) -> None:
         """Take an admission slot and the partition's execution lock.
@@ -529,54 +536,48 @@ class DatabaseServer:
         self._admission_queue += 1
         try:
             # ACD002 waived: ownership transfers to the session —
-            # remote.sem_held marks it, and every verb exit path
-            # (_release_all / _sem_release, including _after_crash)
-            # releases the slot once the txn is durable or dead.
+            # remote.sem_held marks it, and _settle gives the slot
+            # back once the txn is durable or dead.
             await self._admission.acquire()  # noqa: ACD002
         finally:
             self._admission_queue -= 1
         remote.sem_held = True
         self._inflight += 1
-        try:
-            # ACD002 waived: same ownership transfer — the partition
-            # lock is held begin→logical-commit across verb handlers
-            # (remote.lock_held) and released by _release_execution
-            # on every exit path; the except below covers a cancelled
-            # acquire.
-            await self._locks[pid].acquire()  # noqa: ACD002
-        except BaseException:
-            self._sem_release(remote)
-            raise
+        # ACD002 waived: same ownership transfer — the partition lock
+        # is held begin→logical-commit across verb handlers
+        # (remote.lock_held) and released by _settle; a cancelled
+        # acquire leaves only the slot, which _dispatch's exit settles.
+        await self._locks[pid].acquire()  # noqa: ACD002
         remote.lock_held = True
         remote.partition_id = pid
 
-    def _release_execution(self, remote: _RemoteSession) -> None:
-        if remote.lock_held:
+    def _settle(self, remote: _RemoteSession) -> None:
+        """Grants follow session state — the one place they are
+        released. The partition lock belongs to a session with an
+        active transaction; the admission slot to one that is active
+        or awaiting its durable point; anything else held goes back."""
+        active = remote.session.in_transaction
+        if remote.lock_held and not active:
             remote.lock_held = False
             self._locks[remote.partition_id].release()
-
-    def _sem_release(self, remote: _RemoteSession) -> None:
-        if remote.sem_held:
+        if remote.sem_held and not (active or remote.awaiting):
             remote.sem_held = False
             self._inflight -= 1
             self._admission.release()
 
-    def _release_all(self, remote: _RemoteSession) -> None:
-        self._release_execution(remote)
-        self._sem_release(remote)
-
-    async def _await_durable(self, remote: _RemoteSession,
-                             pid: int) -> None:
+    async def _await_durable(self, remote: _RemoteSession) -> None:
         """Park on the partition's group-commit stage until the just-
-        committed transaction is durable; the admission slot is held
-        until then."""
+        committed transaction is durable. ``awaiting`` is set first:
+        the lock goes at the logical commit, so others execute during
+        the park; the slot only once durable."""
         remote.awaiting = True
-        future = self._stages[pid].enqueue()
+        self._settle(remote)
+        future = self._stages[remote.partition_id].enqueue()
         try:
             await future
         finally:
             remote.awaiting = False
-            self._sem_release(remote)
+            self._settle(remote)
 
     def _observe_latency(self, remote: _RemoteSession,
                          latency_ns: float) -> None:
@@ -591,31 +592,41 @@ class DatabaseServer:
                 self.metrics.remove(evicted)
         hist.observe(latency_ns)
 
-    def _close_session(self, session_id: int) -> None:
+    def _close_session(self, session_id: int,
+                       expired: Optional[str] = None) -> None:
+        """Forget a session: abort its transaction, settle its grants,
+        close it — or, for the lease reaper, expire it with the reason
+        its owner's next verb will be told."""
         remote = self._sessions.pop(session_id, None)
         if remote is None:
             return
         try:
-            if remote.session.in_transaction \
-                    and not (self.database.closed
-                             or self.database.crashed):
+            # (A crashed database has no transaction left to abort.)
+            if remote.session.in_transaction and not self.database.closed:
                 remote.session.abort()
-            else:
-                remote.session.invalidate()
         except SimulatedCrash:
-            self._after_crash()
+            self._crash_from_engine()
         finally:
-            if not remote.awaiting:
-                self._release_all(remote)
+            # Aborted, dead with the database, or failing to abort:
+            # the transaction is over and its grants go back.
+            remote.session.invalidate()
+            self._settle(remote)
+            if expired is None:
+                remote.session.close()
             else:
-                self._release_execution(remote)
-            remote.session.close()
+                logger.info("reaping session %s (%s)",
+                            remote.session.name, expired)
+                remote.session.expire(expired)
+                self._reaped_count.inc()
+                self._expired[session_id] = expired
+                while len(self._expired) > _MAX_CLIENT_KEYED_ENTRIES:
+                    self._expired.popitem(last=False)
 
     # ------------------------------------------------------------------
     # Verb handlers
     # ------------------------------------------------------------------
 
-    async def _verb_hello(self, conn_sessions, args):
+    async def _verb_hello(self, conn_sessions, remote, args):
         gc = self.config.group_commit
         return {"server": "repro", "protocol": PROTOCOL_VERSION,
                 "engine": self.database.engine_name,
@@ -629,65 +640,64 @@ class DatabaseServer:
                 "watchdog_recover_s": self.config.watchdog_recover_s,
                 "commit_ledger_size": self.config.commit_ledger_size}
 
-    async def _verb_ping(self, conn_sessions, args):
+    async def _verb_ping(self, conn_sessions, remote, args):
         return {"now_ns": self.database.partitions[0].platform.clock.now_ns}
 
-    async def _verb_open_session(self, conn_sessions, args):
+    async def _verb_open_session(self, conn_sessions, remote, args):
         session = self.database.session(str(args.get("name", "")))
         self._sessions[session.session_id] = _RemoteSession(
             session, now=self._loop.time())
         conn_sessions.add(session.session_id)
         return {"session": session.session_id, "name": session.name}
 
-    async def _verb_close_session(self, conn_sessions, args):
-        remote = self._remote(conn_sessions, args)
+    async def _verb_close_session(self, conn_sessions, remote, args):
+        remote = self._remote(conn_sessions, remote, args)
         session_id = remote.session.session_id
         self._close_session(session_id)
         conn_sessions.discard(session_id)
         return {"closed": session_id}
 
-    async def _verb_create_table(self, conn_sessions, args):
+    async def _verb_create_table(self, conn_sessions, remote, args):
         schema = schema_from_wire(args.get("schema"))
         self.database.create_table(schema)
         return {"table": schema.table}
 
-    async def _verb_schema(self, conn_sessions, args):
+    async def _verb_schema(self, conn_sessions, remote, args):
         table = args.get("table")
         schema = self.database.partitions[0].engine.schemas.get(table)
         if schema is None:
             raise ProtocolError(f"no such table {table!r}")
         return {"schema": schema_to_wire(schema)}
 
-    async def _verb_begin(self, conn_sessions, args):
-        remote = self._remote(conn_sessions, args)
-        pid = self._partition_id(args)
+    async def _begin(self, remote: _RemoteSession, args: Dict[str, Any]):
+        """Admit the session and start its transaction (``begin`` and
+        ``call``). Whatever fails after admission, the verb's exit
+        settles the grants."""
+        pid = args.get("partition", 0)
+        if not isinstance(pid, int) \
+                or not 0 <= pid < len(self.database.partitions):
+            raise ProtocolError(f"no such partition {pid!r}")
         # Fail fast before taking locks for an illegal state.
         remote.session._require_open()
         self.database._require_alive()
         await self._admit(remote, pid)
-        try:
-            context = remote.session.begin(partition=pid)
-        except SimulatedCrash:
-            self._after_crash()
-            raise
-        except BaseException:
-            self._release_all(remote)
-            raise
-        return {"txn": context.txn.txn_id, "partition": pid}
+        return remote.session.begin(partition=pid)
 
-    async def _verb_commit(self, conn_sessions, args):
+    async def _verb_begin(self, conn_sessions, remote, args):
+        remote = self._remote(conn_sessions, remote, args)
+        context = await self._begin(remote, args)
+        return {"txn": context.txn.txn_id, "partition": remote.partition_id}
+
+    async def _verb_commit(self, conn_sessions, remote, args):
         token = args.get("token")
         if token is not None:
             token = str(token)
             entry = self._ledger.lookup(token)
             if entry is not None:       # a retry of a recorded commit
                 return self._replay_commit(token, entry)
-        remote = self._remote(conn_sessions, args)
-        context = remote.session.context
-        if context is None:
-            remote.session._require_active()   # raises SessionStateError
-        pid = remote.partition_id
-        txn = context.txn
+        remote = self._remote(conn_sessions, remote, args)
+        remote.session._require_active()
+        txn = remote.session.context.txn
         if token is not None:
             # Recorded before any engine work: from here on, a token
             # the ledger does not know was certainly never applied.
@@ -695,16 +705,16 @@ class DatabaseServer:
         try:
             txn_id = remote.session.commit()
         except SimulatedCrash as exc:
+            # The token's fate is recorded before the power failure
+            # takes its one path out through _dispatch.
             if token is not None:
                 self._ledger.resolve_failed(
                     token, f"power failed during the logical commit "
                            f"({exc})")
-            self._after_crash()
             raise
-        self._release_execution(remote)
         latency_ns = txn.commit_ns - txn.begin_ns
         try:
-            await self._await_durable(remote, pid)
+            await self._await_durable(remote)
         except CrashedError as exc:
             if token is not None:
                 self._ledger.resolve_failed(token, str(exc))
@@ -731,168 +741,60 @@ class DatabaseServer:
             return dict(entry.result)
         raise CrashedError(f"commit not durable: {entry.reason}")
 
-    async def _verb_commit_status(self, conn_sessions, args):
+    async def _verb_commit_status(self, conn_sessions, remote, args):
         token = str(args.get("token", ""))
         return self._ledger.status(token)
 
-    async def _verb_abort(self, conn_sessions, args):
-        remote = self._remote(conn_sessions, args)
-        try:
-            txn_id = remote.session.abort()
-        except SimulatedCrash:
-            self._after_crash()
-            raise
-        self._release_all(remote)
-        return {"txn": txn_id, "aborted": True}
+    async def _verb_abort(self, conn_sessions, remote, args):
+        remote = self._remote(conn_sessions, remote, args)
+        return {"txn": remote.session.abort(), "aborted": True}
 
-    async def _verb_call(self, conn_sessions, args):
-        remote = self._remote(conn_sessions, args)
+    async def _verb_call(self, conn_sessions, remote, args):
+        remote = self._remote(conn_sessions, remote, args)
         procedure = self.procedures.get(str(args.get("name", "")))
         call_args = unwire_value(args.get("args", []))
         if not isinstance(call_args, list):
             raise ProtocolError("call args must be a list")
-        pid = self._partition_id(args)
-        remote.session._require_open()
-        self.database._require_alive()
-        await self._admit(remote, pid)
-        try:
-            context = remote.session.begin(partition=pid)
-        except SimulatedCrash:
-            self._after_crash()
-            raise
-        except BaseException:
-            self._release_all(remote)
-            raise
-        txn = context.txn
-        try:
-            result = procedure(context, *call_args)
-        except SimulatedCrash:
-            # Power failure mid-procedure: no rollback — recovery
-            # decides the transaction's fate (one-shot semantics).
-            remote.session.invalidate()
-            if not (self.database.closed or self.database.crashed):
-                self.database.crash()
-            self._after_crash()
-            raise
-        except Exception:
-            try:
-                remote.session.abort()
-            except SimulatedCrash:
-                self._after_crash()
-                raise
-            self._release_all(remote)
-            raise
-        try:
-            txn_id = remote.session.commit()
-        except SimulatedCrash:
-            self._after_crash()
-            raise
-        self._release_execution(remote)
+        txn = (await self._begin(remote, args)).txn
+        # Aborts when the procedure raises — but never on a power
+        # failure: recovery decides the transaction's fate.
+        result = remote.session.run(procedure, *call_args)
+        txn_id = remote.session.commit()
         latency_ns = txn.commit_ns - txn.begin_ns
-        await self._await_durable(remote, pid)
+        await self._await_durable(remote)
         self._observe_latency(remote, latency_ns)
         return {"txn": txn_id, "result": wire_value(result),
                 "latency_ns": latency_ns}
 
-    async def _verb_procedures(self, conn_sessions, args):
+    async def _verb_procedures(self, conn_sessions, remote, args):
         return {"procedures": list(self.procedures.names())}
-
-    # -- in-transaction table operations --------------------------------
-
-    async def _verb_insert(self, conn_sessions, args):
-        remote = self._remote(conn_sessions, args)
-        self._crashable(remote, remote.session.insert,
-                        str(args.get("table", "")),
-                        unwire_value(args.get("values")))
-        return {}
-
-    async def _verb_update(self, conn_sessions, args):
-        remote = self._remote(conn_sessions, args)
-        self._crashable(remote, remote.session.update,
-                        str(args.get("table", "")),
-                        unwire_value(args.get("key")),
-                        unwire_value(args.get("changes")))
-        return {}
-
-    async def _verb_delete(self, conn_sessions, args):
-        remote = self._remote(conn_sessions, args)
-        self._crashable(remote, remote.session.delete,
-                        str(args.get("table", "")),
-                        unwire_value(args.get("key")))
-        return {}
-
-    async def _verb_get(self, conn_sessions, args):
-        remote = self._remote(conn_sessions, args)
-        row = self._crashable(remote, remote.session.get,
-                              str(args.get("table", "")),
-                              unwire_value(args.get("key")))
-        return {"row": wire_value(row)}
-
-    async def _verb_get_secondary(self, conn_sessions, args):
-        remote = self._remote(conn_sessions, args)
-        keys = self._crashable(remote, remote.session.get_secondary,
-                               str(args.get("table", "")),
-                               str(args.get("index", "")),
-                               unwire_value(args.get("key")))
-        return {"keys": wire_value(keys)}
-
-    async def _verb_scan(self, conn_sessions, args):
-        remote = self._remote(conn_sessions, args)
-        rows = self._crashable(remote, remote.session.scan,
-                               str(args.get("table", "")),
-                               unwire_value(args.get("lo")),
-                               unwire_value(args.get("hi")))
-        return {"rows": [[wire_value(key), wire_value(row)]
-                         for key, row in rows]}
-
-    def _crashable(self, remote: _RemoteSession, op, *args):
-        """Run one engine operation; a mid-operation power failure has
-        already crashed the database (Session._op) — clean up server
-        state before re-raising."""
-        try:
-            return op(*args)
-        except SimulatedCrash:
-            self._after_crash()
-            raise
 
     # -- admin ----------------------------------------------------------
 
-    async def _verb_flush(self, conn_sessions, args):
+    async def _verb_flush(self, conn_sessions, remote, args):
         self.database._require_alive()
-        flushed = 0
-        for stage in self._stages.values():
-            flushed += stage.flush("explicit")
+        flushed = sum(stage.flush("explicit")
+                      for stage in self._stages.values())
         if self.database.crashed:
             raise CrashedError("power failed during the durable point")
         return {"flushed": flushed}
 
-    async def _verb_checkpoint(self, conn_sessions, args):
-        try:
-            self.database.checkpoint()
-        except SimulatedCrash:
-            self._after_crash()
-            raise
+    async def _verb_checkpoint(self, conn_sessions, remote, args):
+        self.database.checkpoint()
         return {}
 
-    async def _verb_crash(self, conn_sessions, args):
+    async def _verb_crash(self, conn_sessions, remote, args):
         if self.database.closed:
             raise DatabaseClosedError("cannot crash a closed database")
-        if not self.database.crashed:
-            self.database.crash()
-        lost = self._after_crash()
-        return {"crashed": True, "lost_commits": lost}
+        return {"crashed": True, "lost_commits": self._crash_from_engine()}
 
-    async def _verb_recover(self, conn_sessions, args):
-        try:
-            seconds = self.database.recover()
-        except SimulatedCrash:
-            self._after_crash()
-            raise
+    async def _verb_recover(self, conn_sessions, remote, args):
+        seconds = self.database.recover()
         self._crashed_at = None
         return {"seconds": seconds,
                 "committed_txns": self.database.committed_txns}
 
-    async def _verb_stats(self, conn_sessions, args):
+    async def _verb_stats(self, conn_sessions, remote, args):
         latency = {
             name: hist.percentiles((50, 95, 99))
             for name, hist in sorted(self._latency_hists.items())
@@ -940,7 +842,7 @@ class DatabaseServer:
             "errors": int(self._error_count.value),
         }
 
-    async def _verb_shutdown(self, conn_sessions, args):
+    async def _verb_shutdown(self, conn_sessions, remote, args):
         self._loop.call_soon(self.request_shutdown)
         return {"stopping": True}
 
@@ -957,12 +859,16 @@ class DatabaseServer:
         "abort": _verb_abort,
         "call": _verb_call,
         "procedures": _verb_procedures,
-        "insert": _verb_insert,
-        "update": _verb_update,
-        "delete": _verb_delete,
-        "get": _verb_get,
-        "get_secondary": _verb_get_secondary,
-        "scan": _verb_scan,
+        # In-transaction table operations: argument names in wire
+        # order, then the result key and its encoder.
+        "insert": _table_verb("insert", "table", "values"),
+        "update": _table_verb("update", "table", "key", "changes"),
+        "delete": _table_verb("delete", "table", "key"),
+        "get": _table_verb("get", "table", "key", reply="row"),
+        "get_secondary": _table_verb("get_secondary", "table", "index",
+                                     "key", reply="keys"),
+        "scan": _table_verb("scan", "table", "lo", "hi", reply="rows",
+                            encode=_wire_rows),
         "flush": _verb_flush,
         "checkpoint": _verb_checkpoint,
         "crash": _verb_crash,

@@ -8,7 +8,9 @@ errors at the same call sites. One scripted run per transport and
 engine is observed once (module fixture) and compared field by field.
 """
 
+import gc
 import multiprocessing
+import weakref
 
 import pytest
 
@@ -16,8 +18,10 @@ from repro import Column, ColumnType, Database, EngineConfig, Schema
 from repro.config import CacheConfig, PlatformConfig
 from repro.core.twopc import FP_DECIDE_AFTER
 from repro.dist import Branch, DistributedTransaction, ShardedDatabase
+from repro.engines.base import engine_names
 from repro.errors import (CrashedError, DatabaseClosedError,
-                          SimulatedCrash, TransactionAborted)
+                          SessionStateError, SimulatedCrash,
+                          TransactionAborted)
 from repro.fault.injector import FaultPlan
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
@@ -258,3 +262,66 @@ def test_context_manager_closes_on_exit(factory):
 def test_options_are_keyword_only(factory):
     with pytest.raises(TypeError):
         factory("inp", 2)
+
+
+# ----------------------------------------------------------------------
+# A power failure ends every open session's transaction
+# ----------------------------------------------------------------------
+
+def _stale_commit(session):
+    return session.commit()
+
+
+def _stale_abort(session):
+    return session.abort()
+
+
+def _stale_table_op(session):
+    return session.get("accounts", 1)
+
+
+@pytest.mark.parametrize("stale_verb",
+                         [_stale_commit, _stale_abort, _stale_table_op])
+@pytest.mark.parametrize("engine", engine_names())
+def test_no_ghost_commit_after_crash(engine, stale_verb):
+    """``begin`` → ``insert`` → ``crash()`` → ``recover()`` → ``commit()``
+    must not acknowledge a transaction recovery rolled back: the crash
+    ended it, on whichever session it was open."""
+    with Database(engine, seed=11, platform_config=PlatformConfig
+                  .for_engine(engine, seed=11)) as db:
+        db.create_table(ACCOUNTS)
+        session = db.session()
+        bystander = db.session()
+        session.begin().insert(
+            "accounts", {"id": 1, "owner": "ghost", "balance": 1.0})
+        committed = db.committed_txns
+        db.crash()
+        assert not session.in_transaction
+        db.recover()
+        with pytest.raises(SessionStateError, match="no active"):
+            stale_verb(session)
+        assert db.committed_txns == committed
+        assert db.get("accounts", 1) is None
+        assert session.txns_aborted == 1 and session.txns_committed == 0
+        assert bystander.txns_aborted == 0      # it had nothing open
+        context = session.begin()               # the session lives on
+        context.insert(
+            "accounts", {"id": 1, "owner": "real", "balance": 2.0})
+        session.commit()
+        assert db.get("accounts", 1)["owner"] == "real"
+
+
+def test_session_registry_is_weak():
+    """The database knows its open sessions only to end their
+    transactions at a crash; it must not keep a dropped one alive."""
+    with make_db(Database) as db:
+        session = db.session()
+        session.begin()
+        session.abort()
+        session.close()
+        dropped = weakref.ref(session)
+        del session
+        gc.collect()
+        assert dropped() is None
+        db.crash()                      # nothing stale to trip over
+        db.recover()

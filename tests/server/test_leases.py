@@ -89,6 +89,35 @@ def test_reaper_expires_idle_in_txn_session():
         zombie_client.close()
 
 
+def test_foreign_connection_cannot_renew_a_lease():
+    """A session id only works on the connection that opened it — for
+    lease renewal too. Another connection naming the (sequential,
+    guessable) id in its frames must not keep an abandoned transaction
+    alive, or one client could wedge a partition forever."""
+    config = ServerConfig(engine="nvm-inp", group_commit=_GC,
+                          session_lease_s=0.3, reaper_interval_s=0.02)
+    with ServerThread(config) as thread:
+        host, port = thread.server.address
+        with ReproClient(host, port) as admin:
+            admin.create_table(KV)
+        victim_client = ReproClient(host, port)
+        victim_client.connect()
+        victim = victim_client.session("victim")
+        victim.begin()                  # ...then idles, holding the lock
+        with ReproClient(host, port) as thief:
+            deadline = time.monotonic() + 1.0
+            while time.monotonic() < deadline:
+                thief.call("ping", session=victim.session_id)
+                time.sleep(0.05)
+            stats = thief.stats()       # right after the last "renewal"
+            assert stats["reaper"]["expired"] == 1
+            assert stats["locks_held"] == []
+            assert stats["admission"]["in_flight"] == 0
+        with pytest.raises(LeaseExpiredError):
+            victim.commit()
+        victim_client.close()
+
+
 def test_reaper_never_reaps_awaiting_commits():
     """A commit parked on group commit is server-side progress, not
     client idleness: the reaper must leave it alone no matter how

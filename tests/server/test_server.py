@@ -160,6 +160,22 @@ def test_unknown_verb_rejected(client):
         client.call("frobnicate")
 
 
+def test_non_integer_session_id_is_a_protocol_error_not_a_disconnect(
+        server):
+    """A well-framed request whose ``session`` is not an integer (here
+    an unhashable list) earns an error frame; only corrupt *framing*
+    drops a connection."""
+    with ReproClient(*server.address, retries=0) as c:
+        sockets_before = c.reconnects
+        for verb in ("ping", "begin", "commit"):
+            for bad_id in ([1], {"id": 1}, "1", 1.5):
+                with pytest.raises(ProtocolError, match="session"):
+                    c.call(verb, session=bad_id)
+        assert c.ping()["now_ns"] >= 0      # same connection, still up
+        assert c.reconnects == sockets_before
+        assert c.stats()["errors"] == 12
+
+
 def test_bad_partition_rejected(client):
     with client.session() as session:
         with pytest.raises(ProtocolError, match="no such partition"):

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import socket
 
 import pytest
 
@@ -185,6 +186,27 @@ def test_chaos_command_fault_free_json_report(tmp_path, capsys):
     assert payload["kind"] == "repro-chaos-report"
     assert payload["ok"] is True
     assert payload["committed"] == 8
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--batch-size", "0"], "batch_size must be >= 1"),
+    (["--max-inflight", "0"], "max_inflight must be >= 1"),
+    (["--port", "busy"], "address already in use"),
+])
+def test_serve_command_errors_are_one_line_and_exit_two(
+        flags, message, capsys):
+    """Bad option values and an unbindable address are reported like
+    every other command's argument and I/O errors (once tracebacks)."""
+    with socket.socket() as taken:
+        taken.bind(("127.0.0.1", 0))
+        taken.listen(1)
+        flags = [str(taken.getsockname()[1]) if flag == "busy" else flag
+                 for flag in flags]
+        assert main(["serve"] + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("repro serve: ") and message in line
 
 
 def test_crashtest_command_hybrid_engine(capsys):
