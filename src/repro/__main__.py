@@ -461,22 +461,23 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_bench(args) -> int:
     # Imported lazily: the harness pulls in the full database stack.
-    from .bench import (compare_payloads, find_baseline, load_payload,
-                        make_payload, run_bench, write_payload)
+    from .bench import (compare_payloads, load_payload, make_payload,
+                        run_bench, write_payload)
 
     if args.history:
-        from .obs.history import bench_trajectory, \
+        from .obs.history import DEFAULT_BENCH_DIR, bench_trajectory, \
             collect_bench_history
-        history = collect_bench_history(args.out)
+        results_dir = args.out or DEFAULT_BENCH_DIR
+        history = collect_bench_history(results_dir)
         if not history:
-            print(f"no BENCH_*.json files in {args.out}",
+            print(f"no BENCH_*.json files in {results_dir}",
                   file=sys.stderr)
             return 2
         headers, rows = bench_trajectory(history)
         print(format_table(
             headers, rows,
             title=f"Bench trajectory: {len(history)} runs in "
-                  f"{args.out}"))
+                  f"{results_dir}"))
         bad = [entry for entry in history if entry.get("error")]
         for entry in bad:
             print(f"invalid payload {entry['path']}: {entry['error']}",
@@ -494,50 +495,47 @@ def _cmd_bench(args) -> int:
                   f"from {', '.join(known)}", file=sys.stderr)
             return 2
     results = run_bench(quick=args.quick, engines=engines,
-                        only=args.only, repeats=args.repeats)
+                        only=args.only)
     if not results:
         print(f"no benches match --only {args.only!r}",
               file=sys.stderr)
         return 2
     payload = make_payload(results, quick=args.quick)
-    path = write_payload(payload, args.out)
-    rows = [[result.name, result.ops, f"{result.ops_per_s:,.0f}",
-             f"{result.wall_s:.3f}", f"{result.sim_time_ns:,.0f}",
-             result.peak_rss_kb]
-            for result in results]
     print(format_table(
-        ["bench", "ops", "ops/s (wall)", "wall s", "sim ns",
-         "peak RSS KB"],
-        rows, title=f"Wall-clock bench ({'quick' if args.quick else 'full'})"))
-    print(f"results -> {path}")
-    baseline_path = args.baseline or find_baseline(args.out,
-                                                   exclude=path)
-    if baseline_path is None:
-        committed = os.path.join(args.out, "BENCH_baseline.json")
-        if os.path.exists(committed):
-            baseline_path = committed
-    if baseline_path is None:
-        print("no baseline found; skipping comparison")
-        return 0
+        ["bench", "ops", "sim ns", "wall s", "ops/s (wall)"],
+        [[result.name, result.ops, f"{result.sim_time_ns:,.0f}",
+          f"{result.wall_s:.3f}", f"{result.ops_per_s:,.0f}"]
+         for result in results],
+        title=f"Sim fingerprints ({'quick' if args.quick else 'full'}"
+              f"; wall time is orientation, not gated)"))
+    if args.out:
+        print(f"results -> {write_payload(payload, args.out)}")
     try:
-        baseline = load_payload(baseline_path)
+        baseline = load_payload(args.baseline)
     except (OSError, ValueError, KeyError) as error:
-        print(f"cannot load baseline {baseline_path}: {error}",
+        print(f"cannot load baseline {args.baseline}: {error}",
               file=sys.stderr)
         return 2
-    findings = compare_payloads(payload, baseline,
-                                threshold=args.threshold)
-    failed = [finding for finding in findings if finding.failed]
+    findings = compare_payloads(payload, baseline)
     print(format_table(
-        ["bench", "status", "new/old ops/s", "detail"],
-        [[finding.name, finding.kind, f"{finding.ratio:.2f}x",
-          finding.detail] for finding in findings],
-        title=f"vs baseline {os.path.basename(baseline_path)} "
-              f"(threshold {args.threshold * 100:.0f}%)"))
+        ["bench", "status", "detail"],
+        [[finding.name, finding.kind, finding.detail]
+         for finding in findings],
+        title=f"vs baseline {os.path.basename(args.baseline)}"))
+    failed = [finding for finding in findings if finding.failed]
     for finding in failed:
         print(f"{finding.kind}: {finding.name}: {finding.detail}",
               file=sys.stderr)
-    return 1 if failed and args.gate else 0
+    if not args.gate:
+        return 0
+    if failed:
+        return 1
+    if not any(finding.kind == "ok" for finding in findings):
+        print(f"nothing compared: no bench of this run has a "
+              f"counterpart of the same configuration in "
+              f"{args.baseline}", file=sys.stderr)
+        return 2
+    return 0
 
 
 def _cmd_report(args) -> int:
@@ -909,11 +907,13 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     bench_parser = commands.add_parser(
         "bench",
-        help="wall-clock benchmark harness: cache microbenches + "
-             "YCSB/TPC-C smoke per engine, BENCH_*.json emission, "
-             "regression comparison vs the newest prior run")
-    bench_parser.add_argument("--quick", action="store_true",
-                              help="smaller op counts (CI smoke)")
+        help="sim-fingerprint gate: cache microbenches + YCSB/TPC-C "
+             "smoke per engine, each run once and compared against "
+             "the committed BENCH_baseline.json")
+    bench_parser.add_argument(
+        "--quick", action="store_true",
+        help="smaller op counts — the sizes the committed baseline "
+             "was recorded at")
     bench_parser.add_argument(
         "--engines", default=None, metavar="A,B,...",
         help="macro-bench only these engines (default: the paper's "
@@ -922,29 +922,24 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--only", default=None, metavar="SUBSTR",
         help="run only benches whose name contains SUBSTR")
     bench_parser.add_argument(
-        "--out", default="benchmarks/results", metavar="DIR",
-        help="directory for BENCH_<timestamp>.json "
-             "(default: benchmarks/results)")
+        "--out", default=None, metavar="DIR",
+        help="also write the run as DIR/BENCH_<timestamp>.json "
+             "(default: write nothing)")
     bench_parser.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help="compare against FILE instead of the newest prior "
-             "BENCH_*.json (falls back to the committed "
-             "BENCH_baseline.json)")
-    bench_parser.add_argument(
-        "--threshold", type=float, default=0.20, metavar="FRAC",
-        help="wall-clock regression threshold as a fraction "
-             "(default: 0.20)")
-    bench_parser.add_argument(
-        "--repeats", type=int, default=3, metavar="N",
-        help="best-of-N repeats for microbenches (default: 3)")
+        "--baseline", metavar="FILE",
+        default=os.path.join("benchmarks", "results",
+                             "BENCH_baseline.json"),
+        help="payload to compare against (default: the committed "
+             "benchmarks/results/BENCH_baseline.json)")
     bench_parser.add_argument(
         "--gate", action="store_true",
-        help="exit non-zero on a regression or sim divergence "
-             "(CI bench-smoke mode)")
+        help="CI mode: exit 1 on a sim divergence, 2 when no bench "
+             "could be compared")
     bench_parser.add_argument(
         "--history", action="store_true",
-        help="print the perf trajectory across the committed "
-             "BENCH_*.json files in --out and exit (runs nothing)")
+        help="print the trajectory across the BENCH_*.json files in "
+             "--out (default: benchmarks/results) and exit (runs "
+             "nothing)")
     bench_parser.set_defaults(func=_cmd_bench)
 
     report_parser = commands.add_parser(

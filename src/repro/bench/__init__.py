@@ -1,27 +1,26 @@
-"""Wall-clock benchmark harness with regression gating.
+"""The sim-fingerprint gate.
 
-Unlike ``benchmarks/`` (which measures *simulated* time — the paper's
-figures), this package measures how fast the emulator itself runs on
-the host: ops per wall-clock second through the cache primitives and
-the end-to-end YCSB/TPC-C smoke per engine. Results are emitted as
-``BENCH_<timestamp>.json`` trajectories and compared against a prior
-run (or the committed seed baseline) with a configurable regression
-threshold, so hot-path speedups — and regressions — are visible.
+Runs the cache primitives and a YCSB/TPC-C smoke per engine once each
+and compares every bench's fingerprint — simulated nanoseconds plus a
+few cache/NVM counters, all deterministic — against the committed
+``benchmarks/results/BENCH_baseline.json``: a change that moves one
+has changed the cost model. Wall time is printed for orientation and
+never gated; wall-clock questions go to the ladder
+(``benchmarks/ladder``, ``BENCHMARK.json``), the one instrument for
+that clock.
 
-See ``docs/performance.md`` for usage and the threshold policy.
+See ``docs/performance.md`` for usage and exit codes.
 """
 
 from .harness import (BenchResult, run_bench, run_macro_benches,
                       run_micro_benches)
-from .report import (SCHEMA_NAME, compare_payloads, find_baseline,
-                     load_payload, make_payload, validate_payload,
-                     write_payload)
+from .report import (SCHEMA_NAME, compare_payloads, load_payload,
+                     make_payload, validate_payload, write_payload)
 
 __all__ = [
     "BenchResult",
     "SCHEMA_NAME",
     "compare_payloads",
-    "find_baseline",
     "load_payload",
     "make_payload",
     "run_bench",

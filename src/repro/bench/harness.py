@@ -1,6 +1,6 @@
-"""Micro and macro wall-clock benchmarks over the emulated platform.
+"""Micro and macro benches over the emulated platform, each run once.
 
-Two layers, mirroring where the host time actually goes:
+Two layers:
 
 * **micro** — the cache-model primitives (``load``, ``store``,
   ``sync_ranges``, ``touch_write``, ``load_batch``) driven directly
@@ -10,15 +10,16 @@ Two layers, mirroring where the host time actually goes:
   timed over the measured run phase (after the initial load, as in the
   paper's Section 5 protocol).
 
-Every result also records ``sim_time_ns`` and a small counter
-fingerprint: the simulated outputs are deterministic, so a comparison
-against a prior ``BENCH_*.json`` doubles as a cost-model drift check —
-a wall-clock *speedup* must not change what the emulator measures.
+What a bench is *for* is its fingerprint: ``sim_time_ns`` plus a small
+set of counters. The simulated outputs are deterministic, so comparing
+them against the committed baseline is a cost-model drift check — no
+change may move what the emulator measures. ``wall_s`` is recorded as
+orientation only: one sample on a shared host, never gated (wall-clock
+questions go to ``benchmarks/ladder``).
 """
 
 from __future__ import annotations
 
-import resource
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
@@ -42,14 +43,13 @@ _MICRO_SPAN = 128 * 1024
 
 @dataclass
 class BenchResult:
-    """One benchmark measurement (wall-clock plus sim fingerprint)."""
+    """One bench run: its sim fingerprint, plus the wall time it took."""
 
     name: str
     kind: str               # "micro" | "macro"
     ops: int                # operations (micro) or transactions (macro)
     wall_s: float
     sim_time_ns: float
-    peak_rss_kb: int
     extra: Dict[str, float] = field(default_factory=dict)
     counters: Dict[str, int] = field(default_factory=dict)
 
@@ -65,15 +65,9 @@ class BenchResult:
             "wall_s": self.wall_s,
             "ops_per_s": self.ops_per_s,
             "sim_time_ns": self.sim_time_ns,
-            "peak_rss_kb": self.peak_rss_kb,
             "counters": dict(self.counters),
             "extra": dict(self.extra),
         }
-
-
-def _peak_rss_kb() -> int:
-    """Process peak RSS in KB (``ru_maxrss`` is KB on Linux)."""
-    return int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 
 
 def _bench_platform() -> Platform:
@@ -87,28 +81,18 @@ def _bench_platform() -> Platform:
 # Micro benches: cache-model primitives
 # ----------------------------------------------------------------------
 
-def _micro(name: str, ops: int, body: Callable[[Platform], None],
-           repeats: int) -> BenchResult:
-    """Best-of-N wall time over fresh platforms (the minimum is the
-    least noisy estimator for a deterministic body on a busy host);
-    the sim fingerprint comes from the last repeat."""
-    wall = None
-    platform = None
-    for __ in range(repeats):
-        platform = _bench_platform()
-        start = time.perf_counter()
-        body(platform)
-        elapsed = time.perf_counter() - start
-        if wall is None or elapsed < wall:
-            wall = elapsed
-    assert platform is not None
+def _micro(name: str, ops: int,
+           body: Callable[[Platform], None]) -> BenchResult:
+    platform = _bench_platform()
+    start = time.perf_counter()
+    body(platform)
+    wall = time.perf_counter() - start
     counters = {key: platform.stats.counter(key)
                 for key in FINGERPRINT_COUNTERS
                 if platform.stats.counter(key)}
     return BenchResult(
-        name=name, kind="micro", ops=ops, wall_s=wall or 0.0,
-        sim_time_ns=platform.clock.now_ns,
-        peak_rss_kb=_peak_rss_kb(), counters=counters)
+        name=name, kind="micro", ops=ops, wall_s=wall,
+        sim_time_ns=platform.clock.now_ns, counters=counters)
 
 
 def _micro_specs(quick: bool
@@ -177,10 +161,10 @@ def _micro_specs(quick: bool
     ]
 
 
-def run_micro_benches(quick: bool = False, repeats: int = 3,
+def run_micro_benches(quick: bool = False,
                       only: Optional[str] = None) -> List[BenchResult]:
-    """Benchmark the cache primitives with deterministic patterns."""
-    return [_micro(name, ops, body, repeats)
+    """Drive the cache primitives with deterministic patterns."""
+    return [_micro(name, ops, body)
             for name, ops, body in _micro_specs(quick)
             if not only or only in name]
 
@@ -211,76 +195,47 @@ def _fingerprint(db: Database) -> Dict[str, int]:
     return totals
 
 
-def _timed_smoke(name: str, make: Callable[[], Tuple[Database,
-                                                     Callable[[], None],
-                                                     Callable[[], None]]],
-                 txns: int, extra: Dict[str, float],
-                 repeats: int) -> BenchResult:
-    """Best-of-N over fresh database/workload pairs (same estimator as
-    :func:`_micro`: on a shared host a single macro sample routinely
-    swings 2x, which reads as a phantom regression). The simulated
-    outputs are deterministic across repeats, so the fingerprint comes
-    from the last one."""
-    wall = load_wall = sim_ns = None
-    counters: Dict[str, int] = {}
-    for __ in range(max(repeats, 1)):
-        db, load, run = make()
-        load_start = time.perf_counter()
-        load()
-        db.checkpoint()
-        db.settle()
-        load_elapsed = time.perf_counter() - load_start
-        sim_start = db.now_ns
-        start = time.perf_counter()
-        run()
-        db.settle()
-        elapsed = time.perf_counter() - start
-        if wall is None or elapsed < wall:
-            wall = elapsed
-        if load_wall is None or load_elapsed < load_wall:
-            load_wall = load_elapsed
-        sim_ns = db.now_ns - sim_start
-        counters = _fingerprint(db)
-        db.close()
-    extra = dict(extra)
-    extra["load_wall_s"] = load_wall or 0.0
-    return BenchResult(
-        name=name, kind="macro", ops=txns, wall_s=wall or 0.0,
-        sim_time_ns=sim_ns or 0.0,
-        peak_rss_kb=_peak_rss_kb(), counters=counters, extra=extra)
+def _timed_smoke(name: str, db: Database, workload, txns: int,
+                 extra: Dict[str, float]) -> BenchResult:
+    """Load, then time the run phase."""
+    load_start = time.perf_counter()
+    workload.load(db)
+    db.checkpoint()
+    db.settle()
+    load_wall = time.perf_counter() - load_start
+    sim_start = db.now_ns
+    start = time.perf_counter()
+    workload.run(db, txns)
+    db.settle()
+    wall = time.perf_counter() - start
+    result = BenchResult(
+        name=name, kind="macro", ops=txns, wall_s=wall,
+        sim_time_ns=db.now_ns - sim_start, counters=_fingerprint(db),
+        extra={**extra, "load_wall_s": load_wall})
+    db.close()
+    return result
 
 
 def _macro_ycsb(engine: str, tuples: int, txns: int,
-                seed: int = 31, repeats: int = 1) -> BenchResult:
-    def make():
-        workload = YCSBWorkload(YCSBConfig(
-            num_tuples=tuples, mixture="balanced", skew="low",
-            seed=seed))
-        db = _macro_database(engine, seed, cache_bytes=256 * 1024)
-        return (db, lambda: workload.load(db),
-                lambda: workload.run(db, txns))
-
+                seed: int = 31) -> BenchResult:
+    workload = YCSBWorkload(YCSBConfig(
+        num_tuples=tuples, mixture="balanced", skew="low", seed=seed))
     return _timed_smoke(
-        f"macro/ycsb_balanced/{engine}", make, txns,
-        {"tuples": tuples, "seed": seed}, repeats)
+        f"macro/ycsb_balanced/{engine}",
+        _macro_database(engine, seed, cache_bytes=256 * 1024),
+        workload, txns, {"tuples": tuples, "seed": seed})
 
 
-def _macro_tpcc(engine: str, txns: int, seed: int = 47,
-                repeats: int = 1) -> BenchResult:
-    def make():
-        workload = TPCCWorkload(TPCCConfig(seed=seed))
-        db = _macro_database(engine, seed, cache_bytes=512 * 1024)
-        return (db, lambda: workload.load(db),
-                lambda: workload.run(db, txns))
-
-    return _timed_smoke(f"macro/tpcc/{engine}", make, txns,
-                        {"seed": seed}, repeats)
+def _macro_tpcc(engine: str, txns: int, seed: int = 47) -> BenchResult:
+    return _timed_smoke(
+        f"macro/tpcc/{engine}",
+        _macro_database(engine, seed, cache_bytes=512 * 1024),
+        TPCCWorkload(TPCCConfig(seed=seed)), txns, {"seed": seed})
 
 
 def run_macro_benches(quick: bool = False,
                       engines: Optional[List[str]] = None,
-                      only: Optional[str] = None,
-                      repeats: int = 3) -> List[BenchResult]:
+                      only: Optional[str] = None) -> List[BenchResult]:
     """YCSB balanced + TPC-C smoke per engine (run phase timed)."""
     engines = list(engines) if engines else list(ENGINE_NAMES.ALL)
     tuples, txns = (1000, 1000) if quick else (2000, 4000)
@@ -289,22 +244,19 @@ def run_macro_benches(quick: bool = False,
     for engine in engines:
         name = f"macro/ycsb_balanced/{engine}"
         if not only or only in name:
-            results.append(_macro_ycsb(engine, tuples, txns,
-                                       repeats=repeats))
+            results.append(_macro_ycsb(engine, tuples, txns))
     for engine in engines:
         name = f"macro/tpcc/{engine}"
         if not only or only in name:
-            results.append(_macro_tpcc(engine, tpcc_txns,
-                                       repeats=repeats))
+            results.append(_macro_tpcc(engine, tpcc_txns))
     return results
 
 
 def run_bench(quick: bool = False,
               engines: Optional[List[str]] = None,
-              only: Optional[str] = None,
-              repeats: int = 3) -> List[BenchResult]:
+              only: Optional[str] = None) -> List[BenchResult]:
     """Run the full harness; ``only`` substring-filters bench names."""
-    results = run_micro_benches(quick=quick, repeats=repeats, only=only)
+    results = run_micro_benches(quick=quick, only=only)
     results.extend(run_macro_benches(quick=quick, engines=engines,
-                                     only=only, repeats=repeats))
+                                     only=only))
     return results

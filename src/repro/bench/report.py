@@ -1,17 +1,19 @@
-"""BENCH_*.json emission, schema validation, and regression gating.
+"""BENCH_*.json emission, schema validation, and the fingerprint gate.
 
-A bench trajectory is a directory of ``BENCH_<timestamp>.json`` files.
-Each run is compared against a baseline — by default the newest prior
-file in the output directory, falling back to the committed seed
-baseline — and two kinds of finding are reported:
+A run is compared against a baseline payload — the committed
+``benchmarks/results/BENCH_baseline.json`` unless the caller names
+another — bench by bench. A bench's *fingerprint* is its
+``sim_time_ns`` plus its counters; its *configuration* is ``ops`` plus
+``extra``. Each bench present in both payloads gets one status:
 
-* **regression** — a bench's wall-clock ops/s dropped by more than the
-  threshold (default 20%). This is what the CI bench-smoke job gates.
-* **sim-divergence** — a bench's ``sim_time_ns`` or counter
-  fingerprint changed while its configuration (``ops`` + ``extra``)
-  did not. The emulator is deterministic, so any such change means the
-  cost model itself moved, which a performance PR must never do
-  silently.
+* **ok** — same configuration, same fingerprint.
+* **sim-divergence** — same configuration, different fingerprint. The
+  emulator is deterministic, so the cost model itself moved, which no
+  change may do silently.
+* **incomparable** — the configuration differs (a full-size run
+  against a quick baseline, another seed): nothing was checked.
+
+Wall time is carried in the payload as orientation and never compared.
 """
 
 from __future__ import annotations
@@ -21,18 +23,15 @@ import math
 import os
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from .harness import BenchResult
 
 SCHEMA_NAME = "repro-bench/1"
 
-#: Default wall-clock regression threshold (fraction of baseline).
-DEFAULT_THRESHOLD = 0.20
-
 _REQUIRED_TOP = ("schema", "created_utc", "quick", "results")
 _REQUIRED_RESULT = ("name", "kind", "ops", "wall_s", "ops_per_s",
-                    "sim_time_ns", "peak_rss_kb")
+                    "sim_time_ns")
 
 
 def make_payload(results: Sequence[BenchResult],
@@ -115,37 +114,17 @@ def load_payload(path: str) -> Dict[str, object]:
     return payload
 
 
-def find_baseline(out_dir: str,
-                  exclude: Optional[str] = None) -> Optional[str]:
-    """Newest ``BENCH_*.json`` in ``out_dir`` other than ``exclude``
-    and the committed ``BENCH_baseline.json`` (which callers pass
-    explicitly when they want it)."""
-    try:
-        names = sorted(
-            name for name in os.listdir(out_dir)
-            if name.startswith("BENCH_") and name.endswith(".json")
-            and name != "BENCH_baseline.json")
-    except OSError:
-        return None
-    exclude_name = os.path.basename(exclude) if exclude else None
-    names = [name for name in names if name != exclude_name]
-    if not names:
-        return None
-    return os.path.join(out_dir, names[-1])
-
-
 @dataclass
 class Finding:
     """One comparison outcome for a bench present in both payloads."""
 
     name: str
-    kind: str               # "regression" | "sim-divergence" | "ok"
-    ratio: float            # new ops/s over baseline ops/s
+    kind: str               # "ok" | "sim-divergence" | "incomparable"
     detail: str
 
     @property
     def failed(self) -> bool:
-        return self.kind in ("regression", "sim-divergence")
+        return self.kind == "sim-divergence"
 
 
 def _result_index(payload: Dict[str, object]) -> Dict[str, dict]:
@@ -155,8 +134,8 @@ def _result_index(payload: Dict[str, object]) -> Dict[str, dict]:
 
 
 def _config_extra(result: dict) -> dict:
-    """The configuration part of a result's ``extra`` — measured wall
-    times vary run to run and must not defeat the comparison."""
+    """The configuration part of a result's ``extra`` — the load
+    phase's wall time is a measurement and varies run to run."""
     extra = dict(result.get("extra") or {})
     extra.pop("load_wall_s", None)
     return extra
@@ -169,9 +148,8 @@ def _same_configuration(new: dict, old: dict) -> bool:
             and _config_extra(new) == _config_extra(old))
 
 
-def compare_payloads(new: Dict[str, object], old: Dict[str, object],
-                     threshold: float = DEFAULT_THRESHOLD
-                     ) -> List[Finding]:
+def compare_payloads(new: Dict[str, object],
+                     old: Dict[str, object]) -> List[Finding]:
     """Compare a run against a baseline; one finding per shared bench."""
     findings: List[Finding] = []
     old_index = _result_index(old)
@@ -180,29 +158,21 @@ def compare_payloads(new: Dict[str, object], old: Dict[str, object],
         baseline = old_index.get(name)
         if baseline is None:
             continue
-        old_ops = baseline.get("ops_per_s") or 0.0
-        new_ops = result.get("ops_per_s") or 0.0
-        ratio = new_ops / old_ops if old_ops else float("inf")
-        comparable = _same_configuration(result, baseline)
-        if comparable and (
-                result.get("sim_time_ns") != baseline.get("sim_time_ns")
+        if not _same_configuration(result, baseline):
+            kind = "incomparable"
+            detail = (f"configuration differs (ops {baseline.get('ops')}"
+                      f" -> {result.get('ops')}; extra "
+                      f"{_config_extra(baseline)} -> "
+                      f"{_config_extra(result)}): not checked")
+        elif (result.get("sim_time_ns") != baseline.get("sim_time_ns")
                 or (result.get("counters") or {})
                 != (baseline.get("counters") or {})):
-            findings.append(Finding(
-                name=name, kind="sim-divergence", ratio=ratio,
-                detail=(f"sim_time_ns {baseline.get('sim_time_ns')} -> "
-                        f"{result.get('sim_time_ns')}; counters "
-                        f"{baseline.get('counters')} -> "
-                        f"{result.get('counters')}")))
-            continue
-        if old_ops and new_ops < old_ops * (1.0 - threshold):
-            findings.append(Finding(
-                name=name, kind="regression", ratio=ratio,
-                detail=(f"ops/s {old_ops:,.0f} -> {new_ops:,.0f} "
-                        f"({(1 - ratio) * 100:.1f}% slower; "
-                        f"threshold {threshold * 100:.0f}%)")))
-            continue
-        findings.append(Finding(
-            name=name, kind="ok", ratio=ratio,
-            detail=f"ops/s {old_ops:,.0f} -> {new_ops:,.0f}"))
+            kind = "sim-divergence"
+            detail = (f"sim_time_ns {baseline.get('sim_time_ns')} -> "
+                      f"{result.get('sim_time_ns')}; counters "
+                      f"{baseline.get('counters')} -> "
+                      f"{result.get('counters')}")
+        else:
+            kind, detail = "ok", "fingerprint equal"
+        findings.append(Finding(name=name, kind=kind, detail=detail))
     return findings

@@ -31,6 +31,7 @@ from ..errors import (SimulatedCrash, TransactionAborted,
                       TransactionStateError)
 from ..fault.injector import FaultPlan
 from ..nvm.platform import Platform
+from ..obs.session import ObservabilityOptions, PartitionObserver
 from ..sim.stats import Category
 from . import twopc
 from .executor import TransactionContext
@@ -58,6 +59,7 @@ class Partition:
         #: transaction id. Volatile: a crash wipes the table and the
         #: branches become in-doubt (see :meth:`resolve_prepared`).
         self._prepared: Dict[int, TransactionContext] = {}
+        self._observer: Optional[PartitionObserver] = None
 
     @staticmethod
     def broadcast(partitions: Iterable["Partition"], op: str,
@@ -214,6 +216,26 @@ class Partition:
         """``(point, hit)`` of every plan trigger that fired, in order."""
         return [(trigger.point, trigger.hit)
                 for trigger in self.platform.faults.fired]
+
+    # ------------------------------------------------------------------
+    # Observation (driven by repro.obs.session.ObservabilitySession)
+    # ------------------------------------------------------------------
+
+    def obs_attach(self, engine: str, workload: str,
+                   options: ObservabilityOptions) -> None:
+        """Instrument this partition: tracer, sampler, op counters."""
+        self._observer = PartitionObserver(self, engine, workload,
+                                           options)
+
+    def obs_begin_run(self) -> None:
+        self._observer.begin_run()
+
+    def obs_end_run(self) -> Dict[str, Any]:
+        return self._observer.end_run()
+
+    def obs_detach(self) -> Tuple[List[Dict[str, Any]], Any]:
+        observer, self._observer = self._observer, None
+        return observer.detach()
 
     # ------------------------------------------------------------------
     # Two-phase commit, participant side (protocol: repro.core.twopc)

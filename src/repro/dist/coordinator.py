@@ -22,11 +22,9 @@ Two mechanisms keep sharded runs deterministic in simulated time:
   partitions through 2PC), and a broadcast is sent to all executors
   before the first reply is collected, so they work concurrently.
 - Deterministic merge. The database aggregates per-partition
-  snapshots in partition order on both transports, and the
-  observability hooks (``obs_attach`` .. ``obs_detach``) merge
-  per-executor sessions in partition order so exports are
-  byte-identical to a serial run on single-partition-only workloads
-  (see ``docs/scaleout.md``).
+  snapshots, and an observability session the ``obs_*`` replies, in
+  partition order on both transports, so exports are byte-identical
+  to an in-process run (see ``docs/scaleout.md``).
 
 What the pipe changes (documented in ``docs/scaleout.md``): ``execute``
 is fire-and-forget — it returns ``None`` and a failure surfaces at the
@@ -47,7 +45,6 @@ from ..engines.base import ENGINE_NAMES
 from ..errors import (DatabaseClosedError, ShardedError, SimulatedCrash,
                       StorageEngineError)
 from ..harness import ipc
-from ..obs.metrics import Histogram
 from .executor import POSTED_OPS, SYNC_OPS, executor_main
 
 __all__ = ["RemotePartition", "ShardedDatabase", "COMMAND_BATCH_SIZE"]
@@ -236,9 +233,6 @@ class ShardedDatabase(Database):
                          engine_config=engine_config, seed=seed)
         for partition in self.partitions:
             partition.peers = self.partitions
-        self._obs_identity: Tuple[str, str] = ("", "")
-        self._obs_base_now: Optional[float] = None
-        self._obs_end_now: Optional[float] = None
 
     def close(self) -> None:
         """Shut down every executor process. Idempotent."""
@@ -251,55 +245,3 @@ class ShardedDatabase(Database):
     def barrier(self) -> None:
         """Wait until every executor has drained its command stream."""
         self._on_all("barrier")
-
-    # ------------------------------------------------------------------
-    # Observability delegation (see ObservabilitySession)
-    # ------------------------------------------------------------------
-
-    def obs_attach(self, session, engine: str, workload: str) -> None:
-        """Each executor runs its own per-partition session; the
-        coordinator merges them back at detach in partition order."""
-        self._obs_identity = (engine, workload)
-        self._obs_base_now = None
-        self._obs_end_now = None
-        self._on_all("obs_attach", engine, workload, session.options,
-                     len(self.partitions))
-
-    def obs_begin_run(self, session) -> None:
-        # Snapshot the merged clock at the window start so the
-        # run.sim_seconds gauge can be recomputed after the merge
-        # (gauges are last-wins, not max).
-        self._obs_base_now = self.now_ns
-        self._on_all("obs_begin_run")
-
-    def obs_end_run(self, session) -> Dict[str, Any]:
-        merged: Optional[Histogram] = None
-        timeseries: List[Dict[str, float]] = []
-        end_now = 0.0
-        for reply in self._on_all("obs_end_run"):
-            histogram = reply["histogram"]
-            if merged is None:
-                merged = histogram
-            else:
-                merged.merge(histogram)
-            timeseries.extend(reply["timeseries"])
-            end_now = max(end_now, reply["now_ns"])
-        self._obs_end_now = end_now
-        assert merged is not None
-        return {
-            "latency_percentiles": merged.percentiles(),
-            "timeseries": timeseries,
-        }
-
-    def obs_detach(self, session) -> None:
-        for sub in self._on_all("obs_detach"):
-            session.records.extend(sub.records)
-            session.registry.merge_from(sub.registry)
-        if self._obs_base_now is not None \
-                and self._obs_end_now is not None:
-            engine, workload = self._obs_identity
-            session.registry.gauge(
-                "run.sim_seconds",
-                help="Simulated duration of the run",
-                engine=engine, workload=workload,
-            ).set((self._obs_end_now - self._obs_base_now) / 1e9)

@@ -27,13 +27,11 @@ name (or onto its own few verbs, :class:`_Host`):
 from __future__ import annotations
 
 import traceback
-from types import SimpleNamespace
-from typing import Any, Dict, Optional
+from typing import Any
 
 from ..core.partition import Partition
 from ..errors import ShardedError, SimulatedCrash
 from ..harness import ipc
-from ..obs.session import ObservabilitySession
 
 __all__ = ["executor_main", "POSTED_OPS", "SYNC_OPS"]
 
@@ -57,45 +55,12 @@ SYNC_OPS = frozenset({
 
 class _Host:
     """The verbs an executor serves itself, next to the partition
-    contract: liveness and the partition's own observability session
-    (merged back by ``ShardedDatabase.obs_*``)."""
-
-    def __init__(self, partition: Partition) -> None:
-        self.partition_id = partition.partition_id
-        #: The database-shaped thing the session instruments.
-        self.view = SimpleNamespace(partitions=[partition])
-        self.obs: Optional[ObservabilitySession] = None
-        self._tag_samples = False
+    contract: liveness."""
 
     def barrier(self) -> None:
         """Replying at all is the point: the stream before is done."""
 
     shutdown = barrier
-
-    def obs_attach(self, engine: str, workload: str, options,
-                   total_partitions: int) -> None:
-        self.obs = ObservabilitySession(options)
-        self.obs.attach(self.view, engine, workload)
-        self._tag_samples = total_partitions > 1
-
-    def obs_begin_run(self) -> None:
-        self.obs.begin_run(self.view)
-
-    def obs_end_run(self) -> Dict[str, Any]:
-        timeseries = self.obs.end_run(self.view)["timeseries"]
-        if self._tag_samples:
-            timeseries = [{"partition": self.partition_id, **sample}
-                          for sample in timeseries]
-        histogram = self.obs.registry.histogram(
-            "txn.latency_ns", engine=self.obs._engine,
-            workload=self.obs._workload)
-        return {"histogram": histogram, "timeseries": timeseries,
-                "now_ns": self.view.partitions[0].now_ns}
-
-    def obs_detach(self) -> ObservabilitySession:
-        session, self.obs = self.obs, None
-        session.detach(self.view)
-        return session
 
 
 def executor_main(cmd_conn, reply_conn, partition_id: int, engine: str,
@@ -104,7 +69,7 @@ def executor_main(cmd_conn, reply_conn, partition_id: int, engine: str,
     ``shutdown`` command or a closed pipe."""
     partition = Partition(partition_id, engine, platform_config,
                           engine_config)
-    host = _Host(partition)
+    host = _Host()
     handlers = {op: getattr(host if hasattr(host, op) else partition, op)
                 for op in POSTED_OPS | SYNC_OPS}
     pending_error: Any = None

@@ -32,6 +32,8 @@ from ..sim.stats import Category
 from . import wal as walmod
 from .base import StorageEngine, register_engine
 from .checkpoint import Checkpointer
+from .secondary import (secondary_add, secondary_remove,
+                        secondary_update)
 from .slotted import FixedSlotPool, VarlenPool
 from .wal import WALEntry, WriteAheadLog
 
@@ -296,55 +298,17 @@ class InPEngine(StorageEngine):
 
     def _index_add(self, store: _Table, key: Any,
                    values: Dict[str, Any]) -> None:
-        for name in store.secondary:
-            seckey = store.schema.index_key_of(name, values)
-            index = store.secondary[name]
-            members = index.get(seckey)
-            if members is None:
-                index.put(seckey, {key})
-            else:
-                members.add(key)
-                index.put(seckey, members)  # charge the node write
+        secondary_add(store.schema, store.secondary, key, values)
 
     def _index_remove(self, store: _Table, key: Any,
                       values: Dict[str, Any]) -> None:
-        for name in store.secondary:
-            seckey = store.schema.index_key_of(name, values)
-            index = store.secondary[name]
-            members = index.get(seckey)
-            if members is not None:
-                members.discard(key)
-                if not members:
-                    index.delete(seckey)
-                else:
-                    index.put(seckey, members)  # charge the node write
+        secondary_remove(store.schema, store.secondary, key, values)
 
     def _index_update(self, store: _Table, key: Any,
                       before: Dict[str, Any], changes: Dict[str, Any],
                       old_values: Dict[str, Any]) -> None:
-        new_values = dict(old_values)
-        new_values.update(changes)
-        for name, columns in store.schema.secondary_indexes.items():
-            if not any(column in changes for column in columns):
-                continue
-            old_key = store.schema.index_key_of(name, old_values)
-            new_key = store.schema.index_key_of(name, new_values)
-            if old_key == new_key:
-                continue
-            index = store.secondary[name]
-            members = index.get(old_key)
-            if members is not None:
-                members.discard(key)
-                if not members:
-                    index.delete(old_key)
-                else:
-                    index.put(old_key, members)
-            members = index.get(new_key)
-            if members is None:
-                index.put(new_key, {key})
-            else:
-                members.add(key)
-                index.put(new_key, members)
+        secondary_update(store.schema, store.secondary, key, old_values,
+                         {**old_values, **changes})
 
     # ------------------------------------------------------------------
     # Transaction lifecycle

@@ -57,6 +57,7 @@ from ..errors import SweepError
 from ..obs import bus as _bus
 from ..obs.bus import (DEFAULT_HEARTBEAT_S, BusPublisher, EventBus,
                        PipePublisher, TelemetryEvent)
+from ..obs.export import error_headline
 from ..obs.session import ObservabilitySession
 from . import ipc
 from .runner import ExperimentResult, run
@@ -76,17 +77,6 @@ def _format_error(exc: BaseException) -> str:
     so the outcome must carry everything needed to debug it."""
     return "".join(traceback.format_exception(
         type(exc), exc, exc.__traceback__)).rstrip()
-
-
-def _error_summary(error: Optional[str]) -> Optional[str]:
-    """Last non-blank line of a (possibly multi-line) error — the
-    ``TypeError: ...`` headline of a traceback."""
-    if not error:
-        return error
-    for line in reversed(error.splitlines()):
-        if line.strip():
-            return line.strip()
-    return error
 
 
 @dataclass
@@ -118,7 +108,7 @@ class PointOutcome:
     def error_summary(self) -> Optional[str]:
         """One-line digest of :attr:`error` (tracebacks collapse to
         their final ``SomeError: ...`` line)."""
-        return _error_summary(self.error)
+        return error_headline(self.error)
 
 
 def _execute_point(spec: ExperimentSpec, observe: bool,

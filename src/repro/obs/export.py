@@ -188,7 +188,7 @@ def summarize_metrics(text: str) -> str:
                         title="Metrics (histogram buckets elided)")
 
 
-def _error_headline(error: Any) -> Any:
+def error_headline(error: Any) -> Any:
     """Last non-blank line of a possibly multi-line error (tracebacks
     collapse to their final ``SomeError: ...`` line)."""
     if not isinstance(error, str):
@@ -215,7 +215,7 @@ def summarize_sweep(summary: Dict[str, Any]) -> str:
             spec.get("engine", "?"),
             spec.get("latency", "?"),
             "ok" if point.get("ok") else
-            f"FAILED: {_error_headline(point.get('error'))}",
+            f"FAILED: {error_headline(point.get('error'))}",
             round(result.get("throughput", 0.0), 1),
             round(point.get("host_seconds", 0.0), 2),
         ])
@@ -311,7 +311,19 @@ def summarize_file(path: str) -> str:
             if kind == "repro-phase-profile":
                 return summarize_profile(document)
         import io
-        records = read_trace_jsonl(io.StringIO(text))
+        try:
+            records = read_trace_jsonl(io.StringIO(text))
+        except json.JSONDecodeError:
+            if not isinstance(document, dict):
+                raise
+            # One well-formed document of a kind with no summary here
+            # (a campaign report, a bench payload): say that, not
+            # where the JSONL reader tripped over it.
+            label = document.get("kind") or document.get("schema")
+            raise ValueError(
+                f"no summary for a {label!r} document (repro obs reads "
+                f"traces, metrics, event logs, repro-sweep-summary and "
+                f"repro-phase-profile)") from None
         if _looks_like_event_log(records):
             return summarize_events(records)
         return summarize_trace(records)

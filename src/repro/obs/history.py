@@ -27,6 +27,8 @@ import json
 import os
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from .export import error_headline
+
 __all__ = ["collect_bench_history", "bench_trajectory",
            "collect_sweep_summaries", "collect_crashtest_reports",
            "collect_event_logs", "build_report", "render_markdown",
@@ -191,7 +193,7 @@ def collect_sweep_summaries(roots: Sequence[str] = DEFAULT_SCAN_DIRS
                            for point in points),
             "host_seconds": round(sum(point.get("host_seconds", 0.0)
                                       for point in points), 3),
-            "errors": [_headline(point.get("error"))
+            "errors": [error_headline(point.get("error"))
                        for point in failed],
         })
     return summaries
@@ -214,7 +216,7 @@ def collect_crashtest_reports(roots: Sequence[str] = DEFAULT_SCAN_DIRS
             "engines": document.get("engines", []),
             "coordinates": len(document.get("coordinates", [])),
             "violations": document.get("violations", []),
-            "failures": [_headline(failure)
+            "failures": [error_headline(failure)
                          for failure in document.get("failures", [])],
             "uncovered": document.get("uncovered", {}),
         })
@@ -259,15 +261,6 @@ def collect_event_logs(roots: Sequence[str] = DEFAULT_SCAN_DIRS
             "accounting": closing,
         })
     return logs
-
-
-def _headline(error: Any) -> Any:
-    if not isinstance(error, str):
-        return error
-    for line in reversed(error.splitlines()):
-        if line.strip():
-            return line.strip()
-    return error
 
 
 # ----------------------------------------------------------------------

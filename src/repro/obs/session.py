@@ -13,19 +13,23 @@ and metrics into one trace file and one metrics file. Lifecycle::
     session.export_trace("out.jsonl")
     session.export_metrics("out.prom")
 
-The session deliberately knows nothing about concrete database or
-platform classes — it only uses the ``partitions[*].platform`` /
-``partitions[*].snapshot()`` duck type — so it imports nothing from
-``core``/``nvm`` and stays cycle-free.
+There is one path for every transport. The session only broadcasts the
+four observation verbs of the partition contract (``obs_attach`` /
+``obs_begin_run`` / ``obs_end_run`` / ``obs_detach``) over
+``db.partitions`` and merges the plain-data replies in partition order;
+the instruments themselves belong to a :class:`PartitionObserver`, which
+lives next to the real partition — in this process, or in an executor
+process behind a :class:`~repro.dist.coordinator.RemotePartition`. This
+module imports nothing from ``core``/``nvm`` and stays cycle-free.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from . import export
-from .metrics import MetricsRegistry
+from .metrics import Histogram, MetricsRegistry
 from .sampler import DEFAULT_INTERVAL_MS, DEFAULT_MAX_SAMPLES, \
     TimeSeriesSampler
 from .tracer import DEFAULT_CAPACITY
@@ -33,6 +37,14 @@ from .tracer import DEFAULT_CAPACITY
 #: Primitive operations counted per engine/workload by the executor.
 OPERATIONS = ("insert", "update", "delete", "get", "get_secondary",
               "scan")
+
+#: Window counters: metric name, partition-snapshot key, help text.
+_WINDOW_COUNTERS = (
+    ("txns.committed", "committed", "Committed transactions"),
+    ("txns.aborted", "aborted", "Aborted transactions"),
+    ("nvm.loads", "loads", "Cachelines loaded from NVM"),
+    ("nvm.stores", "stores", "Cachelines stored to NVM"),
+)
 
 
 @dataclass(frozen=True)
@@ -60,13 +72,88 @@ def _platform_probes(platform) -> Dict[str, Any]:
     }
 
 
-def _run_totals(db) -> Dict[str, float]:
-    """Run-level counters merged across ``db.partitions`` snapshots."""
-    snapshots = [partition.snapshot() for partition in db.partitions]
-    totals = {name: sum(snap[name] for snap in snapshots)
-              for name in ("committed", "aborted", "loads", "stores")}
-    totals["now_ns"] = max(snap["now_ns"] for snap in snapshots)
-    return totals
+class PartitionObserver:
+    """One partition's instruments, from attach to detach: what
+    ``Partition.obs_*`` runs. The only code that touches the platform's
+    ``tracer`` / ``sampler`` / ``op_counters`` / ``txn_latency`` slots;
+    it meters into its own registry, which :meth:`detach` hands back
+    with the span/sample records (all plain picklable data, so the
+    replies cross an executor's pipe unchanged)."""
+
+    def __init__(self, partition, engine: str, workload: str,
+                 options: ObservabilityOptions) -> None:
+        self._partition = partition
+        self._labels = {"engine": engine, "workload": workload}
+        self._baseline: Dict[str, Any] = {}
+        self.registry = MetricsRegistry()
+        platform = partition.platform
+        platform.tracer.activate(options.trace_capacity)
+        self._sampler = TimeSeriesSampler(
+            platform.clock, _platform_probes(platform),
+            interval_ms=options.sample_interval_ms,
+            max_samples=options.max_samples)
+        self._sampler.attach()
+        platform.sampler = self._sampler
+        platform.op_counters = {
+            op: self.registry.counter(
+                "db.ops", help="Primitive operations executed",
+                op=op, **self._labels)
+            for op in OPERATIONS
+        }
+
+    def begin_run(self) -> None:
+        """Start the measurement window: arm the per-transaction
+        latency histogram and snapshot the window counters."""
+        self._partition.platform.txn_latency = self.registry.histogram(
+            "txn.latency_ns", help="Per-transaction simulated latency",
+            **self._labels)
+        self._baseline = self._partition.snapshot()
+
+    def end_run(self) -> Dict[str, Any]:
+        """Close the window: meter the counter deltas; reply with the
+        latency histogram, the samples so far and the window's clocks."""
+        self._partition.platform.txn_latency = None
+        totals = self._partition.snapshot()
+        for name, key, text in _WINDOW_COUNTERS:
+            self.registry.counter(name, help=text, **self._labels).inc(
+                totals[key] - self._baseline.get(key, 0))
+        return {
+            "histogram": self.registry.histogram("txn.latency_ns",
+                                                 **self._labels),
+            "samples": self._sampler.samples,
+            "begin_ns": self._baseline.get("now_ns", 0.0),
+            "end_ns": totals["now_ns"],
+        }
+
+    def detach(self) -> Tuple[List[Dict[str, Any]], MetricsRegistry]:
+        """Deactivate all instrumentation; reply with the tagged
+        span/sample records and the registry."""
+        platform = self._partition.platform
+        tags = {**self._labels,
+                "partition": self._partition.partition_id}
+        records = [{**span.to_dict(), **tags}
+                   for span in platform.tracer.spans]
+        if platform.tracer.dropped:
+            self.registry.counter(
+                "trace.dropped_spans",
+                help="Spans dropped by the ring buffer",
+                engine=self._labels["engine"],
+            ).inc(platform.tracer.dropped)
+        platform.tracer.deactivate()
+        self._sampler.detach()
+        records.extend({"type": "sample", **tags, **sample}
+                       for sample in self._sampler.samples)
+        platform.sampler = None
+        platform.op_counters = None
+        platform.txn_latency = None
+        return records, self.registry
+
+
+def _broadcast(db, verb: str, *args: Any) -> List[Any]:
+    """Contract verb ``verb`` on every partition of ``db``, replies in
+    partition order, on whatever transport the partitions speak."""
+    partitions = db.partitions
+    return type(partitions[0]).broadcast(partitions, verb, *args)
 
 
 class ObservabilitySession:
@@ -79,141 +166,62 @@ class ObservabilitySession:
         self.registry = registry or MetricsRegistry()
         #: Archived span/sample records from detached runs.
         self.records: List[Dict[str, Any]] = []
-        self._samplers: List[TimeSeriesSampler] = []
-        self._engine = ""
-        self._workload = ""
-        self._baseline: Dict[str, float] = {}
+        self._labels: Dict[str, str] = {}
+        self._attached = False
 
     # ------------------------------------------------------------------
     # Attach / detach (whole experiment, including load & recovery)
     # ------------------------------------------------------------------
 
     def attach(self, db, engine: str, workload: str) -> None:
-        """Activate tracers and samplers on every partition of ``db``.
-
-        A database that instruments itself remotely (the sharded tier's
-        :class:`~repro.dist.coordinator.ShardedDatabase`, whose
-        partitions live in other processes) exposes ``obs_attach`` /
-        ``obs_begin_run`` / ``obs_end_run`` / ``obs_detach`` hooks; the
-        session delegates to them and receives the per-partition
-        records and metrics back, merged in partition order."""
-        self._engine = engine
-        self._workload = workload
-        hook = getattr(db, "obs_attach", None)
-        if hook is not None:
-            hook(self, engine, workload)
-            return
-        self._samplers = []
-        for partition in db.partitions:
-            platform = partition.platform
-            platform.tracer.activate(self.options.trace_capacity)
-            sampler = TimeSeriesSampler(
-                platform.clock, _platform_probes(platform),
-                interval_ms=self.options.sample_interval_ms,
-                max_samples=self.options.max_samples)
-            sampler.attach()
-            platform.sampler = sampler
-            self._samplers.append(sampler)
-            platform.op_counters = {
-                op: self.registry.counter(
-                    "db.ops", help="Primitive operations executed",
-                    op=op, engine=engine, workload=workload)
-                for op in OPERATIONS
-            }
+        """Activate tracers and samplers on every partition of ``db``."""
+        self._labels = {"engine": engine, "workload": workload}
+        self._attached = True
+        _broadcast(db, "obs_attach", engine, workload, self.options)
 
     def detach(self, db) -> None:
-        """Archive spans/samples and deactivate all instrumentation."""
-        hook = getattr(db, "obs_detach", None)
-        if hook is not None:
-            hook(self)
-            return
-        for partition, sampler in zip(db.partitions, self._samplers):
-            platform = partition.platform
-            tags = {"engine": self._engine,
-                    "workload": self._workload,
-                    "partition": partition.partition_id}
-            for span in platform.tracer.spans:
-                self.records.append({**span.to_dict(), **tags})
-            if platform.tracer.dropped:
-                self.registry.counter(
-                    "trace.dropped_spans",
-                    help="Spans dropped by the ring buffer",
-                    engine=self._engine).inc(platform.tracer.dropped)
-            platform.tracer.deactivate()
-            sampler.detach()
-            for sample in sampler.samples:
-                self.records.append(
-                    {"type": "sample", **tags, **sample})
-            platform.sampler = None
-            platform.op_counters = None
-            platform.txn_latency = None
-        self._samplers = []
+        """Archive spans/samples and metrics, partition by partition,
+        and deactivate all instrumentation."""
+        for records, registry in _broadcast(db, "obs_detach"):
+            self.records.extend(records)
+            self.registry.merge_from(registry)
+        self._attached = False
 
     # ------------------------------------------------------------------
     # Measurement window (the timed workload run)
     # ------------------------------------------------------------------
 
     def begin_run(self, db) -> None:
-        """Start the measurement window: arm the per-transaction
-        latency histogram and snapshot run-level counters."""
-        hook = getattr(db, "obs_begin_run", None)
-        if hook is not None:
-            hook(self)
-            return
-        histogram = self.registry.histogram(
-            "txn.latency_ns",
-            help="Per-transaction simulated latency",
-            engine=self._engine, workload=self._workload)
-        for partition in db.partitions:
-            partition.platform.txn_latency = histogram
-        self._baseline = _run_totals(db)
+        """Start the measurement window on every partition."""
+        _broadcast(db, "obs_begin_run")
 
     def end_run(self, db) -> Dict[str, Any]:
         """Close the measurement window; returns ``latency_percentiles``
-        and the counter ``timeseries`` collected so far."""
-        hook = getattr(db, "obs_end_run", None)
-        if hook is not None:
-            return hook(self)
-        histogram = self.registry.histogram(
-            "txn.latency_ns", engine=self._engine,
-            workload=self._workload)
-        for partition in db.partitions:
-            partition.platform.txn_latency = None
-        labels = {"engine": self._engine, "workload": self._workload}
-        totals = _run_totals(db)
-        base = self._baseline or {}
-        self.registry.counter(
-            "txns.committed", help="Committed transactions",
-            **labels).inc(totals["committed"] - base.get("committed", 0))
-        self.registry.counter(
-            "txns.aborted", help="Aborted transactions",
-            **labels).inc(totals["aborted"] - base.get("aborted", 0))
-        self.registry.counter(
-            "nvm.loads", help="Cachelines loaded from NVM",
-            **labels).inc(totals["loads"] - base.get("loads", 0))
-        self.registry.counter(
-            "nvm.stores", help="Cachelines stored to NVM",
-            **labels).inc(totals["stores"] - base.get("stores", 0))
+        and the counter ``timeseries`` collected so far (merged across
+        partitions, samples tagged when there is more than one)."""
+        replies = _broadcast(db, "obs_end_run")
+        # A fresh histogram: in process a reply's is the partition's
+        # live instrument, which detach() merges into the registry once.
+        latency = Histogram("txn.latency_ns", self._labels)
+        timeseries: List[Dict[str, float]] = []
+        for partition, reply in zip(db.partitions, replies):
+            latency.merge(reply["histogram"])
+            tag = {"partition": partition.partition_id} \
+                if len(replies) > 1 else {}
+            timeseries.extend({**tag, **sample}
+                              for sample in reply["samples"])
+        # Set here from the merged clocks, not per partition: the run
+        # takes as long as its slowest partition, and gauges merge
+        # last-wins.
         self.registry.gauge(
             "run.sim_seconds", help="Simulated duration of the run",
-            **labels).set((totals["now_ns"]
-                           - base.get("now_ns", 0.0)) / 1e9)
+            **self._labels,
+        ).set((max(reply["end_ns"] for reply in replies)
+               - max(reply["begin_ns"] for reply in replies)) / 1e9)
         return {
-            "latency_percentiles": histogram.percentiles(),
-            "timeseries": self.timeseries(db),
+            "latency_percentiles": latency.percentiles(),
+            "timeseries": timeseries,
         }
-
-    def timeseries(self, db) -> List[Dict[str, float]]:
-        """Samples collected so far on the attached database (merged
-        across partitions, tagged when there is more than one)."""
-        merged: List[Dict[str, float]] = []
-        for partition, sampler in zip(db.partitions, self._samplers):
-            for sample in sampler.samples:
-                if len(self._samplers) > 1:
-                    sample = {"partition": partition.partition_id,
-                              **sample}
-                merged.append(dict(sample))
-        return merged
 
     # ------------------------------------------------------------------
     # Cross-session merge (parallel sweeps)
@@ -226,7 +234,7 @@ class ObservabilitySession:
         (plain-data, picklable) session back, and merges in spec order —
         the exports are then identical to a serial shared-session run,
         whose record order is normalized at export time anyway."""
-        if other._samplers:
+        if other._attached:
             raise ValueError("detach the session before merging it")
         self.records.extend(other.records)
         self.registry.merge_from(other.registry)

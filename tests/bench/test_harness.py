@@ -1,4 +1,4 @@
-"""Smoke tests for the wall-clock bench harness.
+"""Smoke tests for the bench harness.
 
 These keep the benches runnable and deterministic without asserting
 anything about wall time itself (a loaded CI host is not a benchmark
@@ -11,7 +11,7 @@ from repro.bench.report import make_payload, validate_payload
 
 
 def test_micro_benches_emit_fingerprints():
-    results = run_micro_benches(quick=True, repeats=1,
+    results = run_micro_benches(quick=True,
                                 only="micro/load_single_line")
     assert len(results) == 1
     result = results[0]
@@ -22,9 +22,9 @@ def test_micro_benches_emit_fingerprints():
 
 
 def test_micro_fingerprint_is_deterministic_across_repeats():
-    one = run_micro_benches(quick=True, repeats=1,
+    one = run_micro_benches(quick=True,
                             only="micro/mixed_store_load_sync")[0]
-    two = run_micro_benches(quick=True, repeats=2,
+    two = run_micro_benches(quick=True,
                             only="micro/mixed_store_load_sync")[0]
     assert one.sim_time_ns == two.sim_time_ns
     assert one.counters == two.counters
@@ -32,7 +32,7 @@ def test_micro_fingerprint_is_deterministic_across_repeats():
 
 def test_macro_bench_runs_one_engine():
     results = run_macro_benches(quick=True, engines=["inp"],
-                                only="ycsb", repeats=1)
+                                only="ycsb")
     assert [r.name for r in results] == ["macro/ycsb_balanced/inp"]
     result = results[0]
     assert result.ops == 1000
@@ -43,16 +43,16 @@ def test_macro_bench_runs_one_engine():
 
 def test_macro_fingerprint_is_deterministic():
     first = run_macro_benches(quick=True, engines=["inp"],
-                              only="ycsb", repeats=1)[0]
+                              only="ycsb")[0]
     again = run_macro_benches(quick=True, engines=["inp"],
-                              only="ycsb", repeats=2)[0]
+                              only="ycsb")[0]
     assert first.sim_time_ns == again.sim_time_ns
     assert first.counters == again.counters
 
 
 def test_run_bench_filters_and_validates():
     results = run_bench(quick=True, engines=["inp"],
-                        only="micro/store_single_line", repeats=1)
+                        only="micro/store_single_line")
     assert [r.name for r in results] == ["micro/store_single_line"]
     payload = make_payload(results, quick=True)
     assert validate_payload(payload) == []

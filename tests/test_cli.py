@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import pathlib
 import socket
 
 import pytest
@@ -259,3 +260,153 @@ def test_crashtest_json_write_failure_returns_two(tmp_path, capsys):
                  "--ops", "8", "--max-hits", "1",
                  "--json", str(tmp_path / "missing" / "r.json")]) == 2
     assert "cannot write" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# repro bench: the sim-fingerprint gate
+# ----------------------------------------------------------------------
+
+_COMMITTED_BASELINE = (pathlib.Path(__file__).resolve().parents[1]
+                       / "benchmarks" / "results" / "BENCH_baseline.json")
+_ONE_BENCH = ["--only", "micro/load_single"]
+
+
+def _install_baseline(root, perturb=None):
+    """Copy the committed baseline to where ``repro bench`` looks for
+    it under ``root``; ``perturb`` names a bench whose ``sim_time_ns``
+    is moved by one."""
+    payload = json.loads(_COMMITTED_BASELINE.read_text())
+    for result in payload["results"]:
+        if perturb and perturb in result["name"]:
+            result["sim_time_ns"] += 1
+    target = root / "benchmarks" / "results" / "BENCH_baseline.json"
+    target.parent.mkdir(parents=True)
+    target.write_text(json.dumps(payload))
+
+
+def _listing(root):
+    return sorted(str(path.relative_to(root))
+                  for path in root.rglob("*"))
+
+
+def test_bench_gate_fails_every_time_and_writes_nothing(
+        tmp_path, monkeypatch, capsys):
+    """A divergence from the committed baseline fails on every run: a
+    run never becomes the next run's baseline, and without ``--out``
+    it leaves no file behind (once: exit 1, then exit 0 against the
+    first run's own payload)."""
+    _install_baseline(tmp_path, perturb="micro/load_single")
+    monkeypatch.chdir(tmp_path)
+    before = _listing(tmp_path)
+    for __ in range(2):
+        assert main(["bench", "--quick", "--gate"] + _ONE_BENCH) == 1
+        captured = capsys.readouterr()
+        assert "vs baseline BENCH_baseline.json" in captured.out
+        assert "sim-divergence: micro/load_single_line" in captured.err
+        assert _listing(tmp_path) == before
+
+
+def test_bench_gate_without_a_baseline_exits_two(
+        tmp_path, monkeypatch, capsys):
+    """Nothing to compare against is not a pass (once: "skipping
+    comparison", exit 0)."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["bench", "--quick", "--gate", "--out", "out"]
+                + _ONE_BENCH) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert "cannot load baseline" in line
+    assert "BENCH_baseline.json" in line
+    (written,) = (tmp_path / "out").iterdir()
+    assert written.name.startswith("BENCH_")
+
+
+def test_bench_gate_says_when_nothing_was_comparable(
+        tmp_path, monkeypatch, capsys):
+    """A full-size run against the quick baseline checks nothing, and
+    says so (once: ``ok``, exit 0)."""
+    _install_baseline(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert main(["bench", "--gate"] + _ONE_BENCH) == 2
+    captured = capsys.readouterr()
+    (row,) = [line for line in captured.out.splitlines()
+              if line.startswith("micro/load_single_line")
+              and "configuration differs" in line]
+    assert "incomparable" in row and " ok " not in row
+    assert "nothing compared" in captured.err
+    # Without --gate the same run only reports.
+    assert main(["bench"] + _ONE_BENCH) == 0
+
+
+def test_bench_gate_passes_against_the_committed_baseline(
+        tmp_path, monkeypatch, capsys):
+    _install_baseline(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert main(["bench", "--quick", "--gate"] + _ONE_BENCH) == 0
+    captured = capsys.readouterr()
+    assert "fingerprint equal" in captured.out
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("flag", ["--threshold", "--repeats"])
+def test_bench_has_no_wall_clock_options(flag, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["bench", "--quick", flag, "1"] + _ONE_BENCH)
+    assert exit_info.value.code == 2
+    capsys.readouterr()
+    with pytest.raises(SystemExit):
+        main(["bench", "--help"])
+    assert flag not in capsys.readouterr().out
+
+
+def test_bench_history_with_and_without_out(tmp_path, monkeypatch,
+                                            capsys):
+    _install_baseline(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert main(["bench", "--history"]) == 0
+    assert "1 runs in benchmarks/results" in capsys.readouterr().out
+    assert main(["bench", "--quick", "--out", "out"] + _ONE_BENCH) == 0
+    capsys.readouterr()
+    assert main(["bench", "--history", "--out", "out"]) == 0
+    assert "1 runs in out" in capsys.readouterr().out
+    assert main(["bench", "--history", "--out", "nowhere"]) == 2
+
+
+# ----------------------------------------------------------------------
+# repro obs: documents it has no summary for
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("document, label", [
+    ({"kind": "repro-crashtest-report", "ok": True}, "kind"),
+    ({"kind": "repro-chaos-report", "ok": True}, "kind"),
+    ({"kind": "repro-history-report", "bench": {}}, "kind"),
+    ({"kind": "ladder-bench", "results": []}, "kind"),
+    ({"schema": "repro-bench/1", "results": []}, "schema"),
+])
+def test_obs_command_names_the_document_it_cannot_summarize(
+        document, label, tmp_path, capsys):
+    """Every report this repo writes is one indented JSON object; the
+    JSONL reader's "Expecting property name ... line 1 column 2" said
+    nothing about what was wrong."""
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(document, indent=2, sort_keys=True))
+    assert main(["obs", str(path)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"cannot summarize {path}: no summary for "
+                           f"a '{document[label]}' document")
+    assert "repro obs reads traces, metrics, event logs" in line
+
+
+@pytest.mark.parametrize("record, expected", [
+    ({"type": "span", "name": "wal.fsync", "component": "wal",
+      "start_ns": 0.0, "end_ns": 5.0, "dur_ns": 5.0, "depth": 0,
+      "engine": "log"}, "Trace: 1 spans"),
+    ({"kind": "heartbeat", "seq": 1, "source": "p0", "t_wall": 0.5,
+      "data": {}}, "Event log: 1 events"),
+])
+def test_obs_command_still_reads_one_record_files(
+        record, expected, tmp_path, capsys):
+    """One JSON object on one line is a document *and* JSONL."""
+    path = tmp_path / "one.jsonl"
+    path.write_text(json.dumps(record) + "\n")
+    assert main(["obs", str(path)]) == 0
+    assert expected in capsys.readouterr().out
