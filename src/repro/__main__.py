@@ -29,6 +29,7 @@ from typing import List, Optional
 from .analysis.tables import format_table
 from .config import LatencyProfile
 from .engines.base import ENGINE_NAMES, engine_names
+from .errors import ConfigError, WorkloadError
 from .harness.experiments import (FULL_SCALE, QUICK_SCALE,
                                   fig1_interfaces, recovery_latency,
                                   storage_footprint, tpcc_throughput,
@@ -571,7 +572,6 @@ def _cmd_obs(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    from .errors import ConfigError
     from .server import DatabaseServer, GroupCommitConfig, ServerConfig
 
     def _ready(address):
@@ -594,7 +594,7 @@ def _cmd_serve(args) -> int:
             max_admission_queue=args.max_queue,
             session_lease_s=args.session_lease,
             watchdog_recover_s=args.watchdog))
-    except (ConfigError, ValueError) as error:  # a bad option value
+    except ValueError as error:     # a bad group-commit option
         print(f"repro serve: {error}", file=sys.stderr)
         return 2
     try:
@@ -729,6 +729,14 @@ def _cmd_figure(args) -> int:
     return 0
 
 
+def _at_least_one(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        # An empty script's crash coordinates fire inside the oracle.
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -800,7 +808,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="comma-separated engine names to campaign over")
     crashtest_parser.add_argument("--seed", type=int, default=7)
     crashtest_parser.add_argument(
-        "--ops", type=int, default=64,
+        "--ops", type=_at_least_one, default=64,
         help="scripted operations per run")
     crashtest_parser.add_argument(
         "--max-hits", type=int, default=3, metavar="N",
@@ -1049,7 +1057,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     chaos_parser.set_defaults(func=_cmd_chaos)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ConfigError, WorkloadError) as error:  # a bad option value
+        print(f"repro {args.command}: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -29,14 +29,11 @@ DEFAULT_ENGINES = list(ENGINE_NAMES.ALL)
 
 def engine_requires_persisted_allocations(engine: Any) -> bool:
     """True when every live allocation of ``engine`` must be persisted
-    (the ORD006 leak check applies). NVM-aware engines keep their
-    storage in persistent pools; the hybrid engine intentionally keeps
-    volatile DRAM-rebuilt structures, and the traditional engines treat
-    NVM allocations as volatile heap (durability goes through the
-    filesystem)."""
-    return bool(engine.is_nvm_aware
-                and getattr(engine, "pools_persistent", True)
-                and getattr(engine, "memtable_persistent", True))
+    (the ORD006 leak check applies): NVM-aware engines whose allocator
+    memory is their durable state. The hybrid engine keeps volatile
+    DRAM-rebuilt structures, and the traditional engines treat NVM
+    allocations as a volatile heap (durability goes through files)."""
+    return engine.is_nvm_aware and engine.persistent
 
 
 def attach_checkers(db: Database, *,

@@ -12,7 +12,7 @@ SDA001    an NVM store can reach a commit-marker site
           on some path — the marker publishes data that may still be
           sitting in a volatile CPU cache
 SDA002    a durability-root method (``_do_commit``,
-          ``_do_flush_commits``, ``recover``, ``checkpoint``) of an
+          ``_do_flush_commits``, ``_do_recover``, ``checkpoint``) of an
           ``is_nvm_aware`` engine can return with a store still
           unsynced on some path — the txn reports durable state that
           a crash can lose
@@ -69,7 +69,7 @@ MARKER_NAMES = frozenset({"atomic_durable_store_u64"})
 #: Engine methods that end a durability epoch: when they return, the
 #: system believes the work they did is crash-safe.
 SDA_ROOT_METHODS = frozenset({"_do_commit", "_do_flush_commits",
-                              "recover", "checkpoint"})
+                              "_do_recover", "checkpoint"})
 
 #: A store token: (line, col, description). The caller-inherited
 #: pseudo-token lets one dataflow run double as a function summary.
@@ -368,7 +368,7 @@ class DirtyStoreAtDurabilityExit(StaticRule):
     code = "SDA002"
     name = "dirty-store-at-durability-exit"
     description = ("a durability-root method (_do_commit/"
-                   "_do_flush_commits/recover/checkpoint) of an "
+                   "_do_flush_commits/_do_recover/checkpoint) of an "
                    "is_nvm_aware engine may return with a store "
                    "still unsynced")
 

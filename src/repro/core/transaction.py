@@ -57,11 +57,6 @@ class Transaction:
         self.require_active()
         self.status = TransactionStatus.ABORTED
 
-    @property
-    def is_finished(self) -> bool:
-        return self.status in (TransactionStatus.DURABLE,
-                               TransactionStatus.ABORTED)
-
     def __repr__(self) -> str:
         return (f"Transaction(id={self.txn_id}, ts={self.timestamp}, "
                 f"{self.status.value})")

@@ -1,10 +1,13 @@
-"""The storage engine interface and registry.
+"""The storage engine interface, skeleton and registry.
 
 Every engine implements the primitive database operations of Table 2
-(insert / update / delete / select) plus the transaction lifecycle and
-a recovery entry point. The testbed coordinator drives engines only
-through this interface, which is what lets the paper compare six
-architectures "on a single platform".
+(insert / update / delete / select). The lifecycle around them is
+written once: :class:`StorageEngine` owns ``commit`` / ``abort`` /
+``flush_commits`` / ``on_crash`` / ``recover`` and the footprint
+report, and an engine supplies only the ``_do_*`` / ``_on_crash``
+hooks that differ. The testbed coordinator drives engines only through
+this interface, which is what lets the paper compare six architectures
+"on a single platform".
 """
 
 from __future__ import annotations
@@ -18,6 +21,9 @@ from ..config import EngineConfig
 from ..core.schema import Schema
 from ..core.transaction import Transaction, TransactionStatus
 from ..errors import ConfigError, StorageEngineError
+from ..index.cost import NVMIndexCostModel
+from ..index.nv_btree import NVBTree
+from ..index.stx_btree import STXBTree
 from ..nvm.platform import Platform
 from ..sim.stats import Category
 
@@ -77,6 +83,9 @@ class StorageEngine(abc.ABC):
     is_nvm_aware: bool = False
     #: True if the engine needs no recovery procedure at all (CoW pair).
     instant_recovery: bool = False
+    #: True if allocator memory (pools, MemTables, indexes) is the
+    #: engine's durable state, not a volatile heap rebuilt after a crash.
+    persistent: bool = False
 
     def __init__(self, platform: Platform, config: EngineConfig) -> None:
         self.platform = platform
@@ -92,6 +101,8 @@ class StorageEngine(abc.ABC):
         # Fault injector — same in-place arm/disarm contract.
         self.faults = platform.faults
         self.schemas: Dict[str, Schema] = {}
+        #: table name -> the engine's per-table storage state.
+        self._tables: Dict[str, Any] = {}
         self._txn_ids = itertools.count(1)
         self._timestamps = itertools.count(1)
         self._commits_since_flush = 0
@@ -123,6 +134,28 @@ class StorageEngine(abc.ABC):
             return self.schemas[table]
         except KeyError:
             raise StorageEngineError(f"no such table {table!r}") from None
+
+    def _table(self, name: str) -> Any:
+        self._schema(name)
+        return self._tables[name]
+
+    def _table_id(self, name: str) -> int:
+        return sorted(self.schemas).index(name)
+
+    def _table_name(self, table_id: int) -> str:
+        return sorted(self.schemas)[table_id]
+
+    def _make_index(self) -> STXBTree:
+        """A B+tree charged as index NVM traffic, non-volatile iff the
+        engine is :attr:`persistent`. ``tree.cost_model`` lets an owner
+        (an SSTable) release the tree's node allocations."""
+        cost = NVMIndexCostModel(self.allocator, self.memory, tag="index",
+                                 persistent=self.persistent)
+        tree_class = NVBTree if self.persistent else STXBTree
+        tree = tree_class(node_size=self.config.btree_node_size,
+                          cost_model=cost)
+        tree.cost_model = cost
+        return tree
 
     # ------------------------------------------------------------------
     # Transaction lifecycle
@@ -242,11 +275,28 @@ class StorageEngine(abc.ABC):
         """Reset engine state that lived in volatile structures. Called
         by the testbed right after the platform crash, before
         :meth:`recover`."""
+        self._on_crash()
+        # Nothing is left waiting for a durable point.
+        self._pending_durable.clear()
+        self._commits_since_flush = 0
 
-    @abc.abstractmethod
+    def _on_crash(self) -> None:
+        """Drop the engine's volatile state (default: it has none)."""
+
     def recover(self) -> float:
         """Restore the database to a consistent state after a restart;
         returns the simulated seconds the recovery took."""
+        start_ns = self.clock.now_ns
+        self.faults.fire("recovery.begin")
+        with self.stats.category(Category.RECOVERY), \
+                self.tracer.span("recovery.total", engine=self.name):
+            self._do_recover()
+        self.faults.fire("recovery.end")
+        return self.clock.elapsed_since(start_ns) / 1e9
+
+    @abc.abstractmethod
+    def _do_recover(self) -> None:
+        """The recovery procedure, run inside :meth:`recover`'s span."""
 
     def checkpoint(self) -> None:
         """Take a checkpoint (engines without checkpoints: no-op)."""
@@ -255,10 +305,18 @@ class StorageEngine(abc.ABC):
     # Introspection
     # ------------------------------------------------------------------
 
-    @abc.abstractmethod
     def storage_breakdown(self) -> Dict[str, int]:
         """Live NVM bytes by component: table / index / log /
-        checkpoint / other (Fig. 14)."""
+        checkpoint / other (Fig. 14). The default reads the allocator's
+        tags; engines that keep files add what those hold."""
+        by_tag = self.allocator.bytes_by_tag()
+        return {
+            "table": by_tag.get("table", 0),
+            "index": by_tag.get("index", 0),
+            "log": by_tag.get("log", 0),
+            "checkpoint": 0,
+            "other": by_tag.get("other", 0),
+        }
 
     def storage_footprint(self) -> int:
         return sum(self.storage_breakdown().values())

@@ -154,7 +154,7 @@ class CoWEngine(StorageEngine):
     def __init__(self, platform: Platform, config: EngineConfig) -> None:
         super().__init__(platform, config)
         self._dirs: Dict[str, _Directory] = {}
-        self._tables: Dict[str, List[str]] = {}  # table -> its dir names
+        # Here ``_tables`` maps a table to its directory names.
         self._file = platform.filesystem.open("cow/database",
                                               create=True)
         if self._file.size < MASTER_SIZE:
@@ -521,25 +521,17 @@ class CoWEngine(StorageEngine):
     # Restart events
     # ------------------------------------------------------------------
 
-    def on_crash(self) -> None:
+    def _on_crash(self) -> None:
         """The page cache (in-memory node graphs) is volatile."""
         for directory in self._dirs.values():
             directory.loaded = False
-        self._pending_durable.clear()
-        self._commits_since_flush = 0
 
-    def recover(self) -> float:
+    def _do_recover(self) -> None:
         """No recovery: read the master record; directories are
         demand-loaded on first access (the DBMS is online immediately,
         Section 3.2)."""
-        start_ns = self.clock.now_ns
-        self.faults.fire("recovery.begin")
-        with self.stats.category(Category.RECOVERY), \
-                self.tracer.span("recovery.total", engine=self.name):
-            with self.tracer.span("recovery.master_read"):
-                self.filesystem.read(self._file, 0, MASTER_SIZE)
-        self.faults.fire("recovery.end")
-        return self.clock.elapsed_since(start_ns) / 1e9
+        with self.tracer.span("recovery.master_read"):
+            self.filesystem.read(self._file, 0, MASTER_SIZE)
 
     def _ensure_loaded(self, table: str) -> None:
         for name in self._tables.get(table, [table]):
@@ -615,11 +607,6 @@ class CoWEngine(StorageEngine):
     # ------------------------------------------------------------------
 
     def storage_breakdown(self) -> Dict[str, int]:
-        by_tag = self.allocator.bytes_by_tag()
-        return {
-            "table": self._file.size,
-            "index": by_tag.get("index", 0),
-            "log": 0,
-            "checkpoint": 0,
-            "other": by_tag.get("other", 0),  # the page cache
-        }
+        breakdown = super().storage_breakdown()  # "other": page cache
+        breakdown["table"] = self._file.size
+        return breakdown

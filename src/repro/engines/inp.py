@@ -25,16 +25,15 @@ from ..core.tuple_codec import (decode_fields, decode_inlined,
 from ..core.transaction import Transaction
 from ..errors import DuplicateKeyError, TupleNotFoundError
 from ..fault.injector import register_fault_point
-from ..index.cost import NVMIndexCostModel
 from ..index.stx_btree import STXBTree
 from ..nvm.platform import Platform
 from ..sim.stats import Category
 from . import wal as walmod
-from .base import StorageEngine, register_engine
+from .base import StorageEngine, logger, register_engine
 from .checkpoint import Checkpointer
 from .secondary import (secondary_add, secondary_remove,
                         secondary_update)
-from .slotted import FixedSlotPool, VarlenPool
+from .slotted import FixedSlotPool, VarlenPool, read_slotted_tuple
 from .wal import WALEntry, WriteAheadLog
 
 import struct
@@ -55,20 +54,26 @@ class _Table:
 
     def __init__(self, schema: Schema, engine: "InPEngine") -> None:
         self.schema = schema
-        self.pool = FixedSlotPool(schema, engine.allocator, engine.memory,
-                                  persistent=engine.pools_persistent)
-        self.varlen = VarlenPool(engine.allocator, engine.memory,
-                                 persistent=engine.pools_persistent)
-        self.primary = engine._make_index()
-        #: index name -> (btree mapping secondary key -> {primary keys})
-        self.secondary: Dict[str, STXBTree] = {
-            name: engine._make_index()
-            for name in schema.secondary_indexes
-        }
+        self.build_storage(engine)
         #: primary key -> slot address (engine metadata mirror).
         self.slots: Dict[Any, int] = {}
         #: slot address -> varlen pointers owned by that tuple.
         self.varlen_of: Dict[int, List[int]] = {}
+
+    def build_storage(self, engine: "InPEngine") -> None:
+        """Fresh pools and indexes: at table creation, and again when
+        recovery replaces the volatile ones a crash took."""
+        self.pool = FixedSlotPool(self.schema, engine.allocator,
+                                  engine.memory,
+                                  persistent=engine.persistent)
+        self.varlen = VarlenPool(engine.allocator, engine.memory,
+                                 persistent=engine.persistent)
+        self.primary = engine._make_index()
+        #: index name -> (btree mapping secondary key -> {primary keys})
+        self.secondary: Dict[str, STXBTree] = {
+            name: engine._make_index()
+            for name in self.schema.secondary_indexes
+        }
 
 
 @register_engine
@@ -77,11 +82,9 @@ class InPEngine(StorageEngine):
 
     name = "inp"
     is_nvm_aware = False
-    pools_persistent = False
 
     def __init__(self, platform: Platform, config: EngineConfig) -> None:
         super().__init__(platform, config)
-        self._tables: Dict[str, _Table] = {}
         self._wal = WriteAheadLog(platform.filesystem,
                                   faults=platform.faults)
         self._checkpointer = Checkpointer(platform.filesystem,
@@ -93,24 +96,8 @@ class InPEngine(StorageEngine):
     # Construction helpers
     # ------------------------------------------------------------------
 
-    def _make_index(self) -> STXBTree:
-        cost = NVMIndexCostModel(self.allocator, self.memory, tag="index",
-                                 persistent=False)
-        return STXBTree(node_size=self.config.btree_node_size,
-                        cost_model=cost)
-
     def _create_table_storage(self, schema: Schema) -> None:
         self._tables[schema.table] = _Table(schema, self)
-
-    def _table(self, name: str) -> _Table:
-        self._schema(name)
-        return self._tables[name]
-
-    def _table_id(self, name: str) -> int:
-        return sorted(self.schemas).index(name)
-
-    def _table_name(self, table_id: int) -> str:
-        return sorted(self.schemas)[table_id]
 
     # ------------------------------------------------------------------
     # Primitive operations (Table 2)
@@ -221,7 +208,6 @@ class InPEngine(StorageEngine):
     # ------------------------------------------------------------------
 
     def _read_tuple(self, store: _Table, addr: int) -> Dict[str, Any]:
-        from .slotted import read_slotted_tuple
         return read_slotted_tuple(store.schema, store.pool,
                                   store.varlen, addr)
 
@@ -319,18 +305,7 @@ class InPEngine(StorageEngine):
         if not undo:
             return  # read-only transaction: nothing to log or reclaim
         self._wal.append(WALEntry(walmod.OP_COMMIT, txn.txn_id))
-        # Reclaim space of deleted tuples and replaced varlen fields.
-        for record in txn.engine_state.get("undo", []):
-            if record[0] == "delete":
-                __, table, __k, addr, __v = record
-                store = self._table(table)
-                self._release_tuple(store, addr)
-            elif record[0] == "update":
-                __, table, __k, __a, __b, replaced = record
-                store = self._table(table)
-                for old_ptr in replaced.values():
-                    if store.varlen.contains(old_ptr):
-                        store.varlen.free(old_ptr)
+        self._reclaim(txn)
         self._commits_since_checkpoint += 1
         if self._commits_since_checkpoint >= self.checkpoint_interval_txns:
             self.checkpoint()
@@ -367,6 +342,20 @@ class InPEngine(StorageEngine):
                     self._index_add(store, key, old_values)
                 store.slots[key] = addr
 
+    def _reclaim(self, txn: Transaction) -> None:
+        """Commit-time reclamation: free the slots of deleted tuples
+        and the varlen slots that updates replaced."""
+        for record in txn.engine_state.get("undo", []):
+            if record[0] == "delete":
+                __, table, __k, addr, __v = record
+                self._release_tuple(self._table(table), addr)
+            elif record[0] == "update":
+                __, table, __k, __a, __b, replaced = record
+                store = self._table(table)
+                for old_ptr in replaced.values():
+                    if store.varlen.contains(old_ptr):
+                        store.varlen.free(old_ptr)
+
     def _release_tuple(self, store: _Table, addr: int) -> None:
         with self.stats.category(Category.STORAGE):
             for pointer in store.varlen_of.pop(addr, []):
@@ -396,74 +385,55 @@ class InPEngine(StorageEngine):
             if span:
                 span.tag(compressed_bytes=size,
                          number=self._checkpointer.checkpoints_taken)
-        from .base import logger
         logger.info("%s: checkpoint #%d written (%d bytes compressed)",
                     self.name, self._checkpointer.checkpoints_taken, size)
         self._commits_since_checkpoint = 0
 
-    def on_crash(self) -> None:
+    def _on_crash(self) -> None:
         """Everything in allocator memory is gone (volatile use)."""
         for store in self._tables.values():
             store.pool.destroy()
             store.varlen.destroy()
             store.slots.clear()
             store.varlen_of.clear()
-        self._pending_durable.clear()
-        self._commits_since_flush = 0
 
-    def recover(self) -> float:
+    def _do_recover(self) -> None:
         """Load the last checkpoint, replay the WAL (redo committed
         transactions only), rebuild every index."""
-        start_ns = self.clock.now_ns
-        self.faults.fire("recovery.begin")
-        with self.stats.category(Category.RECOVERY), \
-                self.tracer.span("recovery.total", engine=self.name):
-            with self.tracer.span("recovery.rebuild_storage"):
-                for store in self._tables.values():
-                    store.pool = FixedSlotPool(
-                        store.schema, self.allocator, self.memory,
-                        persistent=self.pools_persistent)
-                    store.varlen = VarlenPool(
-                        self.allocator, self.memory,
-                        persistent=self.pools_persistent)
-                    store.primary = self._make_index()
-                    store.secondary = {name: self._make_index()
-                                       for name in
-                                       store.schema.secondary_indexes}
-            with self.tracer.span("recovery.checkpoint_load") as span:
-                restored = 0
-                for name, values in self._checkpointer.read(self.schemas):
-                    # SDA002 waived: InP (and hybrid-inp) rebuild
-                    # *volatile* pools here; durability is the
-                    # checkpoint + filesystem WAL, so the rebuilt
-                    # slots need no NVM sync.
-                    self._recover_insert(self._tables[name], values)  # noqa: SDA002
-                    restored += 1
-                if span:
-                    span.tag(tuples=restored)
-            self.faults.fire("recovery.checkpoint_loaded")
-            with self.tracer.span("recovery.wal_replay") as span:
-                committed = self._wal.committed_txn_ids()
-                replayed = 0
-                for entry in self._wal.replay():
-                    if entry.op in (walmod.OP_COMMIT, walmod.OP_ABORT):
-                        continue
-                    if entry.txn_id not in committed:
-                        continue
-                    # SDA002 waived: WAL redo writes into the same
-                    # volatile rebuilt pools as the checkpoint load
-                    # above; the filesystem WAL remains the durable
-                    # copy until the next checkpoint.
-                    self._replay_entry(entry)  # noqa: SDA002
-                    replayed += 1
-                if span:
-                    span.tag(entries=replayed, committed=len(committed))
-            self.faults.fire("recovery.wal_replayed")
-        from .base import logger
+        with self.tracer.span("recovery.rebuild_storage"):
+            for store in self._tables.values():
+                store.build_storage(self)
+        with self.tracer.span("recovery.checkpoint_load") as span:
+            restored = 0
+            for name, values in self._checkpointer.read(self.schemas):
+                # SDA002 waived: InP (and hybrid-inp) rebuild
+                # *volatile* pools here; durability is the
+                # checkpoint + filesystem WAL, so the rebuilt
+                # slots need no NVM sync.
+                self._recover_insert(self._tables[name], values)  # noqa: SDA002
+                restored += 1
+            if span:
+                span.tag(tuples=restored)
+        self.faults.fire("recovery.checkpoint_loaded")
+        with self.tracer.span("recovery.wal_replay") as span:
+            committed = self._wal.committed_txn_ids()
+            replayed = 0
+            for entry in self._wal.replay():
+                if entry.op in (walmod.OP_COMMIT, walmod.OP_ABORT):
+                    continue
+                if entry.txn_id not in committed:
+                    continue
+                # SDA002 waived: WAL redo writes into the same
+                # volatile rebuilt pools as the checkpoint load
+                # above; the filesystem WAL remains the durable
+                # copy until the next checkpoint.
+                self._replay_entry(entry)  # noqa: SDA002
+                replayed += 1
+            if span:
+                span.tag(entries=replayed, committed=len(committed))
+        self.faults.fire("recovery.wal_replayed")
         logger.info("%s: recovery replayed WAL for %d committed txns",
                     self.name, len(committed))
-        self.faults.fire("recovery.end")
-        return self.clock.elapsed_since(start_ns) / 1e9
 
     def _recover_insert(self, store: _Table,
                         values: Dict[str, Any]) -> None:
@@ -508,14 +478,10 @@ class InPEngine(StorageEngine):
     # ------------------------------------------------------------------
 
     def storage_breakdown(self) -> Dict[str, int]:
-        by_tag = self.allocator.bytes_by_tag()
-        return {
-            "table": by_tag.get("table", 0),
-            "index": by_tag.get("index", 0),
-            "log": self._wal.size_bytes,
-            "checkpoint": self._checkpointer.size_bytes,
-            "other": by_tag.get("other", 0),
-        }
+        breakdown = super().storage_breakdown()
+        breakdown["log"] = self._wal.size_bytes
+        breakdown["checkpoint"] = self._checkpointer.size_bytes
+        return breakdown
 
 
 def _single_column_schema(schema: Schema, column) -> Schema:

@@ -11,12 +11,18 @@ characteristic read amplification.
 Recovery rebuilds the MemTable from the WAL (redo committed, skip
 uncommitted), reopens every SSTable (rebuilding their volatile indexes
 and Bloom filters), and reconstructs the secondary indexes.
+
+A *run* is anything with ``pairs(key)``, ``keys_in_range(lo, hi)``,
+``rows()`` and ``destroy()`` — an :class:`SSTable` here, an immutable
+:class:`MemTable` in the NVM-Log subclass. Read path, scan, leveled
+compaction and run merge are written once against that contract;
+:meth:`LogEngine._write_run` alone says which kind of run is produced.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from ..config import EngineConfig
 from ..core.schema import Schema
@@ -25,13 +31,12 @@ from ..core.tuple_codec import (decode_fields, decode_inlined,
 from ..core.transaction import Transaction
 from ..errors import DuplicateKeyError, TupleNotFoundError
 from ..fault.injector import register_fault_point
-from ..index.cost import NVMIndexCostModel
 from ..index.stx_btree import STXBTree
 from ..nvm.platform import Platform
 from ..sim.stats import Category
 from . import wal as walmod
-from .base import StorageEngine, register_engine
-from .lsm.compaction import (chain_has_base, coalesce_entries,
+from .base import StorageEngine, logger, register_engine
+from .lsm.compaction import (EntryPair, chain_has_base, coalesce_entries,
                              merge_entry_chains)
 from .lsm.memtable import (ENTRY_DELTA, ENTRY_PUT, ENTRY_TOMBSTONE,
                            MemTable)
@@ -53,23 +58,25 @@ register_fault_point(
     engines=("log", "nvm-log"))
 
 
-class _LogTable:
-    """Per-table LSM tree for the Log engine."""
+#: One immutable run below the MemTable.
+Run = Union[SSTable, MemTable]
+Rows = List[Tuple[Any, List[EntryPair]]]
 
-    # ``mem_levels`` is the NVM-Log subclass's extension slot (its
-    # leveled immutable MemTables); declared here so the slotted
-    # layout covers the whole engine family.
+
+class _LogTable:
+    """Per-table LSM tree for the Log engines."""
+
     __slots__ = ("schema", "memtable", "levels", "secondary",
-                 "sstable_ids", "mem_levels")
+                 "sstable_ids")
 
     def __init__(self, schema: Schema, engine: "LogEngine") -> None:
         self.schema = schema
         self.memtable = engine._make_memtable()
         #: levels[i] is a list of runs, oldest first; level i+1 holds
         #: runs produced by compacting level i.
-        self.levels: List[List[SSTable]] = []
+        self.levels: List[List[Run]] = []
         self.secondary: Dict[str, STXBTree] = {
-            name: engine._make_secondary_index()
+            name: engine._make_index()
             for name in schema.secondary_indexes
         }
         self.sstable_ids = itertools.count(0)
@@ -81,11 +88,9 @@ class LogEngine(StorageEngine):
 
     name = "log"
     is_nvm_aware = False
-    memtable_persistent = False
 
     def __init__(self, platform: Platform, config: EngineConfig) -> None:
         super().__init__(platform, config)
-        self._tables: Dict[str, _LogTable] = {}
         self._wal = WriteAheadLog(platform.filesystem,
                                   faults=platform.faults)
 
@@ -96,37 +101,12 @@ class LogEngine(StorageEngine):
     def _make_memtable(self) -> MemTable:
         return MemTable(self.allocator, self.memory,
                         node_size=self.config.btree_node_size,
-                        persistent=self.memtable_persistent,
+                        persistent=self.persistent,
                         bloom_bits_per_key=self.config.bloom_bits_per_key,
                         bloom_hashes=self.config.bloom_hashes)
 
-    def _make_secondary_index(self) -> STXBTree:
-        cost = NVMIndexCostModel(self.allocator, self.memory, tag="index",
-                                 persistent=False)
-        return STXBTree(node_size=self.config.btree_node_size,
-                        cost_model=cost)
-
-    def _make_sstable_index(self) -> STXBTree:
-        """Volatile per-SSTable index, charged as index NVM traffic."""
-        cost = NVMIndexCostModel(self.allocator, self.memory, tag="index",
-                                 persistent=False)
-        tree = STXBTree(node_size=self.config.btree_node_size,
-                        cost_model=cost)
-        tree.cost_model = cost  # lets the SSTable release it on delete
-        return tree
-
     def _create_table_storage(self, schema: Schema) -> None:
         self._tables[schema.table] = _LogTable(schema, self)
-
-    def _table(self, name: str) -> _LogTable:
-        self._schema(name)
-        return self._tables[name]
-
-    def _table_id(self, name: str) -> int:
-        return sorted(self.schemas).index(name)
-
-    def _table_name(self, table_id: int) -> str:
-        return sorted(self.schemas)[table_id]
 
     # ------------------------------------------------------------------
     # Read path: tuple coalescing across LSM runs
@@ -137,26 +117,16 @@ class LogEngine(StorageEngine):
         """Gather the key's entries from newest run to the run holding
         its base record, then return them oldest-first."""
         segments: List[List[Tuple[str, bytes]]] = []
-        with self.stats.category(Category.INDEX):
-            memtable_chain = [(entry.kind, entry.data) for entry
-                              in store.memtable.get_chain(key)]
-        segments.append(memtable_chain)
-        if not chain_has_base(memtable_chain):
-            done = False
-            for level in store.levels:
-                for run in reversed(level):  # newest run first
-                    # Per-run look-ups (Bloom probe + run index descent
-                    # + entry fetch) are the LSM index accesses that
-                    # dominate the Log engines' Fig. 13 breakdown.
-                    with self.stats.category(Category.INDEX):
-                        chain = run.get_chain(key)
-                    if chain:
-                        segments.append(chain)
-                        if chain_has_base(chain):
-                            done = True
-                            break
-                if done:
-                    break
+        older = itertools.chain.from_iterable(map(reversed, store.levels))
+        for run in itertools.chain([store.memtable], older):  # newest first
+            # Per-run look-ups (Bloom probe + run index descent
+            # + entry fetch) are the LSM index accesses that
+            # dominate the Log engines' Fig. 13 breakdown.
+            with self.stats.category(Category.INDEX):
+                chain = run.pairs(key)
+            segments.append(chain)
+            if chain_has_base(chain):
+                break
         segments.reverse()  # oldest first
         return merge_entry_chains(segments)
 
@@ -256,10 +226,7 @@ class LogEngine(StorageEngine):
         keys = set(store.memtable.keys_in_range(lo, hi))
         for level in store.levels:
             for run in level:
-                for key in run.keys():
-                    if (lo is None or key >= lo) and \
-                            (hi is None or key < hi):
-                        keys.add(key)
+                keys.update(run.keys_in_range(lo, hi))
         for key in sorted(keys):
             values = self._get(store, key)
             if values is not None:
@@ -334,15 +301,8 @@ class LogEngine(StorageEngine):
                 self.tracer.span("memtable.flush", table=name,
                                  entries=len(store.memtable),
                                  bytes=store.memtable.size_bytes):
-            rows = [(key, [(entry.kind, entry.data) for entry in chain])
-                    for key, chain in store.memtable.chains()]
-            run = SSTable.write(
-                self.filesystem,
-                f"sstable/{name}/L0-{next(store.sstable_ids)}",
-                rows, bloom_bits_per_key=self.config.bloom_bits_per_key,
-                bloom_hashes=self.config.bloom_hashes,
-                index_factory=self._make_sstable_index,
-                allocator=self.allocator, memory=self.memory)
+            run = self._write_run(name, store, 0,
+                                  list(store.memtable.rows()))
             if not store.levels:
                 store.levels.append([])
             store.levels[0].append(run)
@@ -367,29 +327,29 @@ class LogEngine(StorageEngine):
                     self.tracer.span("compaction.merge", table=name,
                                      level=level, runs=len(runs)):
                 self.faults.fire("compaction.merge.before")
-                merged = self._merge_runs(name, store, level, runs)
+                merged = self._write_run(
+                    name, store, level + 1,
+                    self._merged_rows(store, level, runs))
                 if level + 1 >= len(store.levels):
                     store.levels.append([])
                 store.levels[level + 1].append(merged)
                 for run in runs:
-                    run.delete_file()
+                    run.destroy()
                 store.levels[level] = []
                 self.stats.bump("lsm.compactions")
-                from .base import logger
-                logger.info("log: compacted %d runs of %s level %d",
-                            len(runs), name, level)
+                logger.info("%s: compacted %d runs of %s level %d",
+                            self.name, len(runs), name, level)
             level += 1
 
-    def _merge_runs(self, name: str, store: _LogTable, level: int,
-                    runs: List[SSTable]) -> SSTable:
-        """Merge entries per key across runs (oldest run first), drop
-        superseded history, and write the new run."""
+    def _merged_rows(self, store: _LogTable, level: int,
+                     runs: List[Run]) -> Rows:
+        """Merge entries per key across runs (oldest run first) and
+        drop superseded history."""
         merged_chains: Dict[Any, List] = {}
         for run in runs:  # oldest first
             for key, chain in run.rows():
                 merged_chains.setdefault(key, []).append(chain)
-        is_bottom = level + 1 >= len(store.levels) or \
-            not any(store.levels[level + 1:])
+        is_bottom = not any(store.levels[level + 1:])
         rows = []
         for key in sorted(merged_chains):
             chain = merge_entry_chains(merged_chains[key])
@@ -397,58 +357,56 @@ class LogEngine(StorageEngine):
                 continue  # purged tuples drop out at the bottom level
             if chain:
                 rows.append((key, chain))
+        return rows
+
+    def _write_run(self, name: str, store: _LogTable, level: int,
+                   rows: Rows) -> Run:
+        """Materialize ``rows`` as this engine's kind of run: an
+        SSTable file with a volatile index and Bloom filter."""
         return SSTable.write(
             self.filesystem,
-            f"sstable/{name}/L{level + 1}-{next(store.sstable_ids)}",
+            f"sstable/{name}/L{level}-{next(store.sstable_ids)}",
             rows, bloom_bits_per_key=self.config.bloom_bits_per_key,
             bloom_hashes=self.config.bloom_hashes,
-            index_factory=self._make_sstable_index,
+            index_factory=self._make_index,
             allocator=self.allocator, memory=self.memory)
 
     # ------------------------------------------------------------------
     # Restart events
     # ------------------------------------------------------------------
 
-    def on_crash(self) -> None:
+    def _on_crash(self) -> None:
         """MemTable and all in-memory indexes are gone; SSTable files
         survive but need their indexes rebuilt."""
         for store in self._tables.values():
             store.memtable = self._make_memtable()
-            store.secondary = {name: self._make_secondary_index()
+            store.secondary = {name: self._make_index()
                                for name in store.schema.secondary_indexes}
-        self._pending_durable.clear()
-        self._commits_since_flush = 0
 
-    def recover(self) -> float:
+    def _do_recover(self) -> None:
         """Rebuild the MemTable from the WAL (committed transactions
         only), reopen SSTables, reconstruct secondary indexes."""
-        start_ns = self.clock.now_ns
-        self.faults.fire("recovery.begin")
-        with self.stats.category(Category.RECOVERY), \
-                self.tracer.span("recovery.total", engine=self.name):
-            with self.tracer.span("recovery.sstable_open"):
-                for store in self._tables.values():
-                    for level in store.levels:
-                        for run in level:
-                            run.open()
-            with self.tracer.span("recovery.wal_replay") as span:
-                committed = self._wal.committed_txn_ids()
-                replayed = 0
-                for entry in self._wal.replay():
-                    if entry.op in (walmod.OP_COMMIT, walmod.OP_ABORT):
-                        continue
-                    if entry.txn_id not in committed:
-                        continue
-                    self._replay_entry(entry)
-                    replayed += 1
-                if span:
-                    span.tag(entries=replayed,
-                             committed=len(committed))
-            self.faults.fire("recovery.wal_replayed")
-            with self.tracer.span("recovery.index_rebuild"):
-                self._rebuild_secondaries()
-        self.faults.fire("recovery.end")
-        return self.clock.elapsed_since(start_ns) / 1e9
+        with self.tracer.span("recovery.sstable_open"):
+            for store in self._tables.values():
+                for level in store.levels:
+                    for run in level:
+                        run.open()
+        with self.tracer.span("recovery.wal_replay") as span:
+            committed = self._wal.committed_txn_ids()
+            replayed = 0
+            for entry in self._wal.replay():
+                if entry.op in (walmod.OP_COMMIT, walmod.OP_ABORT):
+                    continue
+                if entry.txn_id not in committed:
+                    continue
+                self._replay_entry(entry)
+                replayed += 1
+            if span:
+                span.tag(entries=replayed,
+                         committed=len(committed))
+        self.faults.fire("recovery.wal_replayed")
+        with self.tracer.span("recovery.index_rebuild"):
+            self._rebuild_secondaries()
 
     def _replay_entry(self, entry: WALEntry) -> None:
         store = self._tables[self._table_name(entry.table_id)]
@@ -471,12 +429,7 @@ class LogEngine(StorageEngine):
     # ------------------------------------------------------------------
 
     def storage_breakdown(self) -> Dict[str, int]:
-        by_tag = self.allocator.bytes_by_tag()
-        sstable_bytes = self.filesystem.total_bytes("sstable/")
-        return {
-            "table": by_tag.get("table", 0) + sstable_bytes,
-            "index": by_tag.get("index", 0),
-            "log": self._wal.size_bytes,
-            "checkpoint": 0,
-            "other": by_tag.get("other", 0),
-        }
+        breakdown = super().storage_breakdown()
+        breakdown["table"] += self.filesystem.total_bytes("sstable/")
+        breakdown["log"] = self._wal.size_bytes
+        return breakdown

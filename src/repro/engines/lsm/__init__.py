@@ -4,7 +4,8 @@
   of the LSM tree, with a B+tree index for point and range queries.
 * :class:`~repro.engines.lsm.sstable.SSTable` — immutable sorted runs
   on the filesystem (traditional Log engine only; the NVM-Log engine
-  keeps immutable MemTables on NVM instead).
+  keeps immutable MemTables on NVM instead — both answer the same
+  ``pairs`` / ``keys_in_range`` / ``rows`` / ``destroy`` run contract).
 * :mod:`~repro.engines.lsm.compaction` — merge logic that bounds read
   amplification by coalescing per-tuple entries across runs.
 """

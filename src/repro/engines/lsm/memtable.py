@@ -25,6 +25,7 @@ from ...index.nv_btree import NVBTree
 from ...index.stx_btree import STXBTree
 from ...nvm.allocator import Allocation, NVMAllocator
 from ...nvm.memory import NVMMemory
+from .compaction import EntryPair
 
 ENTRY_PUT = "put"
 ENTRY_DELTA = "delta"
@@ -136,6 +137,11 @@ class MemTable:
                                     entry.allocation.size)
         return list(chain)
 
+    def pairs(self, key: Any) -> List[EntryPair]:
+        """:meth:`get_chain` as ``(kind, data)`` pairs — the run
+        look-up the engines share with :class:`SSTable`."""
+        return [(entry.kind, entry.data) for entry in self.get_chain(key)]
+
     def keys(self) -> Iterator[Any]:
         return iter(self.index)
 
@@ -143,10 +149,12 @@ class MemTable:
         for key, __ in self.index.items(lo=lo, hi=hi):
             yield key
 
-    def chains(self) -> Iterator[Tuple[Any, List[MemTableEntry]]]:
-        """(key, chain) pairs in key order (for flush / compaction)."""
+    def rows(self) -> Iterator[Tuple[Any, List[EntryPair]]]:
+        """(key, pairs) rows in key order — what a flush or merge
+        writes into the next run."""
         for key, __ in self.index.items():
-            yield key, list(self._chains[key])
+            yield key, [(entry.kind, entry.data)
+                        for entry in self._chains[key]]
 
     def __contains__(self, key: Any) -> bool:
         return key in self._chains

@@ -161,8 +161,17 @@ class SSTable:
                    _RECORD_HEADER.size + key_length + chain_length])
         return chain
 
+    #: The run look-up under the name :class:`MemTable` shares.
+    pairs = get_chain
+
     def keys(self) -> List[Any]:
         return list(self._keys)
+
+    def keys_in_range(self, lo: Any = None, hi: Any = None) -> List[Any]:
+        """Keys with ``lo <= key < hi`` (from the in-memory key list:
+        no NVM or file traffic)."""
+        return [key for key in self._keys
+                if (lo is None or key >= lo) and (hi is None or key < hi)]
 
     def rows(self) -> Iterator[Tuple[Any, List[EntryPair]]]:
         """All (key, chain) rows in key order (compaction input)."""
@@ -175,7 +184,8 @@ class SSTable:
             return 0
         return self._file.size
 
-    def delete_file(self) -> None:
+    def destroy(self) -> None:
+        """Delete the file and free the index and Bloom accounting."""
         if self._fs.exists(self.file_name):
             self._fs.delete(self.file_name)
         self._file = None

@@ -31,10 +31,9 @@ from ..fault.injector import register_fault_point
 from ..index.cost import NVMIndexCostModel
 from ..index.cow_btree import CoWBTree, CoWNode
 from ..nvm.platform import Platform
-from ..sim.stats import Category
-from .base import register_engine
+from .base import StorageEngine, register_engine
 from .cow import MASTER_SLOTS, CoWEngine, _Directory
-from .slotted import FixedSlotPool, VarlenPool
+from .slotted import FixedSlotPool, VarlenPool, read_slotted_tuple
 
 register_fault_point(
     "nvm_cow.tuple_copy.after",
@@ -58,9 +57,10 @@ class _TuplePools:
     def __init__(self, schema: Schema, engine: "NVMCoWEngine") -> None:
         self.schema = schema
         self.fixed = FixedSlotPool(schema, engine.allocator,
-                                   engine.memory, persistent=True)
+                                   engine.memory,
+                                   persistent=engine.persistent)
         self.varlen = VarlenPool(engine.allocator, engine.memory,
-                                 persistent=True)
+                                 persistent=engine.persistent)
         self.varlen_of: Dict[int, List[int]] = {}
 
 
@@ -71,6 +71,9 @@ class NVMCoWEngine(CoWEngine):
     name = "nvm-cow"
     is_nvm_aware = True
     instant_recovery = True
+    persistent = True
+    #: No database file: the allocator's tags are the whole footprint.
+    storage_breakdown = StorageEngine.storage_breakdown
 
     def __init__(self, platform: Platform, config: EngineConfig) -> None:
         super().__init__(platform, config)
@@ -130,7 +133,6 @@ class NVMCoWEngine(CoWEngine):
         return addr
 
     def _decode_tuple(self, schema: Schema, stored: Any) -> Dict[str, Any]:
-        from .slotted import read_slotted_tuple
         pools = self._pools[schema.table]
         return read_slotted_tuple(schema, pools.fixed, pools.varlen,
                                   stored)
@@ -227,39 +229,17 @@ class NVMCoWEngine(CoWEngine):
             self._release_tuple_value(stored)
         self._active_txns.clear()
 
-    def on_crash(self) -> None:
+    def _on_crash(self) -> None:
         """The non-volatile tree and pools survive; directories never
         need reloading."""
         for directory in self._dirs.values():
             directory.loaded = True
-        self._pending_durable.clear()
-        self._commits_since_flush = 0
 
-    def recover(self) -> float:
+    def _do_recover(self) -> None:
         """No recovery: a single master-record read and the engine can
         start handling transactions (Section 4.2)."""
-        start_ns = self.clock.now_ns
-        self.faults.fire("recovery.begin")
-        with self.stats.category(Category.RECOVERY), \
-                self.tracer.span("recovery.total", engine=self.name):
-            with self.tracer.span("recovery.master_read"):
-                self.memory.load(self._master.addr, 8 * MASTER_SLOTS)
-        self.faults.fire("recovery.end")
-        return self.clock.elapsed_since(start_ns) / 1e9
+        with self.tracer.span("recovery.master_read"):
+            self.memory.load(self._master.addr, 8 * MASTER_SLOTS)
 
     def _ensure_loaded(self, table: str) -> None:
         """Non-volatile directories are always live."""
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-
-    def storage_breakdown(self) -> Dict[str, int]:
-        by_tag = self.allocator.bytes_by_tag()
-        return {
-            "table": by_tag.get("table", 0),
-            "index": by_tag.get("index", 0),
-            "log": 0,
-            "checkpoint": 0,
-            "other": by_tag.get("other", 0),
-        }

@@ -27,14 +27,13 @@ from typing import Any, Dict, List
 
 from ..config import EngineConfig
 from ..core.schema import FIELD_SLOT_SIZE, SLOT_HEADER_SIZE
-from ..core.tuple_codec import STATE_PERSISTED, decode_fields, encode_fields
+from ..core.tuple_codec import (STATE_PERSISTED, decode_fields,
+                                encode_fields, encode_slotted)
 from ..core.transaction import Transaction
 from ..errors import DuplicateKeyError, TupleNotFoundError
-from ..index.cost import NVMIndexCostModel
-from ..index.nv_btree import NVBTree
 from ..nvm.platform import Platform
 from ..sim.stats import Category
-from .base import register_engine
+from .base import StorageEngine, logger, register_engine
 from .inp import InPEngine, _Table
 from .nvm_wal import NVMWal, NVMWalRecord
 
@@ -47,18 +46,14 @@ class NVMInPEngine(InPEngine):
 
     name = "nvm-inp"
     is_nvm_aware = True
-    pools_persistent = True
+    persistent = True
+    #: No files: the allocator's tags are the whole footprint.
+    storage_breakdown = StorageEngine.storage_breakdown
 
     def __init__(self, platform: Platform, config: EngineConfig) -> None:
         super().__init__(platform, config)
         self._nvm_wal = NVMWal(self.allocator, self.memory, tag="log",
                                faults=self.faults)
-
-    def _make_index(self) -> NVBTree:
-        cost = NVMIndexCostModel(self.allocator, self.memory, tag="index",
-                                 persistent=True)
-        return NVBTree(node_size=self.config.btree_node_size,
-                       cost_model=cost)
 
     # ------------------------------------------------------------------
     # Primitive operations (Table 2, NVM-InP column)
@@ -74,7 +69,8 @@ class NVMInPEngine(InPEngine):
                 raise DuplicateKeyError(f"{table}: key {key!r} exists")
         with self.stats.category(Category.STORAGE):
             addr = store.pool.allocate_slot()
-            slot, pointers = self._encode_slot(store, values)
+            slot, pointers = encode_slotted(store.schema, values,
+                                            store.varlen.write)
             store.pool.write_slot(addr, slot)
             store.varlen_of[addr] = pointers
         # Record the tuple *pointer* in the WAL and sync the entry
@@ -157,10 +153,6 @@ class NVMInPEngine(InPEngine):
     # Helpers
     # ------------------------------------------------------------------
 
-    def _encode_slot(self, store: _Table, values: Dict[str, Any]):
-        from ..core.tuple_codec import encode_slotted
-        return encode_slotted(store.schema, values, store.varlen.write)
-
     def _varlen_columns(self, store: _Table) -> List[str]:
         return [column.name for column in store.schema.columns
                 if not column.inline]
@@ -210,16 +202,7 @@ class NVMInPEngine(InPEngine):
         # truncation merely leaks the space it would have reclaimed).
         with self.tracer.span("wal.truncate", txn=txn.txn_id):
             self._nvm_wal.truncate_txn(txn.txn_id)
-        for record in txn.engine_state.get("undo", []):
-            if record[0] == "delete":
-                __, table, __k, addr, __v = record
-                self._release_tuple(self._table(table), addr)
-            elif record[0] == "update":
-                __, table, __k, __a, __b, replaced = record
-                store = self._table(table)
-                for old_ptr in replaced.values():
-                    if store.varlen.contains(old_ptr):
-                        store.varlen.free(old_ptr)
+        self._reclaim(txn)
         txn.engine_state["durable"] = True
 
     def _do_flush_commits(self) -> None:
@@ -266,40 +249,24 @@ class NVMInPEngine(InPEngine):
     def checkpoint(self) -> None:
         """NVM-InP takes no checkpoints — the database *is* durable."""
 
-    def on_crash(self) -> None:
-        """Pools, indexes, and the NVM WAL all survive; only clear the
-        group-commit bookkeeping."""
-        self._pending_durable.clear()
-        self._commits_since_flush = 0
+    def _on_crash(self) -> None:
+        """Pools, indexes, and the NVM WAL all survive."""
 
-    def recover(self) -> float:
+    def _do_recover(self) -> None:
         """Undo-only recovery (Section 4.1): committed effects are
         already durable; roll back the transactions whose WAL entries
         were never truncated."""
-        start_ns = self.clock.now_ns
-        self.faults.fire("recovery.begin")
-        with self.stats.category(Category.RECOVERY), \
-                self.tracer.span("recovery.total", engine=self.name):
-            with self.tracer.span("recovery.wal_undo") as span:
-                self._nvm_wal.head_ptr()  # locate the log on NVM
-                undone = 0
-                for txn_id in self._nvm_wal.active_txn_ids():
-                    records = self._nvm_wal.entries_for(txn_id)
-                    for record in reversed(records):
-                        self._undo_wal_record(record)
-                    self._nvm_wal.truncate_txn(txn_id)
-                    undone += 1
-                if span:
-                    span.tag(txns=undone)
-            self.faults.fire("recovery.wal_undone")
-            with self.tracer.span("recovery.pool_reclaim"):
-                for store in self._tables.values():
-                    store.pool.recover_unpersisted()
-                    store.varlen.prune_dead()
-        from .base import logger
+        with self.tracer.span("recovery.wal_undo") as span:
+            self._nvm_wal.head_ptr()  # locate the log on NVM
+            undone = self._nvm_wal.undo_uncommitted(self._undo_wal_record)
+            if span:
+                span.tag(txns=undone)
+        self.faults.fire("recovery.wal_undone")
+        with self.tracer.span("recovery.pool_reclaim"):
+            for store in self._tables.values():
+                store.pool.recover_unpersisted()
+                store.varlen.prune_dead()
         logger.info("nvm-inp: undo-only recovery complete")
-        self.faults.fire("recovery.end")
-        return self.clock.elapsed_since(start_ns) / 1e9
 
     def _undo_wal_record(self, record: NVMWalRecord) -> None:
         store = self._table(record.table)
@@ -342,8 +309,6 @@ class NVMInPEngine(InPEngine):
                 # to repair them (SDA002; mirrors the abort path).
                 self.memory.sync_ranges(
                     self._field_ranges(store, addr, before))
-                old_all = dict(current)
-                old_all.update(before)
                 self._index_update(store, record.key, {}, before, current)
         else:  # delete — point the indexes back at the original tuple
             addr = record.tuple_ptr
@@ -353,17 +318,3 @@ class NVMInPEngine(InPEngine):
             store.primary.put(record.key, addr)
             self._index_add(store, record.key, values)
             store.slots[record.key] = addr
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-
-    def storage_breakdown(self) -> Dict[str, int]:
-        by_tag = self.allocator.bytes_by_tag()
-        return {
-            "table": by_tag.get("table", 0),
-            "index": by_tag.get("index", 0),
-            "log": by_tag.get("log", 0),
-            "checkpoint": 0,
-            "other": by_tag.get("other", 0),
-        }

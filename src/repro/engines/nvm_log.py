@@ -18,25 +18,26 @@ NVM-Log engine therefore:
 * uses non-volatile B+trees for MemTable and secondary indexes — no
   rebuild after restart, so recovery latency depends only on the
   transactions in flight at the crash (Fig. 12).
+
+Everything below the write path is inherited: an immutable MemTable
+is a run like an SSTable is, so the Log engine's read path, scan and
+leveled compaction serve both; :meth:`NVMLogEngine._write_run` ("a new
+larger MemTable" where the parent writes a file) is the difference.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Tuple
+from typing import Any, Dict
 
 from ..config import EngineConfig
-from ..core.schema import Schema
 from ..core.tuple_codec import encode_fields, encode_inlined
 from ..core.transaction import Transaction
 from ..errors import DuplicateKeyError, TupleNotFoundError
 from ..fault.injector import register_fault_point
-from ..index.cost import NVMIndexCostModel
-from ..index.nv_btree import NVBTree
 from ..nvm.platform import Platform
 from ..sim.stats import Category
-from .base import register_engine
-from .log_engine import LogEngine, _LogTable
-from .lsm.compaction import chain_has_base, merge_entry_chains
+from .base import StorageEngine, register_engine
+from .log_engine import LogEngine, Rows, _LogTable
 from .lsm.memtable import (ENTRY_DELTA, ENTRY_PUT, ENTRY_TOMBSTONE,
                            MemTable)
 from .nvm_wal import NVMWal, NVMWalRecord
@@ -58,66 +59,14 @@ class NVMLogEngine(LogEngine):
 
     name = "nvm-log"
     is_nvm_aware = True
-    memtable_persistent = True
+    persistent = True
+    #: No files: the allocator's tags are the whole footprint.
+    storage_breakdown = StorageEngine.storage_breakdown
 
     def __init__(self, platform: Platform, config: EngineConfig) -> None:
         super().__init__(platform, config)
         self._nvm_wal = NVMWal(self.allocator, self.memory, tag="log",
                                faults=self.faults)
-
-    def _make_secondary_index(self) -> NVBTree:
-        cost = NVMIndexCostModel(self.allocator, self.memory, tag="index",
-                                 persistent=True)
-        return NVBTree(node_size=self.config.btree_node_size,
-                       cost_model=cost)
-
-    def _create_table_storage(self, schema: Schema) -> None:
-        super()._create_table_storage(schema)
-        store = self._tables[schema.table]
-        #: Leveled immutable MemTables, mirroring the Log engine's
-        #: SSTable levels: mem_levels[i] is a list of runs (oldest
-        #: first); compaction merges a full level one level down.
-        store.mem_levels: List[List[MemTable]] = []  # type: ignore
-
-    # ------------------------------------------------------------------
-    # Read path across MemTable + immutable MemTables
-    # ------------------------------------------------------------------
-
-    def _collect_chain(self, store: _LogTable,
-                       key: Any) -> List[Tuple[str, bytes]]:
-        segments: List[List[Tuple[str, bytes]]] = []
-        with self.stats.category(Category.INDEX):
-            chain = [(entry.kind, entry.data)
-                     for entry in store.memtable.get_chain(key)]
-        segments.append(chain)
-        if not chain_has_base(chain):
-            done = False
-            for level in store.mem_levels:
-                for run in reversed(level):  # newest first
-                    with self.stats.category(Category.INDEX):
-                        chain = [(entry.kind, entry.data)
-                                 for entry in run.get_chain(key)]
-                    if chain:
-                        segments.append(chain)
-                        if chain_has_base(chain):
-                            done = True
-                            break
-                if done:
-                    break
-        segments.reverse()
-        return merge_entry_chains(segments)
-
-    def scan(self, txn: Transaction, table: str, lo: Any = None,
-             hi: Any = None) -> Iterator[Tuple[Any, Dict[str, Any]]]:
-        store = self._table(table)
-        keys = set(store.memtable.keys_in_range(lo, hi))
-        for level in store.mem_levels:
-            for run in level:
-                keys.update(run.keys_in_range(lo, hi))
-        for key in sorted(keys):
-            values = self._get(store, key)
-            if values is not None:
-                yield key, values
 
     # ------------------------------------------------------------------
     # Primitive operations (Table 2, NVM-Log column)
@@ -232,52 +181,20 @@ class NVMLogEngine(LogEngine):
                                  entries=len(store.memtable),
                                  bytes=store.memtable.size_bytes):
             store.memtable.mark_immutable()
-            if not store.mem_levels:
-                store.mem_levels.append([])
-            store.mem_levels[0].append(store.memtable)
+            if not store.levels:
+                store.levels.append([])
+            store.levels[0].append(store.memtable)
             store.memtable = self._make_memtable()
             self.stats.bump("lsm.memtable_rolls")
         self.faults.fire("memtable.roll.after")
-        self._maybe_compact_immutables(name, store)
+        self._maybe_compact(name, store)
 
-    def _maybe_compact_immutables(self, name: str,
-                                  store: _LogTable) -> None:
-        """Leveled compaction over immutable MemTables: when a level
-        holds too many runs, merge "a set of these MemTables to
-        generate a new larger MemTable" one level down (Section 4.3)."""
-        level = 0
-        while level < len(store.mem_levels):
-            runs = store.mem_levels[level]
-            if len(runs) <= self.config.lsm_max_runs_per_level:
-                level += 1
-                continue
-            with self.stats.category(Category.STORAGE), \
-                    self.tracer.span("compaction.merge", table=name,
-                                     level=level, runs=len(runs)):
-                self.faults.fire("compaction.merge.before")
-                is_bottom = not any(store.mem_levels[level + 1:])
-                merged = self._merge_memtables(runs, is_bottom)
-                if level + 1 >= len(store.mem_levels):
-                    store.mem_levels.append([])
-                store.mem_levels[level + 1].append(merged)
-                for run in runs:
-                    run.destroy()
-                store.mem_levels[level] = []
-                self.stats.bump("lsm.compactions")
-            level += 1
-
-    def _merge_memtables(self, runs: List[MemTable],
-                         is_bottom: bool) -> MemTable:
-        chains: Dict[Any, List] = {}
-        for run in runs:  # oldest first
-            for key, chain in run.chains():
-                pairs = [(entry.kind, entry.data) for entry in chain]
-                chains.setdefault(key, []).append(pairs)
+    def _write_run(self, name: str, store: _LogTable, level: int,
+                   rows: Rows) -> MemTable:
+        """Compaction output is "a new larger MemTable" (Section 4.3):
+        the merged entries re-added on NVM and frozen, no file."""
         merged = self._make_memtable()
-        for key in sorted(chains):
-            chain = merge_entry_chains(chains[key])
-            if is_bottom and chain and chain[-1][0] == ENTRY_TOMBSTONE:
-                continue  # bottom of the tree: purge tombstones
+        for key, chain in rows:
             for kind, data in chain:
                 merged.add(key, kind, data)
         merged.mark_immutable()
@@ -287,62 +204,31 @@ class NVMLogEngine(LogEngine):
     # Restart events
     # ------------------------------------------------------------------
 
-    def on_crash(self) -> None:
+    def _on_crash(self) -> None:
         """MemTables (mutable and immutable) and all indexes are
         non-volatile — nothing is lost."""
-        self._pending_durable.clear()
-        self._commits_since_flush = 0
 
-    def recover(self) -> float:
+    def _do_recover(self) -> None:
         """Undo-only recovery: remove the MemTable entries of
         transactions in flight at the crash (Section 4.3)."""
-        start_ns = self.clock.now_ns
-        self.faults.fire("recovery.begin")
-        with self.stats.category(Category.RECOVERY), \
-                self.tracer.span("recovery.total", engine=self.name):
-            with self.tracer.span("recovery.wal_undo") as span:
-                self._nvm_wal.head_ptr()  # locate the log on NVM
-                undone = 0
-                for txn_id in self._nvm_wal.active_txn_ids():
-                    records = self._nvm_wal.entries_for(txn_id)
-                    for record in reversed(records):
-                        self._undo_wal_record(record)
-                    self._nvm_wal.truncate_txn(txn_id)
-                    undone += 1
-                if span:
-                    span.tag(txns=undone)
-            self.faults.fire("recovery.wal_undone")
-        self.faults.fire("recovery.end")
-        return self.clock.elapsed_since(start_ns) / 1e9
+        with self.tracer.span("recovery.wal_undo") as span:
+            self._nvm_wal.head_ptr()  # locate the log on NVM
+            undone = self._nvm_wal.undo_uncommitted(self._undo_wal_record)
+            if span:
+                span.tag(txns=undone)
+        self.faults.fire("recovery.wal_undone")
 
     def _undo_wal_record(self, record: NVMWalRecord) -> None:
         store = self._table(record.table)
+        entry, *images = record.extra
+        store.memtable.remove_entry(record.key, entry)
         if record.op == "insert":
-            entry, values = record.extra
-            store.memtable.remove_entry(record.key, entry)
             secondary_remove(store.schema, store.secondary, record.key,
-                             values)
+                             *images)
         elif record.op == "update":
-            entry, old_values, new_values = record.extra
-            store.memtable.remove_entry(record.key, entry)
+            old_values, new_values = images
             secondary_update(store.schema, store.secondary, record.key,
                              new_values, old_values)
         else:
-            entry, old_values = record.extra
-            store.memtable.remove_entry(record.key, entry)
             secondary_add(store.schema, store.secondary, record.key,
-                          old_values)
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-
-    def storage_breakdown(self) -> Dict[str, int]:
-        by_tag = self.allocator.bytes_by_tag()
-        return {
-            "table": by_tag.get("table", 0),
-            "index": by_tag.get("index", 0),
-            "log": by_tag.get("log", 0),
-            "checkpoint": 0,
-            "other": by_tag.get("other", 0),
-        }
+                          *images)

@@ -33,7 +33,6 @@ from ..core.schema import Schema
 from ..core.tuple_codec import encode_slotted
 from ..core.transaction import Transaction
 from ..errors import DuplicateKeyError, TupleNotFoundError
-from ..index.cost import NVMIndexCostModel
 from ..index.nv_btree import NVBTree
 from ..nvm.platform import Platform
 from ..sim.stats import Category
@@ -59,10 +58,10 @@ class _MVCCTable:
     def __init__(self, schema: Schema, engine: "NVMMVCCEngine") -> None:
         self.schema = schema
         self.pool = FixedSlotPool(schema, engine.allocator, engine.memory,
-                                  persistent=True,
+                                  persistent=engine.persistent,
                                   extra_bytes=PROLOGUE_SIZE)
         self.varlen = VarlenPool(engine.allocator, engine.memory,
-                                 persistent=True)
+                                 persistent=engine.persistent)
         self.index = engine._make_index()
         self.secondary: Dict[str, NVBTree] = {
             name: engine._make_index()
@@ -77,10 +76,10 @@ class NVMMVCCEngine(StorageEngine):
 
     name = "nvm-mvcc"
     is_nvm_aware = True
+    persistent = True
 
     def __init__(self, platform: Platform, config: EngineConfig) -> None:
         super().__init__(platform, config)
-        self._tables: Dict[str, _MVCCTable] = {}
         #: In-flight version registry (pointers only, truncated at
         #: commit) — what recovery walks to unlink uncommitted versions.
         self._inflight = NVMWal(self.allocator, self.memory, tag="log",
@@ -90,18 +89,8 @@ class NVMMVCCEngine(StorageEngine):
         self.allocator.persist(self._watermark)
         self.memory.atomic_durable_store_u64(self._watermark.addr, 0)
 
-    def _make_index(self) -> NVBTree:
-        cost = NVMIndexCostModel(self.allocator, self.memory, tag="index",
-                                 persistent=True)
-        return NVBTree(node_size=self.config.btree_node_size,
-                       cost_model=cost)
-
     def _create_table_storage(self, schema: Schema) -> None:
         self._tables[schema.table] = _MVCCTable(schema, self)
-
-    def _table(self, name: str) -> _MVCCTable:
-        self._schema(name)
-        return self._tables[name]
 
     # ------------------------------------------------------------------
     # Version helpers
@@ -137,9 +126,6 @@ class NVMMVCCEngine(StorageEngine):
         """Durably close (or reopen) a version — one 8-byte write."""
         offset = self._prologue_addr(store, addr) + 8
         self.memory.atomic_durable_store_u64(offset, end_ts)
-
-    def _prev_of(self, store: _MVCCTable, addr: int) -> int:
-        return self.memory.load_u64(self._prologue_addr(store, addr) + 16)
 
     def _free_version(self, store: _MVCCTable, addr: int) -> None:
         for pointer in store.varlen_of.pop(addr, []):
@@ -268,9 +254,6 @@ class NVMMVCCEngine(StorageEngine):
             elif kind == "delete":
                 self._free_version(store, record[3])
 
-    def _do_flush_commits(self) -> None:
-        """Commits are durable the moment the watermark advances."""
-
     def _do_abort(self, txn: Transaction) -> None:
         for record in reversed(txn.engine_state.get("undo", [])):
             self._undo_one(record)
@@ -303,27 +286,14 @@ class NVMMVCCEngine(StorageEngine):
     # Restart events
     # ------------------------------------------------------------------
 
-    def on_crash(self) -> None:
-        self._pending_durable.clear()
-        self._commits_since_flush = 0
-
-    def recover(self) -> float:
+    def _do_recover(self) -> None:
         """Unlink the versions of transactions in flight at the crash;
         everything committed is already durable (the watermark)."""
-        start_ns = self.clock.now_ns
-        self.faults.fire("recovery.begin")
-        with self.stats.category(Category.RECOVERY):
-            self.memory.load_u64(self._watermark.addr)
-            for txn_id in self._inflight.active_txn_ids():
-                for record in reversed(
-                        self._inflight.entries_for(txn_id)):
-                    self._undo_wal_record(record)
-                self._inflight.truncate_txn(txn_id)
-            for store in self._tables.values():
-                store.pool.recover_unpersisted()
-                store.varlen.prune_dead()
-        self.faults.fire("recovery.end")
-        return self.clock.elapsed_since(start_ns) / 1e9
+        self.memory.load_u64(self._watermark.addr)
+        self._inflight.undo_uncommitted(self._undo_wal_record)
+        for store in self._tables.values():
+            store.pool.recover_unpersisted()
+            store.varlen.prune_dead()
 
     def _undo_wal_record(self, record: NVMWalRecord) -> None:
         store = self._table(record.table)
@@ -365,12 +335,3 @@ class NVMMVCCEngine(StorageEngine):
         """The durable commit watermark (last committed timestamp)."""
         return self.memory.load_u64(self._watermark.addr)
 
-    def storage_breakdown(self) -> Dict[str, int]:
-        by_tag = self.allocator.bytes_by_tag()
-        return {
-            "table": by_tag.get("table", 0),
-            "index": by_tag.get("index", 0),
-            "log": by_tag.get("log", 0),  # in-flight pointer registry
-            "checkpoint": 0,
-            "other": by_tag.get("other", 0),
-        }

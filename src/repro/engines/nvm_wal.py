@@ -12,12 +12,16 @@ needs a redo pass: at commit the transaction's entries are truncated,
 and recovery only walks the entries of transactions that were active
 at the time of failure, undoing them. Recovery latency therefore
 depends only on the number of in-flight transactions (Fig. 12).
+
+That walk is :meth:`NVMWal.undo_uncommitted`: the engine says how to
+undo one record; the log owns the order (transactions by id, records
+newest first) and truncates a transaction once it is fully undone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..fault.injector import FaultInjector, register_fault_point
 from ..nvm.allocator import Allocation, NVMAllocator
@@ -131,9 +135,18 @@ class NVMWal:
             records.append(entry.obj)
         return records
 
-    def iter_uncommitted(self) -> Iterator[Tuple[int, List[NVMWalRecord]]]:
-        for txn_id in self.active_txn_ids():
-            yield txn_id, self.entries_for(txn_id)
+    def undo_uncommitted(self,
+                         undo: Callable[[NVMWalRecord], None]) -> int:
+        """Undo-only recovery: hand each in-flight transaction's
+        records to ``undo`` newest first, then truncate it. Returns the
+        number of transactions rolled back. A crash part-way leaves the
+        transactions not yet truncated for the next call."""
+        txn_ids = self.active_txn_ids()
+        for txn_id in txn_ids:
+            for record in reversed(self.entries_for(txn_id)):
+                undo(record)
+            self.truncate_txn(txn_id)
+        return len(txn_ids)
 
     @property
     def size_bytes(self) -> int:

@@ -17,7 +17,7 @@ lets recovery reclaim slots of uncommitted transactions (Section 4.1).
 from __future__ import annotations
 
 import struct
-from typing import Any, Dict, Iterator, List, Set
+from typing import Any, Dict, List, Set
 
 from ..core.schema import FIELD_SLOT_SIZE, SLOT_HEADER_SIZE, Schema
 from ..core.tuple_codec import (STATE_PERSISTED, STATE_UNALLOCATED,
@@ -147,16 +147,6 @@ class FixedSlotPool:
             else:
                 self._unpersisted_slots.discard(addr)
         return reclaimed
-
-    def live_addresses(self) -> Iterator[NVPtr]:
-        return iter(sorted(self._live_slots))
-
-    def mark_live(self, addr: NVPtr) -> None:
-        """Re-register a slot as live (used when rebuilding engine
-        metadata from durable slots after a restart)."""
-        self._live_slots.add(addr)
-        if addr in self._free_slots:
-            self._free_slots.remove(addr)
 
     @property
     def live_count(self) -> int:

@@ -339,9 +339,6 @@ class CoWBTree:
     def dirty_root(self) -> CoWNode:
         return self._dirty_root
 
-    def created_this_epoch(self) -> List[CoWNode]:
-        return list(self._created)
-
     def replaced_this_epoch(self) -> List[CoWNode]:
         """Nodes whose old versions this epoch superseded (their
         durable pages become recyclable once the epoch commits)."""

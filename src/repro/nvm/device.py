@@ -1,7 +1,8 @@
 """The emulated byte-addressable NVM device.
 
-The device owns the raw byte array backing the allocator's address
-space, the latency/bandwidth cost model, and the hardware-style
+The device owns the raw bytes backing the allocator's address space
+(a lazily backed anonymous mapping — untouched pages cost the host
+nothing), the latency/bandwidth cost model, and the hardware-style
 load/store counters that the paper reads with ``perf`` (Section 5.3).
 
 Timing model: a cacheline **load** (miss serviced from NVM) costs the
@@ -17,6 +18,7 @@ are charged by the cache model, not the device.
 
 from __future__ import annotations
 
+import mmap
 from typing import Optional
 
 from ..config import CACHE_LINE_SIZE, LatencyProfile
@@ -42,7 +44,13 @@ class NVMDevice:
         self.line_size = line_size
         self._clock = clock
         self._stats = stats
-        self._data = bytearray(capacity_bytes)
+        # The kernel backs a page only once it is written, so an idle
+        # device costs no zero-fill and no resident memory. MAP_PRIVATE
+        # (the default for fd -1 is MAP_SHARED) keeps a forked worker
+        # from writing into its parent's device.
+        self._data = mmap.mmap(
+            -1, capacity_bytes,
+            flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
         self.loads = 0       # cachelines loaded from NVM
         self.stores = 0      # cachelines stored to NVM
         self.bytes_loaded = 0

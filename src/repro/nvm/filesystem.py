@@ -50,10 +50,6 @@ class NVMFile:
     def size(self) -> int:
         return len(self.data)
 
-    @property
-    def durable_size(self) -> int:
-        return self._durable_length
-
     def _record_write(self, offset: int, old_length: int,
                       written_length: int) -> None:
         old = bytes(self.data[offset:offset + old_length])
@@ -172,16 +168,6 @@ class NVMFilesystem:
 
     def read_all(self, file: NVMFile) -> bytes:
         return self.read(file, 0, len(file.data))
-
-    def charge_page_read(self, size: int) -> None:
-        """Charge the cost of reading ``size`` bytes from a file
-        without returning data (page-cache miss accounting for callers
-        that keep deserialized pages in memory)."""
-        self._charge_syscall()
-        self._charge_copy(size)
-        self._device.charge_bulk_load(size)
-        self._stats.bump("fs.reads")
-        self._stats.bump("fs.bytes_read", size)
 
     def fsync(self, file: NVMFile) -> None:
         """Make all pending writes to ``file`` durable."""

@@ -131,7 +131,7 @@ class TestSDA002DirtyDurabilityExit:
         # resolution must walk the hierarchy like engine dispatch does.
         assert codes("""
             class Base:
-                def recover(self):
+                def _do_recover(self):
                     self._memory.store_u64(0, 1)
 
             class NvmEngine(Base):

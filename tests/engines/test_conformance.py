@@ -3,10 +3,13 @@ primitive operations with identical observable semantics."""
 
 import pytest
 
-from repro import TransactionAborted
+from repro import Database, EngineConfig, PlatformConfig, TransactionAborted
+from repro.engines.base import _REGISTRY, StorageEngine, engine_names
 from repro.errors import DuplicateKeyError, TupleNotFoundError
+from repro.harness.runner import run
+from repro.harness.spec import ExperimentSpec
 
-from .conftest import sample_row
+from .conftest import sample_row, standard_schema
 
 
 def test_insert_select(db):
@@ -222,3 +225,86 @@ def test_committed_txn_counter(db):
     for i in range(7):
         db.insert("items", sample_row(i))
     assert db.committed_txns == 7
+
+
+# ----------------------------------------------------------------------
+# The engine skeleton: every registered engine (the hybrid one too)
+# gets its lifecycle from StorageEngine and supplies only hooks.
+# ----------------------------------------------------------------------
+
+LIFECYCLE = ("recover", "on_crash", "commit", "abort", "flush_commits")
+
+
+def make_registered(engine_name: str) -> Database:
+    db = Database(engine=engine_name, seed=23,
+                  platform_config=PlatformConfig.for_engine(
+                      engine_name, seed=23),
+                  engine_config=EngineConfig(group_commit_size=4))
+    db.create_table(standard_schema())
+    return db
+
+
+@pytest.mark.parametrize("engine_name", engine_names())
+def test_lifecycle_is_defined_only_by_the_base_class(engine_name):
+    for cls in _REGISTRY[engine_name].__mro__:
+        if cls is StorageEngine or not issubclass(cls, StorageEngine):
+            continue
+        assert not set(LIFECYCLE) & set(vars(cls)), cls
+    assert set(LIFECYCLE) <= set(vars(StorageEngine))
+
+
+@pytest.mark.parametrize("engine_name", engine_names())
+def test_recover_is_traced_and_fault_pointed_once(engine_name):
+    db = make_registered(engine_name)
+    for i in range(6):
+        db.insert("items", sample_row(i))
+    platform = db.partitions[0].platform
+    platform.tracer.activate()
+    db.crash()
+    platform.faults.arm()
+    db.recover()
+    platform.faults.disarm()
+    totals = [span for span in platform.tracer.spans
+              if span.name == "recovery.total"]
+    assert [span.tags for span in totals] == [{"engine": engine_name}]
+    assert [point for point in platform.faults.hits
+            if point in ("recovery.begin", "recovery.end")] \
+        == ["recovery.begin", "recovery.end"]
+    assert platform.faults.hits["recovery.begin"] == 1
+    assert platform.faults.hits["recovery.end"] == 1
+
+
+@pytest.mark.parametrize("engine_name", engine_names())
+def test_on_crash_forgets_commits_awaiting_a_durable_point(engine_name):
+    db = make_registered(engine_name)
+    db.insert("items", sample_row(1))   # 1 of group_commit_size=4
+    engine = db.partitions[0].engine
+    assert len(engine._pending_durable) == 1
+    assert engine._commits_since_flush == 1
+    engine.on_crash()
+    assert engine._pending_durable == []
+    assert engine._commits_since_flush == 0
+
+
+#: storage_breakdown() after a 200-tuple / 200-transaction YCSB run,
+#: recorded before the per-engine dicts became one default.
+FOOTPRINTS = {
+    "inp": (264640, 6864, 25575, 155577, 0),
+    "cow": (438792, 0, 0, 0, 415312),
+    "log": (233736, 9344, 25575, 0, 0),
+    "nvm-inp": (264640, 6864, 24, 0, 0),
+    "nvm-cow": (264640, 4112, 0, 0, 528),
+    "nvm-log": (233336, 9264, 24, 0, 0),
+    "hybrid-inp": (264640, 0, 25575, 155577, 0),
+    "nvm-mvcc": (270784, 6864, 24, 0, 24),
+}
+
+
+@pytest.mark.parametrize("engine_name", engine_names())
+def test_storage_breakdown_components(engine_name):
+    result = run(ExperimentSpec(engine=engine_name, workload="ycsb",
+                                num_tuples=200, num_txns=200))
+    assert list(result.storage_breakdown) == \
+        ["table", "index", "log", "checkpoint", "other"]
+    assert tuple(result.storage_breakdown.values()) == \
+        FOOTPRINTS[engine_name]

@@ -191,10 +191,40 @@ def test_sstable_rows_in_key_order(platform):
     assert [key for key, __ in table.rows()] == list(range(30))
 
 
+def test_sstable_keys_in_range_is_the_filtered_key_list(platform):
+    rows = [(key, [("put", b"v")]) for key in range(0, 40, 2)]
+    table = SSTable.write(platform.filesystem, "sstable/test/5", rows)
+    for lo, hi in ((None, None), (10, None), (None, 11), (7, 23),
+                   (50, 60)):
+        assert table.keys_in_range(lo, hi) == [
+            key for key in table.keys()
+            if (lo is None or key >= lo) and (hi is None or key < hi)]
+
+
+def test_memtable_and_sstable_agree_as_runs(memtable):
+    """The engines read either kind of run through ``pairs`` and
+    ``rows``: an SSTable written from a MemTable's rows answers both
+    the way the MemTable does."""
+    table, platform = memtable
+    for key in (5, 1, 3):
+        table.add(key, "put", b"base-%d" % key)
+    table.add(1, "delta", b"d1")
+    table.add(3, "tombstone", b"")
+    rows = list(table.rows())
+    assert rows == [(1, [("put", b"base-1"), ("delta", b"d1")]),
+                    (3, [("put", b"base-3"), ("tombstone", b"")]),
+                    (5, [("put", b"base-5")])]
+    run = SSTable.write(platform.filesystem, "sstable/test/6", rows)
+    assert list(run.rows()) == rows
+    for key in (1, 3, 5, 7):
+        assert run.pairs(key) == table.pairs(key)
+    assert table.pairs(7) == []
+
+
 def test_sstable_delete_file(platform):
     table = SSTable.write(platform.filesystem, "sstable/test/4",
                           [(1, [("put", b"v")])])
     assert platform.filesystem.exists("sstable/test/4")
-    table.delete_file()
+    table.destroy()
     assert not platform.filesystem.exists("sstable/test/4")
     assert table.size_bytes == 0

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.engines.nvm_wal import ENTRY_HEADER_SIZE, NVMWal, NVMWalRecord
+from repro.errors import SimulatedCrash
+from repro.fault.injector import FaultPlan
 
 
 @pytest.fixture
@@ -94,3 +96,48 @@ def test_size_accounting(wal):
     log.append(1, NVMWalRecord("insert", "t", key=1, tuple_ptr=8))
     assert log.size_bytes > 0
     assert log.entry_count == 1
+
+
+def _three_in_flight(log):
+    """Transactions 9, 3 and 5 (appended in that order), two records
+    each; returns the records keyed by transaction."""
+    records = {txn_id: [NVMWalRecord("insert", "t", key=(txn_id, n),
+                                     tuple_ptr=8 * (txn_id + n))
+                        for n in range(2)]
+               for txn_id in (9, 3, 5)}
+    for txn_id, pair in records.items():
+        for record in pair:
+            log.append(txn_id, record)
+    return records
+
+
+def test_undo_uncommitted_order_count_and_truncation(wal):
+    log, __ = wal
+    records = _three_in_flight(log)
+    seen = []
+    assert log.undo_uncommitted(seen.append) == 3
+    assert seen == [record for txn_id in (3, 5, 9)
+                    for record in reversed(records[txn_id])]
+    assert log.active_txn_ids() == []
+    assert log.undo_uncommitted(seen.append) == 0
+
+
+def test_undo_uncommitted_crash_leaves_the_rest_for_the_next_call(
+        platform):
+    log = NVMWal(platform.allocator, platform.memory,
+                 faults=platform.faults)
+    records = _three_in_flight(log)
+    platform.faults.arm(FaultPlan(["nvm_wal.truncate.before:2"]))
+    seen = []
+    with pytest.raises(SimulatedCrash):
+        log.undo_uncommitted(seen.append)
+    # Transaction 3 was truncated; 5 was undone but its truncation is
+    # where the power failed, so it is undone again (undo is
+    # idempotent in the engines) along with the untouched 9.
+    assert log.active_txn_ids() == [5, 9]
+    platform.faults.disarm()
+    again = []
+    assert log.undo_uncommitted(again.append) == 2
+    assert again == [record for txn_id in (5, 9)
+                     for record in reversed(records[txn_id])]
+    assert log.active_txn_ids() == []

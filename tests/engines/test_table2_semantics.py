@@ -195,7 +195,7 @@ def test_nvm_log_rolls_memtables_without_filesystem():
         db.insert("items", sample_row(i))
     engine = db.partitions[0].engine
     store = engine._tables["items"]
-    assert sum(len(level) for level in store.mem_levels) >= 1
+    assert sum(len(level) for level in store.levels) >= 1
     assert engine.stats.counter("fs.writes") == 0
     for i in range(60):
         assert db.get("items", i) == sample_row(i)
@@ -209,7 +209,7 @@ def test_nvm_log_compaction_merges_immutables():
     engine = db.partitions[0].engine
     store = engine._tables["items"]
     assert all(len(level) <= engine.config.lsm_max_runs_per_level
-               for level in store.mem_levels)
+               for level in store.levels)
     assert engine.stats.counter("lsm.compactions") > 0
     for i in range(150):
         assert db.get("items", i) == sample_row(i)

@@ -1,8 +1,12 @@
 """Unit tests for the emulated NVM device."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
-from repro.config import LatencyProfile
+from repro.config import LatencyProfile, PlatformConfig
 from repro.errors import InvalidAddressError
 from repro.nvm.device import NVMDevice
 from repro.sim.clock import SimClock
@@ -79,6 +83,55 @@ def test_raw_access_bounds_checked(device):
         dev.read_raw(dev.capacity_bytes - 1, 2)
     with pytest.raises(InvalidAddressError):
         dev.write_raw(-1, b"x")
+
+
+def test_default_capacity_device_reads_zeros_and_checks_bounds():
+    """The lazily backed mapping behaves like the zero-filled array it
+    replaced, at the platform's default 256 MiB."""
+    clock = SimClock()
+    capacity = PlatformConfig().nvm_capacity_bytes
+    dev = NVMDevice(capacity, LatencyProfile.dram(), clock,
+                    StatsCollector(clock))
+    for addr in (0, capacity // 2, capacity - 64):
+        assert dev.read_raw(addr, 64) == bytes(64)
+    with pytest.raises(InvalidAddressError):
+        dev.read_raw(capacity - 63, 64)
+    with pytest.raises(InvalidAddressError):
+        dev.write_raw(capacity - 1, b"xy")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="needs /proc for the resident high-water mark")
+def test_idle_platform_is_not_resident():
+    """An untouched device costs no host memory: a fresh ``Platform()``
+    stays under 64 MiB resident (zero-filled, it was 256 MiB more).
+    Read from VmHWM, not ``ru_maxrss``: the latter carries the test
+    runner's own high-water mark across ``exec``."""
+    code = ("from repro.nvm.platform import Platform\n"
+            "platform = Platform()\n"
+            "for line in open('/proc/self/status'):\n"
+            "    if line.startswith('VmHWM:'):\n"
+            "        print(line.split()[1])\n")
+    result = subprocess.run([sys.executable, "-c", code], check=True,
+                            capture_output=True, text=True, timeout=60)
+    assert int(result.stdout) < 64 * 1024  # kB
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_forked_child_gets_a_private_copy_of_the_device(device):
+    """MAP_PRIVATE: a forked sweep worker or executor sees the bytes
+    its parent wrote and cannot write into its parent's device."""
+    dev, __, __unused = device
+    dev.write_raw(4096, b"parent")
+    pid = os.fork()
+    if pid == 0:
+        ok = dev.read_raw(4096, 6) == b"parent"
+        dev.write_raw(4096, b"child!")
+        ok = ok and dev.read_raw(4096, 6) == b"child!"
+        os._exit(0 if ok else 1)
+    __, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    assert dev.read_raw(4096, 6) == b"parent"
 
 
 def test_reset_counters(device):

@@ -210,6 +210,36 @@ def test_serve_command_errors_are_one_line_and_exit_two(
     assert line.startswith("repro serve: ") and message in line
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["ycsb", "--engine", "nvm-inp", "--txns", "-5"],
+     "repro ycsb: num_txns and num_tuples must be >= 1"),
+    (["tpcc", "--engine", "inp", "--partitions", "0"],
+     "repro tpcc: need at least one partition"),
+    (["tpcc", "--engine", "inp", "--remote-pct", "150"],
+     "repro tpcc: remote_order_fraction must be in [0, 1]"),
+])
+def test_workload_input_errors_are_one_line_and_exit_two(
+        argv, message, capsys):
+    """A bad workload option is answered the way ``repro serve``
+    answers one (once a ConfigError / WorkloadError traceback)."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [message]
+
+
+def test_crashtest_rejects_an_empty_script(capsys):
+    """With ``--ops 0`` the planned crash coordinate fired inside the
+    oracle's own read-only commit (once a SimulatedCrash traceback)."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(["crashtest", "--engines", "nvm-inp", "--ops", "0"])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == \
+        "repro crashtest: error: argument --ops: must be >= 1, got 0"
+
+
 def test_crashtest_command_hybrid_engine(capsys):
     """The storage campaign's harsh configuration carries a DRAM tier
     for the hybrid engine (once a ConfigError traceback) and crashes it
