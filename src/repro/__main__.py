@@ -607,12 +607,15 @@ def _cmd_serve(args) -> int:
              in sorted(server._stages.items())]
     rows = [[s["partition"], s["txns"], s["batches"],
              f"{s['mean_batch']:.2f}", s["max_batch"],
-             s["durability_rounds"], f"{s['rounds_per_txn']:.3f}"]
+             s["durability_rounds"], f"{s['rounds_per_txn']:.3f}",
+             ", ".join(f"{reason}={s['flush_reasons'][reason]}"
+                       for reason in ("quiet", "size", "hold", "timer")
+                       if s["flush_reasons"].get(reason))]
             for s in stats]
     if rows:
         print(format_table(
             ["partition", "txns", "batches", "mean", "max",
-             "rounds", "rounds/txn"],
+             "rounds", "rounds/txn", "reasons"],
             rows, title=f"group commit on {host}:{port} "
                         f"({server.database.engine_name})"))
     return 0
@@ -732,8 +735,17 @@ def _cmd_figure(args) -> int:
 def _at_least_one(text: str) -> int:
     value = int(text)
     if value < 1:
-        # An empty script's crash coordinates fire inside the oracle.
+        # An empty crashtest script's crash coordinates fire inside the
+        # oracle; an empty chaos campaign passes vacuously.
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _tcp_port(text: str) -> int:
+    value = int(text)
+    if not 0 <= value <= 65535:
+        raise argparse.ArgumentTypeError(
+            f"must be in 0..65535, got {value}")
     return value
 
 
@@ -984,7 +996,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="serve a database over the wire protocol (asyncio "
              "socket server with group commit; see docs/server.md)")
     serve_parser.add_argument("--host", default="127.0.0.1")
-    serve_parser.add_argument("--port", type=int, default=7333,
+    serve_parser.add_argument("--port", type=_tcp_port, default=7333,
                               help="TCP port (0 = ephemeral)")
     serve_parser.add_argument("--engine", default="nvm-inp",
                               choices=engine_names())
@@ -1030,8 +1042,9 @@ def main(argv: Optional[List[str]] = None) -> int:
              "fault proxy while a nemesis crashes/recovers the "
              "server; an oracle checks exactly-once invariants "
              "(see docs/fault-injection.md)")
-    chaos_parser.add_argument("--clients", type=int, default=4)
-    chaos_parser.add_argument("--txns", type=int, default=40,
+    chaos_parser.add_argument("--clients", type=_at_least_one,
+                              default=4)
+    chaos_parser.add_argument("--txns", type=_at_least_one, default=40,
                               metavar="N",
                               help="transactions per client")
     chaos_parser.add_argument("--keys", type=int, default=64)

@@ -13,13 +13,17 @@ A committing connection enqueues a future after the logical commit and
 awaits it; the stage flushes — resolving every waiter in the batch —
 when the first of these fires:
 
+* **quiet** — the server reports that no session holds or is queued
+  on the partition's execution lock: nobody is left who could join
+  the batch, so holding it open any longer is pure latency (a lone
+  client's commit is acknowledged at once);
 * **size** — ``batch_size`` commits are waiting;
 * **hold** — the partition's simulated clock moved ``max_hold_ns``
   past the batch's first commit (checked at each enqueue, so it is
   deterministic for a deterministic workload);
 * **timer** — ``max_hold_wall_s`` of wall time passed (liveness
-  backstop: the last batch of a closed-loop run has no later commit
-  to trip the size/hold checks);
+  backstop for a batch parked behind a holder whose client is idle:
+  the partition is not quiet, but no commit is coming either);
 * an explicit ``flush`` verb or server shutdown.
 
 With batching ``enabled=False`` every commit flushes immediately —
@@ -62,7 +66,8 @@ class GroupCommitConfig:
     #: Flush when the partition's simulated clock moved this far past
     #: the batch's first commit.
     max_hold_ns: float = 200_000.0
-    #: Wall-clock liveness backstop for the final, never-filled batch.
+    #: Wall-clock liveness backstop for a batch parked behind a holder
+    #: whose client is idle.
     max_hold_wall_s: float = 0.002
 
     def __post_init__(self) -> None:
@@ -128,6 +133,12 @@ class GroupCommitStage:
         self._timer = None
         if self._waiters:
             self.flush("timer")
+
+    def quiet(self) -> None:
+        """Nobody holds or is queued on the partition's execution
+        lock, so nobody can join the batch: flush what is parked."""
+        if self._waiters:
+            self.flush("quiet")
 
     def flush(self, reason: str = "explicit") -> int:
         """Run one durable point now; resolves every waiting commit.

@@ -14,7 +14,8 @@ re-running the transaction.
 A token is ``"<nonce>:<seq>"`` where ``nonce`` identifies one client
 connection-lifetime and ``seq`` increases monotonically within it.
 That structure is what lets a *bounded* ledger stay honest: completed
-entries are evicted FIFO once ``capacity`` is exceeded, but the
+entries are evicted FIFO once ``capacity`` is exceeded (counted, not
+scanned — a commit's bookkeeping does not grow with the ledger), but the
 per-nonce high-water mark of recorded sequence numbers survives
 eviction, so the ledger can distinguish
 
@@ -33,6 +34,7 @@ a commit from a nonce evicted out of the tracking window also gets
 from __future__ import annotations
 
 from collections import OrderedDict
+from itertools import islice
 from typing import Any, Dict, Optional, Tuple
 
 from ..errors import ProtocolError
@@ -88,6 +90,7 @@ class CommitLedger:
         self._entries: "OrderedDict[str, LedgerEntry]" = OrderedDict()
         #: nonce -> highest seq ever recorded (survives entry eviction).
         self._high_water: "OrderedDict[str, int]" = OrderedDict()
+        self._pending = 0           # entries whose status is "pending"
         # Accounting (exposed by the ``stats`` verb).
         self.recorded = 0
         self.dedup_hits = 0
@@ -139,6 +142,7 @@ class CommitLedger:
             raise ProtocolError(
                 f"commit token {token!r} is already recorded")
         self._entries[token] = LedgerEntry("pending")
+        self._pending += 1
         self.recorded += 1
         high = self._high_water.get(nonce)
         if high is None or seq > high:
@@ -160,6 +164,7 @@ class CommitLedger:
         entry = self._entries.get(token)
         if entry is None or entry.status != "pending":
             return                      # already resolved or evicted
+        self._pending -= 1
         entry.status = status
         entry.result = result
         entry.reason = reason
@@ -169,26 +174,23 @@ class CommitLedger:
         self._evict()
 
     def _evict(self) -> None:
-        completed = sum(1 for entry in self._entries.values()
-                        if entry.status != "pending")
-        if completed <= self._capacity:
+        excess = len(self._entries) - self._pending - self._capacity
+        if excess <= 0:
             return
-        for token in list(self._entries):
-            if completed <= self._capacity:
-                break
-            if self._entries[token].status != "pending":
-                del self._entries[token]
-                self.evicted += 1
-                completed -= 1
+        # Oldest completed first, stopping at the last one to go: the
+        # walk covers the evicted and the pending ahead of them only.
+        completed = (token for token, entry in self._entries.items()
+                     if entry.status != "pending")
+        for token in list(islice(completed, excess)):
+            del self._entries[token]
+        self.evicted += excess
 
     # ------------------------------------------------------------------
 
     def stats(self) -> Dict[str, Any]:
-        pending = sum(1 for entry in self._entries.values()
-                      if entry.status == "pending")
         return {"capacity": self._capacity,
                 "entries": len(self._entries),
-                "pending": pending,
+                "pending": self._pending,
                 "recorded": self.recorded,
                 "dedup_hits": self.dedup_hits,
                 "evicted": self.evicted}

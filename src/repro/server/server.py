@@ -11,11 +11,15 @@ mirrors the paper's testbed:
   within a partition (the engines assume serial execution and provide
   no inter-transaction isolation).
 * **Durability is batched across sessions.** The logical commit
-  releases the partition lock and enqueues onto the partition's
-  :class:`~repro.server.groupcommit.GroupCommitStage`; the commit
-  *response* is sent only once the batch reaches its durable point,
-  so a client never observes a commit the recovery protocol could
-  lose.
+  enqueues onto the partition's
+  :class:`~repro.server.groupcommit.GroupCommitStage` and releases
+  the partition lock; the commit *response* is sent only once the
+  batch reaches its durable point, so a client never observes a
+  commit the recovery protocol could lose.
+* **A durable ack waits for work, not for a timer.** The server
+  counts, per partition, the sessions that hold or are queued on the
+  lock; when a release leaves none, nobody can join the parked batch
+  and the stage flushes it at once (reason ``quiet``).
 * **Admission control** bounds transactions in flight (active plus
   awaiting durability) with a semaphore; a ``begin`` past the bound
   parks, and because each connection processes frames sequentially,
@@ -186,6 +190,9 @@ class DatabaseServer:
         self._server: Optional[asyncio.AbstractServer] = None
         self._stages: Dict[int, GroupCommitStage] = {}
         self._locks: Dict[int, asyncio.Lock] = {}
+        #: Partition -> sessions holding or queued on its lock (the
+        #: only ones that could still join its parked batch).
+        self._contenders: Dict[int, int] = {}
         self._admission: Optional[asyncio.Semaphore] = None
         self._conn_tasks: Set[asyncio.Task] = set()
         self._shutdown_event: Optional[asyncio.Event] = None
@@ -233,6 +240,7 @@ class DatabaseServer:
         for partition in self.database.partitions:
             pid = partition.partition_id
             self._locks[pid] = asyncio.Lock()
+            self._contenders[pid] = 0
             self._stages[pid] = GroupCommitStage(
                 partition, self.config.group_commit, self._loop,
                 on_crash=self._crash_from_engine,
@@ -547,9 +555,24 @@ class DatabaseServer:
         # is held begin→logical-commit across verb handlers
         # (remote.lock_held) and released by _settle; a cancelled
         # acquire leaves only the slot, which _dispatch's exit settles.
-        await self._locks[pid].acquire()  # noqa: ACD002
+        # Counted after the slot: a begin still waiting for one cannot
+        # join a batch whose parked members hold the slots it wants.
+        self._contenders[pid] += 1
+        try:
+            await self._locks[pid].acquire()  # noqa: ACD002
+        except asyncio.CancelledError:
+            self._left(pid)
+            raise
         remote.lock_held = True
         remote.partition_id = pid
+
+    def _left(self, pid: int) -> None:
+        """One session fewer holds or waits for partition ``pid``'s
+        lock; once none does, nobody can join its parked batch."""
+        self._contenders[pid] -= 1
+        if not self._contenders[pid] \
+                and not (self.database.closed or self.database.crashed):
+            self._stages[pid].quiet()
 
     def _settle(self, remote: _RemoteSession) -> None:
         """Grants follow session state — the one place they are
@@ -560,6 +583,7 @@ class DatabaseServer:
         if remote.lock_held and not active:
             remote.lock_held = False
             self._locks[remote.partition_id].release()
+            self._left(remote.partition_id)
         if remote.sem_held and not (active or remote.awaiting):
             remote.sem_held = False
             self._inflight -= 1
@@ -569,10 +593,12 @@ class DatabaseServer:
         """Park on the partition's group-commit stage until the just-
         committed transaction is durable. ``awaiting`` is set first:
         the lock goes at the logical commit, so others execute during
-        the park; the slot only once durable."""
+        the park; the slot only once durable. Enqueued before the lock
+        goes, so a release that leaves the partition quiet flushes a
+        batch that already holds this commit."""
         remote.awaiting = True
-        self._settle(remote)
         future = self._stages[remote.partition_id].enqueue()
+        self._settle(remote)
         try:
             await future
         finally:
@@ -633,7 +659,8 @@ class DatabaseServer:
                 "partitions": len(self.database.partitions),
                 "group_commit": {"enabled": gc.enabled,
                                  "batch_size": gc.batch_size,
-                                 "max_hold_ns": gc.max_hold_ns},
+                                 "max_hold_ns": gc.max_hold_ns,
+                                 "max_hold_wall_s": gc.max_hold_wall_s},
                 "max_inflight": self.config.max_inflight,
                 "max_admission_queue": self.config.max_admission_queue,
                 "session_lease_s": self.config.session_lease_s,

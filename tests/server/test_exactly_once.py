@@ -8,8 +8,10 @@ learn its own fate."""
 from __future__ import annotations
 
 import json
+import random
 import threading
 import time
+from collections import OrderedDict
 
 import pytest
 
@@ -20,6 +22,8 @@ from repro.errors import (CrashedError, ProtocolError, RetryAfterError,
                           ServerDisconnected)
 from repro.server import (CommitLedger, GroupCommitConfig, ServerConfig,
                           ServerThread)
+
+from .holder import Holder
 
 KV = Schema.build(
     "kv", [Column("k", ColumnType.INT), Column("v", ColumnType.INT)],
@@ -110,6 +114,118 @@ def test_ledger_rejects_malformed_tokens():
         ledger.begin("n:1")             # duplicate begin
 
 
+class _ScanningLedger(CommitLedger):
+    """The reference: eviction as it was before the ledger kept a
+    pending counter — count the completed entries by scanning all of
+    them, then walk a copy of the keys."""
+
+    def _evict(self) -> None:
+        completed = sum(1 for entry in self._entries.values()
+                        if entry.status != "pending")
+        if completed <= self._capacity:
+            return
+        for token in list(self._entries):
+            if completed <= self._capacity:
+                break
+            if self._entries[token].status != "pending":
+                del self._entries[token]
+                self.evicted += 1
+                completed -= 1
+
+
+def test_ledger_counts_like_the_scan_it_replaced():
+    """A long random history, some commits left pending for long
+    stretches: the same tokens survive in the same order, the same
+    number were evicted, every probe gets the same answer, and the
+    pending counter is the brute-force count at every step."""
+    rng = random.Random(0x1ED6E2)
+    ledgers = (CommitLedger(capacity=16, nonce_capacity=4),
+               _ScanningLedger(capacity=16, nonce_capacity=4))
+    seqs = dict.fromkeys("abcdef", 0)
+    pending, stuck, issued = [], [], []
+    for _ in range(3000):
+        roll = rng.random()
+        if roll < 0.40 or not (pending or stuck):
+            nonce = rng.choice(sorted(seqs))
+            seqs[nonce] += 1
+            token = f"{nonce}:{seqs[nonce]}"
+            issued.append(token)
+            (stuck if rng.random() < 0.1 else pending).append(token)
+            for ledger in ledgers:
+                ledger.begin(token)
+        elif roll < 0.80:
+            # The stuck ones wait at the front of the ledger while
+            # hundreds of later commits complete behind them.
+            source = stuck if stuck and (not pending
+                                         or rng.random() < 0.03) else pending
+            token = source.pop(rng.randrange(len(source)))
+            durable = rng.random() < 0.8
+            for ledger in ledgers:
+                if durable:
+                    ledger.resolve_durable(token, {"txn": len(issued)})
+                else:
+                    ledger.resolve_failed(token, "power failed")
+        else:
+            token = rng.choice(issued + ["zz:1", "a:999999"])
+            answers = [ledger.status(token) for ledger in ledgers]
+            assert answers[0] == answers[1]
+            found = [ledger.lookup(token) for ledger in ledgers]
+            assert (found[0] is None) == (found[1] is None)
+        new, reference = ledgers
+        assert list(new._entries) == list(reference._entries)
+        assert [e.status for e in new._entries.values()] \
+            == [e.status for e in reference._entries.values()]
+        assert new.stats() == dict(reference.stats(), pending=sum(
+            entry.status == "pending"
+            for entry in new._entries.values()))
+        assert new.stats()["pending"] == len(pending) + len(stuck)
+    assert new.evicted > 500 and stuck
+
+
+class _SteppedDict(OrderedDict):
+    """An OrderedDict that counts every step anybody iterates it."""
+
+    steps = 0
+
+    def _stepping(self, iterator):
+        for item in iterator:
+            self.steps += 1
+            yield item
+
+    def __iter__(self):
+        return self._stepping(super().__iter__())
+
+    def keys(self):
+        return self._stepping(super().keys())
+
+    def values(self):
+        return self._stepping(super().values())
+
+    def items(self):
+        return self._stepping(super().items())
+
+
+def test_ledger_eviction_walks_only_what_it_evicts():
+    """At the server's capacity a commit's bookkeeping must not grow
+    with the ledger: one eviction looks at the entries it evicts and
+    the pending ones ahead of them, nothing more."""
+    ledger = CommitLedger(capacity=4096)
+    entries = ledger._entries = _SteppedDict()
+    for seq in range(3):                # three commits that never end
+        ledger.begin(f"parked:{seq}")
+    for seq in range(20_000):
+        token = f"n:{seq}"
+        ledger.begin(token)
+        before, evicted = entries.steps, ledger.evicted
+        ledger.resolve_durable(token, {"txn": seq})
+        assert entries.steps - before \
+            <= (ledger.evicted - evicted) + ledger.stats()["pending"] + 1
+        assert ledger.stats()["pending"] == 3
+    assert ledger.evicted == 20_000 - 4096
+    assert ledger.status("parked:0")["status"] == "pending"
+    assert ledger.status("n:0")["status"] == "forgotten"
+
+
 # ----------------------------------------------------------------------
 # The commit_status verb and server-side token replay
 # ----------------------------------------------------------------------
@@ -188,6 +304,9 @@ def test_commit_lost_to_a_crash_resolves_failed():
                     with c.session("loser") as s:
                         s.begin()
                         s.insert("kv", {"k": 5, "v": 1})
+                        # Queued behind this transaction: somebody
+                        # who could still join the batch.
+                        outcome["holder"] = Holder((host, port))
                         try:
                             s.commit(token=token)
                         except Exception as exc:
@@ -206,6 +325,7 @@ def test_commit_lost_to_a_crash_resolves_failed():
             admin.recover()
             status = admin.commit_status(outcome["token"])
             assert status["status"] == "failed"
+            outcome["holder"].close()
 
 
 # ----------------------------------------------------------------------
@@ -317,6 +437,9 @@ def test_pending_replay_answers_retry_after():
                     with c.session("parked") as s:
                         s.begin()
                         s.insert("kv", {"k": 9, "v": 9})
+                        # Queued behind this transaction: somebody
+                        # who could still join the batch.
+                        token_box["holder"] = Holder((host, port))
                         try:
                             s.commit(token=token)
                         except Exception:
@@ -342,3 +465,4 @@ def test_pending_replay_answers_retry_after():
                 token_box["token"])["status"] == "pending"
             admin.flush()
             t.join(timeout=10.0)
+            token_box["holder"].close()

@@ -6,7 +6,10 @@ admission slot to one that is active or awaiting its durable point.
 These tests check the rule from the outside, through ``stats``: a
 seeded model drives random verb sequences and compares after every
 response, and a table-driven case fires a ``SimulatedCrash`` inside
-each verb family and demands the same outcome from all of them.
+each verb family and demands the same outcome from all of them. The
+model also knows when a commit parks: iff another slot holds or is
+queued on its partition's lock — and when the last such slot leaves,
+every commit parked there is durable.
 """
 
 from __future__ import annotations
@@ -33,7 +36,8 @@ KV = Schema.build(
            Column("v", ColumnType.STRING, capacity=64)],
     primary_key=["k"])
 
-#: Huge hold: commits park on the stage until an explicit flush.
+#: Huge hold: a commit parked behind a session that could still join
+#: its batch stays parked until that session leaves or a flush verb.
 _GC_PARKED = GroupCommitConfig(batch_size=64, max_hold_ns=1e18,
                                max_hold_wall_s=3600.0)
 
@@ -114,8 +118,11 @@ class _Slot:
     def __init__(self, conn: int) -> None:
         self.conn = conn
         self.session = None         # wire session id (None = no session)
-        self.state = "closed"       # closed | open | active | awaiting
+        # closed | open | active | awaiting | blocked (in begin/call,
+        # queued on a partition lock another connection's slot holds)
+        self.state = "closed"
         self.pid = None
+        self.calling = False        # blocked in a call, not a begin
 
 
 class _Model:
@@ -139,7 +146,7 @@ class _Model:
     def check(self) -> None:
         stats = self.admin.ok("stats")
         held = [s for s in self.slots
-                if s.state in ("active", "awaiting")]
+                if s.state in ("active", "awaiting", "blocked")]
         active = sorted({s.pid for s in self.slots
                          if s.state == "active"})
         context = (self.last,
@@ -162,27 +169,83 @@ class _Model:
     # -- helpers --------------------------------------------------------
 
     def blocked(self, conn: int) -> bool:
-        """A connection with a parked commit answers nothing else."""
-        return any(s.conn == conn and s.state == "awaiting"
+        """A connection with a parked commit, or a begin queued on a
+        partition lock, answers nothing else."""
+        return any(s.conn == conn and s.state in ("awaiting", "blocked")
                    for s in self.slots)
 
+    def holder(self, pid):
+        return next((s for s in self.slots
+                     if s.state == "active" and s.pid == pid), None)
+
     def free_partition(self):
-        taken = {s.pid for s in self.slots if s.state == "active"}
         free = [pid for pid in range(self.PARTITIONS)
-                if pid not in taken]
+                if self.holder(pid) is None]
         return self.rng.choice(free) if free else None
 
-    def park(self, slot: _Slot, verb: str, **args) -> None:
-        """Send a committing verb and leave its answer parked."""
+    def pick_partition(self, slot: _Slot):
+        """``(pid, queued)`` for a begin or call: a free partition,
+        or — half the time there is one — a partition whose lock a
+        slot on *another* connection holds (queueing behind its own
+        connection would wedge both)."""
+        free = self.free_partition()
+        held = [pid for pid in range(self.PARTITIONS)
+                if self.holder(pid) is not None
+                and self.holder(pid).conn != slot.conn]
+        if held and (free is None or self.rng.random() < 0.5):
+            return self.rng.choice(held), True
+        return free, False
+
+    def send_and_wait(self, slot: _Slot, state: str, flag: str,
+                      verb: str, **args) -> None:
+        """Send a verb whose answer stays out — a commit parked on
+        group commit (``awaiting``), a begin or call queued on the
+        partition lock (``busy``) — once ``stats`` shows it there."""
+        self.seen.add(state)
         self.conns[slot.conn].send(verb, session=slot.session, **args)
         assert _poll(lambda: any(
-            s["session"] == slot.session and s["awaiting"]
+            s["session"] == slot.session and s[flag]
             for s in self.admin.ok("stats")["sessions"]))
-        slot.state = "awaiting"
+        slot.state = state
 
-    def collect_parked(self, expect_ok: bool) -> None:
+    def waiter(self, pid):
+        return next((s for s in self.slots
+                     if s.state == "blocked" and s.pid == pid), None)
+
+    def commit(self, slot: _Slot) -> None:
+        """The rule: a commit parks iff somebody could still join its
+        batch — here, a slot queued on the partition lock."""
+        pid, waiter = slot.pid, self.waiter(slot.pid)
+        if waiter is None:
+            self.conns[slot.conn].ok("commit", session=slot.session)
+            slot.state, slot.pid = "open", None
+        elif waiter.calling:
+            # Parked only until the call behind it has committed too —
+            # too briefly to be seen in ``stats``.
+            self.conns[slot.conn].send("commit", session=slot.session)
+            slot.state = "awaiting"
+        else:
+            self.send_and_wait(slot, "awaiting", "awaiting", "commit")
+        self.left(pid)
+
+    def left(self, pid) -> None:
+        """The lock on ``pid`` was just released. It passes to the
+        slot queued on it; with nobody queued the partition is quiet
+        and every commit parked there is durable."""
+        waiter = self.waiter(pid)
+        if waiter is None:
+            self.collect_parked(expect_ok=True, pid=pid)
+            return
+        assert self.conns[waiter.conn].recv()["ok"]
+        if waiter.calling:                  # ran, committed, left
+            waiter.state, waiter.pid = "open", None
+            self.left(pid)
+        else:
+            waiter.state = "active"
+
+    def collect_parked(self, expect_ok: bool, pid=None) -> None:
         for slot in self.slots:
-            if slot.state == "awaiting":
+            if slot.state == "awaiting" and pid in (None, slot.pid):
                 frame = self.conns[slot.conn].recv()
                 assert frame["ok"] is expect_ok, frame
                 if not expect_ok:
@@ -190,7 +253,11 @@ class _Model:
                 slot.state, slot.pid = "open", None
 
     def forget(self, slot: _Slot) -> None:
+        """The slot's session is gone, and its transaction with it."""
+        left = slot.pid if slot.state == "active" else None
         slot.session, slot.state, slot.pid = None, "closed", None
+        if left is not None:
+            self.left(left)
 
     # -- one random step ------------------------------------------------
 
@@ -198,15 +265,18 @@ class _Model:
         roll = self.rng.random()
         if roll < 0.06:
             return self.do("flush")
-        if roll < 0.10:
+        # (A parked commit is short-lived now: strike while it lasts.)
+        parked = any(s.state == "awaiting" for s in self.slots)
+        if roll < (0.30 if parked else 0.10):
             return self.do("crash")
         if self.crashed and roll < 0.35:
             return self.do("recover")
         if roll < 0.13:
             return self.do("drop")
-        slot = self.rng.choice(self.slots)
-        if self.blocked(slot.conn):
-            return self.do("flush")
+        # Never both connections: a slot only queues behind, or parks
+        # ahead of, a slot on the other one.
+        slot = self.rng.choice([s for s in self.slots
+                                if not self.blocked(s.conn)])
         if slot.state == "closed":
             return self.do("open_session", slot)
         if roll < 0.17:
@@ -239,10 +309,15 @@ class _Model:
         parked = sum(s.state == "awaiting" for s in self.slots)
         result = self.admin.ok("crash")
         assert result["lost_commits"] == parked
+        if parked:
+            self.seen.add("lost")
         self.crashed = True
         self.collect_parked(expect_ok=False)
         for slot in self.slots:
-            if slot.state == "active":
+            if slot.state == "blocked":     # got the lock of a dead db
+                frame = self.conns[slot.conn].recv()
+                assert frame["error"]["code"] == "CrashedError", frame
+            if slot.state in ("active", "blocked"):
                 slot.state, slot.pid = "open", None
 
     def do_recover(self) -> None:
@@ -294,10 +369,14 @@ class _Model:
 
     def do_begin(self, slot: _Slot) -> None:
         conn = self.conns[slot.conn]
-        pid = self.free_partition()
+        pid, queued = self.pick_partition(slot)
         if self.crashed:
             assert conn.code("begin", session=slot.session,
                              partition=0) == "CrashedError"
+        elif queued:
+            slot.pid, slot.calling = pid, False
+            self.send_and_wait(slot, "blocked", "busy", "begin",
+                               partition=pid)
         elif pid is not None:
             conn.ok("begin", session=slot.session, partition=pid)
             slot.state, slot.pid = "active", pid
@@ -327,7 +406,7 @@ class _Model:
             key=1) == "SessionStateError"
 
     def do_commit(self, slot: _Slot) -> None:
-        self.park(slot, "commit")
+        self.commit(slot)
 
     def do_commit_idle(self, slot: _Slot) -> None:
         assert self.conns[slot.conn].code(
@@ -335,18 +414,24 @@ class _Model:
 
     def do_abort(self, slot: _Slot) -> None:
         self.conns[slot.conn].ok("abort", session=slot.session)
-        slot.state, slot.pid = "open", None
+        pid, slot.state, slot.pid = slot.pid, "open", None
+        self.left(pid)
 
     def do_call_put(self, slot: _Slot) -> None:
-        pid = self.free_partition()
+        """One frame, begin to durable: alone on its partition it
+        answers at once; behind a holder it queues like a begin."""
+        pid, queued = self.pick_partition(slot)
+        args = {"name": "put", "args": [next(self.keys), "stored"]}
         if self.crashed:
             assert self.conns[slot.conn].code(
-                "call", session=slot.session, name="put",
-                args=[1, "x"]) == "CrashedError"
+                "call", session=slot.session, **args) == "CrashedError"
+        elif queued:
+            slot.pid, slot.calling = pid, True
+            self.send_and_wait(slot, "blocked", "busy", "call",
+                               partition=pid, **args)
         elif pid is not None:
-            slot.pid = pid
-            self.park(slot, "call", name="put", partition=pid,
-                      args=[next(self.keys), "stored"])
+            self.conns[slot.conn].ok("call", session=slot.session,
+                                     partition=pid, **args)
 
     def do_call_explode(self, slot: _Slot) -> None:
         pid = self.free_partition()
@@ -366,7 +451,9 @@ class _Model:
         if self.crashed:
             self.do_recover()
         self.do_flush()
-        for slot in self.slots:
+        # A slot queued on a lock answers once its holder has closed.
+        for slot in sorted(self.slots,
+                           key=lambda s: self.blocked(s.conn)):
             if slot.state != "closed":
                 self.do_close_session(slot)
         self.check()
@@ -390,7 +477,8 @@ def test_grants_follow_session_state(seed):
             "begin", "op", "commit", "abort", "call_put",
             "call_explode", "call_unknown", "close_session", "drop",
             "expire", "flush", "crash", "recover", "open_session",
-            "begin_twice", "commit_idle", "op_idle"}
+            "begin_twice", "commit_idle", "op_idle", "awaiting",
+            "blocked", "lost"}
 
 
 # ----------------------------------------------------------------------

@@ -17,6 +17,8 @@ from repro.errors import (LeaseExpiredError, RetryAfterError,
                           ServerDisconnected)
 from repro.server import GroupCommitConfig, ServerConfig, ServerThread
 
+from .holder import Holder
+
 KV = Schema.build(
     "kv", [Column("k", ColumnType.INT),
            Column("v", ColumnType.STRING, capacity=64)],
@@ -26,7 +28,8 @@ KV = Schema.build(
 _GC = GroupCommitConfig(batch_size=8, max_hold_ns=1e18,
                         max_hold_wall_s=0.005)
 
-#: Huge hold: commits park on the stage until an explicit flush.
+#: Huge hold: a commit parked behind a holder stays parked until the
+#: holder leaves or an explicit flush.
 _GC_PARKED = GroupCommitConfig(batch_size=64, max_hold_ns=1e18,
                                max_hold_wall_s=3600.0)
 
@@ -135,12 +138,20 @@ def test_reaper_never_reaps_awaiting_commits():
                     with c.session("parked") as s:
                         s.begin()
                         s.insert("kv", {"k": 3, "v": "patient"})
+                        # Queued behind this transaction: somebody
+                        # who could still join the batch.
+                        done["holder"] = Holder((host, port))
                         done["txn"] = s.commit()
 
             t = threading.Thread(target=committer, daemon=True)
             t.start()
             assert _poll(lambda: sum(
                 s["pending"] for s in admin.stats()["group_commit"]))
+            # The holder's own lease must not lapse meanwhile (its
+            # expiry would leave the partition quiet and flush).
+            holder = done["holder"]
+            holder.granted()
+            holder.set_last_seen(thread.server, float("inf"))
             time.sleep(0.4)             # several leases and reaper ticks
             sessions = {s["name"]: s for s in admin.stats()["sessions"]}
             assert sessions["parked"]["awaiting"] is True
@@ -148,6 +159,7 @@ def test_reaper_never_reaps_awaiting_commits():
             admin.flush()
             t.join(timeout=10.0)
             assert done["txn"] > 0
+            holder.close()
 
 
 # ----------------------------------------------------------------------
@@ -297,6 +309,9 @@ def test_abrupt_disconnect_parked_on_group_commit_drains_clean():
                 with client.session("parked") as s:
                     s.begin()
                     s.insert("kv", {"k": 7, "v": "headless"})
+                    # Queued behind this transaction: somebody who
+                    # could still join the batch.
+                    outcome["holder"] = Holder((host, port))
                     try:
                         s.commit()
                     except Exception as exc:
@@ -310,6 +325,7 @@ def test_abrupt_disconnect_parked_on_group_commit_drains_clean():
             t.join(timeout=10.0)
             assert isinstance(outcome["exc"], ServerDisconnected)
             admin.flush()               # resolves the headless waiter
+            outcome["holder"].close()
             assert _poll(lambda: _no_leaks(admin.stats()))
             client.close()
             # The commit itself was applied: it reached the engine

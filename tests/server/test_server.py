@@ -23,6 +23,8 @@ from repro.server import (GroupCommitConfig, ProcedureRegistry,
 from repro.server import server as server_module
 from repro.server.protocol import PROTOCOL_VERSION, FrameDecoder
 
+from .holder import Holder
+
 KV = Schema.build(
     "kv", [Column("k", ColumnType.INT),
            Column("v", ColumnType.STRING, capacity=64)],
@@ -393,6 +395,9 @@ def test_lost_commit_contract(server):
                     with c.session("loser") as s:
                         s.begin()
                         s.insert("kv", {"k": 5, "v": "lost"})
+                        # Queued behind this transaction: somebody
+                        # who could still join the batch.
+                        committer_error["holder"] = Holder((host, port))
                         try:
                             s.commit()  # parks awaiting the batch
                         except Exception as exc:
@@ -417,8 +422,8 @@ def test_lost_commit_contract(server):
             with admin.session("reader") as r:
                 r.begin()
                 assert r.get("kv", 5) is None   # the commit was lost
-                # abort: a commit would park on the (huge) batch again
                 r.abort()
+            committer_error["holder"].close()
 
 
 def test_flush_verb_forces_durability(server):

@@ -240,6 +240,26 @@ def test_crashtest_rejects_an_empty_script(capsys):
         "repro crashtest: error: argument --ops: must be >= 1, got 0"
 
 
+@pytest.mark.parametrize("command, flag, value, complaint", [
+    ("serve", "--port", "99999", "must be in 0..65535, got 99999"),
+    ("serve", "--port", "-1", "must be in 0..65535, got -1"),
+    ("chaos", "--clients", "0", "must be >= 1, got 0"),
+    ("chaos", "--txns", "0", "must be >= 1, got 0"),
+])
+def test_serve_and_chaos_reject_out_of_range_counts(
+        command, flag, value, complaint, capsys):
+    """An unbindable port number was an OverflowError traceback out of
+    ``bind``; an empty chaos campaign ran no transaction, checked no
+    key and printed ``invariants: all held``."""
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, flag, value])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == \
+        f"repro {command}: error: argument {flag}: {complaint}"
+
+
 def test_crashtest_command_hybrid_engine(capsys):
     """The storage campaign's harsh configuration carries a DRAM tier
     for the hybrid engine (once a ConfigError traceback) and crashes it
