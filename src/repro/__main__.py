@@ -356,7 +356,7 @@ def _cmd_check(args) -> int:
     import json
 
     from .analysis.check import run_check
-    from .analysis.ordering import ORDERING_RULES
+    from .analysis.ordering import LINT_CODES, ORDERING_RULES
 
     engines = list(ENGINE_NAMES.ALL) if args.engines == "all" else \
         [name.strip() for name in args.engines.split(",")
@@ -382,9 +382,8 @@ def _cmd_check(args) -> int:
     rows = []
     for outcome in outcomes:
         counts = outcome.counts
-        violations = sum(count for code, count in counts.items()
-                         if code not in ("ORD005",))
-        lints = counts.get("ORD005", 0)
+        lints = sum(counts.get(code, 0) for code in LINT_CODES)
+        violations = sum(counts.values()) - lints
         rows.append([outcome.engine, outcome.events, violations,
                      lints, "ok" if outcome.ok else "FAIL"])
     print(format_table(
@@ -401,63 +400,49 @@ def _cmd_check(args) -> int:
     return 1 if failed else 0
 
 
-def _cmd_lint(args) -> int:
-    from .lint import (DEFAULT_LINT_PATHS, LINT_RULES, emit_findings,
-                       lint_paths, parse_select, print_rule_catalogue)
-
-    if args.rules:
-        print_rule_catalogue("repro lint rules", LINT_RULES)
-        return 0
-    paths = args.paths or list(DEFAULT_LINT_PATHS)
-    try:
-        violations = lint_paths(paths,
-                                select=parse_select(args.select))
-    except (OSError, SyntaxError, ValueError) as error:
-        print(f"lint failed: {error}", file=sys.stderr)
-        return 2
-    return emit_findings(violations,
-                         json_out="-" if args.json else None)
-
-
-def _cmd_analyze(args) -> int:
-    from .analysis.static import (DEFAULT_ANALYZE_PATHS, analyze_paths,
-                                  static_rules)
-    from .lint import (baseline_diff, emit_findings, load_baseline,
-                       parse_select, print_rule_catalogue,
+def _cmd_rules(args) -> int:
+    """``repro lint`` (LNT) and ``repro analyze`` (SDA/ACD): one rule
+    engine, one family per command."""
+    # Imported lazily: no other command loads a rule module.
+    from .analysis.static import DEFAULT_ANALYZE_PATHS, build_project
+    from .lint import (ANALYZE, DEFAULT_LINT_PATHS, LINT, baseline_diff,
+                       emit_findings, load_baseline, parse_select,
+                       print_rule_catalogue, rule_catalogue, run_rules,
                        save_baseline)
 
+    family, default_paths = {
+        "lint": (LINT, DEFAULT_LINT_PATHS),
+        "analyze": (ANALYZE, DEFAULT_ANALYZE_PATHS)}[args.command]
     if args.rules:
-        print_rule_catalogue("repro analyze rules", static_rules())
+        print_rule_catalogue(f"repro {args.command} rules",
+                             rule_catalogue(family))
         return 0
-    paths = args.paths or list(DEFAULT_ANALYZE_PATHS)
+    gate = args.gate and not args.write_baseline
     try:
-        violations = analyze_paths(paths,
-                                   select=parse_select(args.select))
-    except (OSError, SyntaxError, ValueError) as error:
-        print(f"analyze failed: {error}", file=sys.stderr)
+        violations = run_rules(
+            build_project(args.paths or default_paths), family,
+            parse_select(args.select))
+        baseline = load_baseline(args.baseline) if gate else {}
+    except (OSError, ValueError) as error:
+        print(f"{args.command} failed: {error}", file=sys.stderr)
         return 2
     if args.write_baseline:
         save_baseline(args.baseline, violations)
         print(f"baseline -> {args.baseline} "
               f"({len(violations)} finding(s))")
         return 0
-    if args.gate:
-        try:
-            baseline = load_baseline(args.baseline)
-        except (OSError, ValueError) as error:
-            print(f"analyze failed: {error}", file=sys.stderr)
-            return 2
-        fresh, stale = baseline_diff(violations, baseline)
-        code = emit_findings(fresh, json_out=args.json)
-        for key in stale:
-            print(f"stale baseline entry (fixed or moved — shrink "
-                  f"the baseline): {key}", file=sys.stderr)
-        suppressed = len(violations) - len(fresh)
-        if suppressed:
-            print(f"{suppressed} finding(s) suppressed by "
-                  f"{args.baseline}")
-        return 1 if (code or stale) else 0
-    return emit_findings(violations, json_out=args.json)
+    if not gate:
+        return emit_findings(violations, json_out=args.json)
+    fresh, stale = baseline_diff(violations, baseline)
+    code = emit_findings(fresh, json_out=args.json)
+    for key in stale:
+        print(f"stale baseline entry (fixed or moved — shrink "
+              f"the baseline): {key}", file=sys.stderr)
+    suppressed = len(violations) - len(fresh)
+    if suppressed:
+        print(f"{suppressed} finding(s) suppressed by "
+              f"{args.baseline}")
+    return 1 if (code or stale) else 0
 
 
 def _cmd_bench(args) -> int:
@@ -885,11 +870,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     lint_parser.add_argument(
         "--select", metavar="LNT001,...", default=None,
         help="run only these rule codes")
-    lint_parser.add_argument("--json", action="store_true",
+    lint_parser.add_argument("--json", action="store_const", const="-",
                              help="emit findings as JSON on stdout")
     lint_parser.add_argument("--rules", action="store_true",
                              help="print the rule catalogue and exit")
-    lint_parser.set_defaults(func=_cmd_lint)
+    lint_parser.set_defaults(func=_cmd_rules, gate=False,
+                             write_baseline=False)
 
     analyze_parser = commands.add_parser(
         "analyze",
@@ -923,7 +909,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="CI mode: fail on findings missing from the baseline "
              "AND on stale baseline entries (the ratchet only "
              "shrinks)")
-    analyze_parser.set_defaults(func=_cmd_analyze)
+    analyze_parser.set_defaults(func=_cmd_rules)
 
     bench_parser = commands.add_parser(
         "bench",

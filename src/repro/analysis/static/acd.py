@@ -34,14 +34,14 @@ from __future__ import annotations
 
 import ast
 from typing import (Dict, FrozenSet, Iterator, List, Optional, Set,
-                    Tuple)
+                    Tuple, Union)
 
-from repro.lint.framework import LintViolation
+from repro.lint.framework import LintViolation, Rule, register_rule
 
-from .callgraph import FunctionInfo, Project, call_name, receiver_text
-from .cfg import STMT, WITH_EXIT, statement_calls
-from .dataflow import solve_forward
-from .runner import StaticRule, register_static_rule
+from .callgraph import (FunctionInfo, Project, call_name, callee_name,
+                        receiver_text)
+from .cfg import STMT, WITH_EXIT, Node, statement_calls
+from .dataflow import fold, replay, solve_forward
 
 __all__ = ["BLOCKING_CALLS", "UNBOUNDED_AWAIT_NAMES"]
 
@@ -63,10 +63,6 @@ UNBOUNDED_AWAIT_NAMES = frozenset({
 })
 
 
-def _last_segment(name: str) -> str:
-    return name.rsplit(".", 1)[-1]
-
-
 def _receiver_base(node: ast.expr) -> str:
     """Normalised token base of a lock expression: subscripts key by
     their container (``self._locks[pid]`` → ``self._locks``) so
@@ -76,21 +72,12 @@ def _receiver_base(node: ast.expr) -> str:
     return receiver_text(node)
 
 
-def _acquire_base(call: ast.Call) -> Optional[str]:
-    """For ``X.acquire()``: the token base of ``X``."""
-    if not isinstance(call.func, ast.Attribute):
-        return None
-    if call.func.attr != "acquire":
-        return None
-    return _receiver_base(call.func.value)
-
-
-def _release_base(call: ast.Call) -> Optional[str]:
-    if not isinstance(call.func, ast.Attribute):
-        return None
-    if call.func.attr != "release":
-        return None
-    return _receiver_base(call.func.value)
+def _method_base(call: ast.Call, method: str) -> Optional[str]:
+    """For ``X.<method>()`` (``acquire``/``release``): the token base
+    of ``X``."""
+    if isinstance(call.func, ast.Attribute) and call.func.attr == method:
+        return _receiver_base(call.func.value)
+    return None
 
 
 class LockClassifier:
@@ -115,7 +102,7 @@ class LockClassifier:
     def _creation_kind(self, value: ast.expr) -> Optional[str]:
         if not isinstance(value, ast.Call):
             return None
-        return self._KINDS.get(_last_segment(call_name(value)))
+        return self._KINDS.get(callee_name(value))
 
     def is_lock(self, base: str) -> bool:
         return self.kinds.get(base) == "lock"
@@ -128,8 +115,8 @@ def _own_async_functions(
             yield func
 
 
-@register_static_rule
-class BlockingCallInCoroutine(StaticRule):
+@register_rule
+class BlockingCallInCoroutine(Rule):
     """ACD001."""
 
     code = "ACD001"
@@ -160,8 +147,25 @@ class BlockingCallInCoroutine(StaticRule):
 #: Held-token state: (base text, acquire line, acquire col).
 _Held = Tuple[str, int, int]
 _HeldState = FrozenSet[_Held]
-_H_EMPTY: _HeldState = frozenset()
-_H_BOTTOM: _HeldState = frozenset({("<unreached>", -1, -1)})
+#: One lock effect: a token acquired, or the token bases released.
+_Effect = Union[_Held, FrozenSet[str]]
+
+
+def _apply(state: _HeldState, effect: _Effect) -> _HeldState:
+    if isinstance(effect, frozenset):
+        return frozenset(held for held in state if held[0] not in effect)
+    return state | {effect}
+
+
+def _apply_releases(state: _HeldState, effect: _Effect) -> _HeldState:
+    # Releases (direct, via helper, or a with-block __exit__) still
+    # count on the exceptional edge: the raising statement in
+    # ``finally: lock.release()`` must not leak its own token to the
+    # exceptional exit. Acquires do not — if acquire() raises, the
+    # lock was never taken.
+    if isinstance(effect, frozenset):
+        return _apply(state, effect)
+    return state
 
 
 class _HeldLockAnalysis:
@@ -191,124 +195,64 @@ class _HeldLockAnalysis:
         for stmt in ast.walk(func.node):
             if not isinstance(stmt, ast.Call):
                 continue
-            base = _release_base(stmt)
+            base = _method_base(stmt, "release")
             if base is not None:
                 result.add(base)
-            name = call_name(stmt)
-            if (func.cls is not None and name.startswith("self.")
-                    and name.count(".") == 1):
-                callee = self.project.resolve_method(
-                    func.cls.name, name.split(".", 1)[1])
-                if callee is not None \
-                        and callee.node is not func.node:
-                    result |= self.may_release(callee)
+            callee = self.project.self_callee(func.cls, stmt, func)
+            if callee is not None:
+                result |= self.may_release(callee)
         summary = frozenset(result)
         self._release_sets[id(func.node)] = summary
         return summary
 
     # -- transfer -------------------------------------------------------
 
-    def _node_effects(self, func: FunctionInfo, node_index: int
-                      ) -> List[Tuple[str, object]]:
-        """Ordered (effect, payload) list for one CFG node: acquire /
-        release / call-releases effects."""
-        cfg = func.cfg
-        node = cfg.nodes[node_index]
-        effects: List[Tuple[str, object]] = []
+    def effects(self, func: FunctionInfo, node: Node) -> List[_Effect]:
+        """Ordered lock effects of one CFG node of ``func``."""
         if node.kind == STMT and node.context_expr is not None \
                 and self.track_with:
             base = _receiver_base(node.context_expr)
             if self.classifier is None \
                     or self.classifier.is_lock(base):
-                effects.append(("acquire", (base, node.line, 0)))
-            return effects
+                return [(base, node.line, 0)]
+            return []
         if node.kind == WITH_EXIT:
             if self.track_with and node.context_expr is not None:
-                base = _receiver_base(node.context_expr)
-                effects.append(("release", base))
-            return effects
+                return [frozenset({_receiver_base(node.context_expr)})]
+            return []
         if node.stmt is None:
-            return effects
+            return []
+        effects: List[_Effect] = []
         for item in statement_calls(node.stmt):
             if not isinstance(item, ast.Call):
                 continue
-            base = _acquire_base(item)
+            base = _method_base(item, "acquire")
             if base is not None:
-                effects.append(
-                    ("acquire",
-                     (base, getattr(item, "lineno", 0),
-                      getattr(item, "col_offset", 0))))
+                effects.append((base, getattr(item, "lineno", 0),
+                                getattr(item, "col_offset", 0)))
                 continue
-            base = _release_base(item)
+            base = _method_base(item, "release")
             if base is not None:
-                effects.append(("release", base))
+                effects.append(frozenset({base}))
                 continue
-            name = call_name(item)
-            if (func.cls is not None and name.startswith("self.")
-                    and name.count(".") == 1):
-                callee = self.project.resolve_method(
-                    func.cls.name, name.split(".", 1)[1])
-                if callee is not None \
-                        and callee.node is not func.node:
-                    released = self.may_release(callee)
-                    if released:
-                        effects.append(("call-releases", released))
+            callee = self.project.self_callee(func.cls, item, func)
+            if callee is not None:
+                released = self.may_release(callee)
+                if released:
+                    effects.append(released)
         return effects
 
-    def apply(self, state: Set[_Held],
-              effect: Tuple[str, object]) -> None:
-        kind, payload = effect
-        if kind == "acquire":
-            assert isinstance(payload, tuple)
-            state.add(payload)
-        elif kind == "release":
-            assert isinstance(payload, str)
-            for held in [h for h in state if h[0] == payload]:
-                state.discard(held)
-        elif kind == "call-releases":
-            assert isinstance(payload, frozenset)
-            for held in [h for h in state if h[0] in payload]:
-                state.discard(held)
-
     def run(self, func: FunctionInfo) -> Dict[int, _HeldState]:
-        cfg = func.cfg
+        def events(node: Node) -> List[_Effect]:
+            return self.effects(func, node)
 
-        def transfer(index: int, state: _HeldState) -> _HeldState:
-            if state == _H_BOTTOM:
-                return state
-            current = set(state)
-            for effect in self._node_effects(func, index):
-                self.apply(current, effect)
-            return frozenset(current)
-
-        def exc_transfer(index: int,
-                         state: _HeldState) -> _HeldState:
-            # Releases (direct, via helper, or a with-block __exit__)
-            # still count on the exceptional edge: the raising
-            # statement in ``finally: lock.release()`` must not leak
-            # its own token to the exceptional exit. Acquires do not —
-            # if acquire() raises, the lock was never taken.
-            if state == _H_BOTTOM:
-                return state
-            current = set(state)
-            for effect in self._node_effects(func, index):
-                if effect[0] != "acquire":
-                    self.apply(current, effect)
-            return frozenset(current)
-
-        def join(a: _HeldState, b: _HeldState) -> _HeldState:
-            if a == _H_BOTTOM:
-                return b
-            if b == _H_BOTTOM:
-                return a
-            return a | b
-
-        return solve_forward(cfg, _H_EMPTY, transfer, join,
-                             _H_BOTTOM, exc_transfer=exc_transfer)
+        return solve_forward(
+            func.cfg, frozenset(), fold(func.cfg, events, _apply),
+            exc_transfer=fold(func.cfg, events, _apply_releases))
 
 
-@register_static_rule
-class AcquireWithoutGuaranteedRelease(StaticRule):
+@register_rule
+class AcquireWithoutGuaranteedRelease(Rule):
     """ACD002."""
 
     code = "ACD002"
@@ -322,22 +266,15 @@ class AcquireWithoutGuaranteedRelease(StaticRule):
         analysis = _HeldLockAnalysis(project)
         for func in project.functions:
             states = analysis.run(func)
-            cfg = func.cfg
             leaked: Dict[_Held, str] = {}
-            for exit_index, how in ((cfg.exit, "return"),
-                                    (cfg.raise_exit, "exception")):
-                state = states[exit_index]
-                if state == _H_BOTTOM:
-                    continue
-                for held in state:
+            for exit_index, how in ((func.cfg.exit, "return"),
+                                    (func.cfg.raise_exit, "exception")):
+                for held in states.get(exit_index, frozenset()):
                     leaked.setdefault(held, how)
             for held in sorted(leaked):
                 base, line, col = held
-                anchor = ast.Pass()
-                anchor.lineno = line
-                anchor.col_offset = col
                 yield self.violation(
-                    func, anchor,
+                    func, ast.Pass(lineno=line, col_offset=col),
                     f"{base}.acquire() in {func.name}() may reach a "
                     f"{leaked[held]} exit without release; use "
                     f"async with or try/finally")
@@ -351,15 +288,15 @@ def _await_targets(stmt: ast.AST) -> Iterator[Tuple[ast.Await, str]]:
         value = item.value
         if isinstance(value, ast.Call):
             name = call_name(value)
-            if _last_segment(name) in UNBOUNDED_AWAIT_NAMES:
+            if callee_name(value) in UNBOUNDED_AWAIT_NAMES:
                 yield item, f"{name}()"
         elif isinstance(value, (ast.Name, ast.Attribute)):
             # A bare future/task: unbounded unless externally timed.
             yield item, receiver_text(value)
 
 
-@register_static_rule
-class UnboundedAwaitHoldingLock(StaticRule):
+@register_rule
+class UnboundedAwaitHoldingLock(Rule):
     """ACD003."""
 
     code = "ACD003"
@@ -375,13 +312,11 @@ class UnboundedAwaitHoldingLock(StaticRule):
                                      classifier=classifier)
         for func in _own_async_functions(project):
             states = analysis.run(func)
-            cfg = func.cfg
-            for node in cfg.nodes:
-                state = states[node.index]
-                if state == _H_BOTTOM or node.stmt is None:
+            for node in func.cfg.nodes:
+                if node.stmt is None or node.index not in states:
                     continue
                 held_locks = sorted(
-                    {h[0] for h in state
+                    {h[0] for h in states[node.index]
                      if classifier.is_lock(h[0])})
                 if not held_locks:
                     continue
@@ -396,7 +331,6 @@ class UnboundedAwaitHoldingLock(StaticRule):
 #: Tracked binding: (local name, self attribute, went stale).
 _Bind = Tuple[str, str, bool]
 _BindState = FrozenSet[_Bind]
-_B_BOTTOM: _BindState = frozenset({("<unreached>", "", False)})
 
 
 def _self_attr_reads(value: ast.expr) -> Set[str]:
@@ -410,13 +344,35 @@ def _self_attr_reads(value: ast.expr) -> Set[str]:
     return attrs
 
 
-def _has_await(stmt: ast.AST) -> bool:
-    return any(isinstance(item, ast.Await)
-               for item in statement_calls(stmt))
+def _rmw_events(node: Node) -> List[ast.AST]:
+    """ACD004's events of one node: its first await, if any, then the
+    statement itself when it is an assignment."""
+    if node.stmt is None:
+        return []
+    events: List[ast.AST] = [item for item in statement_calls(node.stmt)
+                             if isinstance(item, ast.Await)][:1]
+    if isinstance(node.stmt, ast.Assign):
+        events.append(node.stmt)
+    return events
 
 
-@register_static_rule
-class StaleReadModifyWrite(StaticRule):
+def _rmw_step(state: _BindState, event: ast.AST) -> _BindState:
+    if isinstance(event, ast.Await):
+        return frozenset((name, attr, True)
+                         for name, attr, _stale in state)
+    if not (isinstance(event, ast.Assign) and len(event.targets) == 1
+            and isinstance(event.targets[0], ast.Name)):
+        return state
+    local = event.targets[0].id
+    reads = _self_attr_reads(event.value)
+    rebound = {bind for bind in state if bind[0] != local}
+    if len(reads) == 1:
+        rebound.add((local, reads.pop(), False))
+    return frozenset(rebound)
+
+
+@register_rule
+class StaleReadModifyWrite(Rule):
     """ACD004."""
 
     code = "ACD004"
@@ -428,73 +384,26 @@ class StaleReadModifyWrite(StaticRule):
     def check_project(self,
                       project: Project) -> Iterator[LintViolation]:
         for func in _own_async_functions(project):
-            yield from self._check_function(func)
-
-    def _check_function(
-            self, func: FunctionInfo) -> Iterator[LintViolation]:
-        cfg = func.cfg
-
-        def transfer(index: int,
-                     state: _BindState) -> _BindState:
-            if state == _B_BOTTOM:
-                return state
-            node = cfg.nodes[index]
-            if node.stmt is None:
-                return state
-            return frozenset(self._step(node.stmt, set(state)))
-
-        def join(a: _BindState, b: _BindState) -> _BindState:
-            if a == _B_BOTTOM:
-                return b
-            if b == _B_BOTTOM:
-                return a
-            return a | b
-
-        states = solve_forward(cfg, frozenset(), transfer, join,
-                               _B_BOTTOM)
-        for node in cfg.nodes:
-            state = states[node.index]
-            if state == _B_BOTTOM or node.stmt is None:
-                continue
-            yield from self._report(func, node.stmt, set(state))
-
-    def _step(self, stmt: ast.AST,
-              state: Set[_Bind]) -> Set[_Bind]:
-        if _has_await(stmt):
-            state = {(name, attr, True)
-                     for name, attr, _stale in state}
-        if not isinstance(stmt, ast.Assign):
-            return state
-        if len(stmt.targets) == 1 \
-                and isinstance(stmt.targets[0], ast.Name):
-            local = stmt.targets[0].id
-            state = {bind for bind in state if bind[0] != local}
-            reads = _self_attr_reads(stmt.value)
-            if len(reads) == 1:
-                state.add((local, reads.pop(), False))
-        return state
-
-    def _report(self, func: FunctionInfo, stmt: ast.AST,
-                state: Set[_Bind]) -> Iterator[LintViolation]:
-        if _has_await(stmt):
-            state = {(name, attr, True)
-                     for name, attr, _stale in state}
-        if not isinstance(stmt, ast.Assign):
-            return
-        target = stmt.targets[0] if len(stmt.targets) == 1 else None
-        if not (isinstance(target, ast.Attribute)
-                and isinstance(target.value, ast.Name)
-                and target.value.id == "self"):
-            return
-        written = target.attr
-        used = {node.id for node in ast.walk(stmt.value)
-                if isinstance(node, ast.Name)}
-        for name, attr, stale in sorted(state):
-            if stale and attr == written and name in used:
-                yield self.violation(
-                    func, stmt,
-                    f"self.{written} is written from local "
-                    f"{name!r} that was read from self.{attr} "
-                    f"before an await — another task may have "
-                    f"updated it; re-read after the await or hold "
-                    f"the owning lock across it")
+            states = solve_forward(func.cfg, frozenset(),
+                                   fold(func.cfg, _rmw_events, _rmw_step))
+            for _node, event, binds in replay(func.cfg, states,
+                                              _rmw_events, _rmw_step):
+                if not (isinstance(event, ast.Assign)
+                        and len(event.targets) == 1):
+                    continue
+                target = event.targets[0]
+                if not (isinstance(target, ast.Attribute)
+                        and isinstance(target.value, ast.Name)
+                        and target.value.id == "self"):
+                    continue
+                used = {node.id for node in ast.walk(event.value)
+                        if isinstance(node, ast.Name)}
+                for name, attr, stale in sorted(binds):
+                    if stale and attr == target.attr and name in used:
+                        yield self.violation(
+                            func, event,
+                            f"self.{target.attr} is written from local "
+                            f"{name!r} that was read from self.{attr} "
+                            f"before an await — another task may have "
+                            f"updated it; re-read after the await or "
+                            f"hold the owning lock across it")

@@ -5,14 +5,16 @@ insert path stores via ``FixedSlotPool.write_slot`` and syncs via
 ``VarlenPool.sync_many``, so purely intraprocedural analysis would be
 blind. This module builds a light project-wide model:
 
-* every module's AST (reusing :class:`repro.lint.framework.SourceFile`
-  so ``# noqa`` waivers keep working);
+* every module's AST (the rule engine's
+  :class:`~repro.lint.framework.SourceFile`, so ``# noqa`` waivers and
+  the loader are the same for every rule family);
 * every class with its methods, resolved base classes (by unique
   simple name within the project) and an MRO approximation;
 * ``self.method(...)`` call resolution in the context of a *concrete*
-  class, walking that class's MRO — which is exactly how the engine
-  hierarchy dispatches (``StorageEngine.commit`` → the registered
-  engine's ``_do_commit``);
+  class, walking that class's MRO (:meth:`Project.self_callee`) —
+  which is exactly how the engine hierarchy dispatches
+  (``StorageEngine.commit`` → the registered engine's
+  ``_do_commit``);
 * simple class-attribute lookup through the MRO (used to find engines
   with ``is_nvm_aware = True``).
 
@@ -26,14 +28,14 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import (Dict, Iterable, List, Optional, Sequence, Union)
+from typing import Dict, Iterable, List, Optional, Sequence, Union
 
-from repro.lint.framework import SourceFile
+from repro.lint.framework import SourceFile, iter_source_files
 
 from .cfg import CFG, FunctionNode, build_cfg
 
 __all__ = ["ClassInfo", "FunctionInfo", "Project", "build_project",
-           "call_name", "receiver_text"]
+           "call_name", "callee_name", "receiver_text"]
 
 
 def call_name(call: ast.Call) -> str:
@@ -51,6 +53,12 @@ def call_name(call: ast.Call) -> str:
     else:
         parts.append("?")
     return ".".join(reversed(parts))
+
+
+def callee_name(call: ast.Call) -> str:
+    """Last segment of :func:`call_name`: ``self._memory.sync`` →
+    ``sync`` — what the name-based rule vocabularies match on."""
+    return call_name(call).rsplit(".", 1)[-1]
 
 
 def receiver_text(node: ast.expr) -> str:
@@ -203,6 +211,20 @@ class Project:
                 return info.methods[method]
         return None
 
+    def self_callee(self, context: Optional[ClassInfo], call: ast.Call,
+                    caller: FunctionInfo) -> Optional[FunctionInfo]:
+        """The method a ``self.m(...)`` call in ``caller`` reaches when
+        ``self`` is a ``context`` instance; ``None`` for any other call,
+        an unresolved name, or ``caller`` calling itself."""
+        name = call_name(call)
+        if (context is None or not name.startswith("self.")
+                or name.count(".") != 1):
+            return None
+        callee = self.resolve_method(context.name, name[len("self."):])
+        if callee is None or callee.node is caller.node:
+            return None
+        return callee
+
     def class_attr(self, cls_name: str, attr: str) -> object:
         """A simple class attribute through the MRO, else ``None``."""
         for info in self.mro(cls_name):
@@ -219,29 +241,6 @@ class Project:
         return out
 
 
-def build_project(
-        paths: Iterable[Union[str, Path]]) -> Project:
-    """Read every ``*.py`` under ``paths`` into a :class:`Project`.
-
-    Unparseable files are skipped (the analyzer must not crash on a
-    half-written module; the syntax error will surface in tests and
-    plain linting anyway).
-    """
-    files: List[SourceFile] = []
-    seen: set = set()
-    for raw in paths:
-        path = Path(raw)
-        if path.is_dir():
-            candidates = sorted(path.rglob("*.py"))
-        else:
-            candidates = [path]
-        for candidate in candidates:
-            key = str(candidate.resolve())
-            if key in seen:
-                continue
-            seen.add(key)
-            try:
-                files.append(SourceFile.read(candidate))
-            except SyntaxError:
-                continue
-    return Project(files)
+def build_project(paths: Iterable[Union[str, Path]]) -> Project:
+    """Read every ``*.py`` under ``paths`` into a :class:`Project`."""
+    return Project(iter_source_files(paths))

@@ -31,7 +31,7 @@ flush; ``sfence`` = fence), so helper calls through pool/allocator
 facades classify without type inference. ``self.method()`` calls
 resolve through the class hierarchy and contribute a summary
 (clears-all / may-exit-dirty / may-hit-marker-unguarded), computed
-bottom-up with a neutral assumption on recursion.
+callees first with a neutral assumption on recursion.
 
 Approximations, chosen to keep the gate false-positive-free:
 
@@ -47,15 +47,15 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import (Callable, Dict, FrozenSet, Iterator, List, Optional,
+                    Tuple, Union)
 
-from repro.lint.framework import LintViolation
+from repro.lint.framework import LintViolation, Rule, register_rule
 
-from .callgraph import (ClassInfo, FunctionInfo, Project, call_name,
+from .callgraph import (ClassInfo, FunctionInfo, Project, callee_name,
                         receiver_text)
-from .cfg import statement_calls
-from .dataflow import solve_forward
-from .runner import StaticRule, register_static_rule
+from .cfg import Node, statement_calls
+from .dataflow import fold, replay, solve_forward
 
 __all__ = ["SDA_ROOT_METHODS"]
 
@@ -78,11 +78,6 @@ _INHERITED: Token = (-1, -1, "<caller store>")
 
 State = FrozenSet[Token]
 _EMPTY: State = frozenset()
-_BOTTOM: State = frozenset({(-2, -2, "<unreached>")})
-
-
-def _last_segment(name: str) -> str:
-    return name.rsplit(".", 1)[-1]
 
 
 def _set_state_syncs(call: ast.Call) -> bool:
@@ -112,7 +107,7 @@ class _Event:
 
 
 def classify(call: ast.Call) -> List[_Event]:
-    name = _last_segment(call_name(call))
+    name = callee_name(call)
     line = getattr(call, "lineno", 0)
     col = getattr(call, "col_offset", 0)
     if name in STORE_NAMES:
@@ -144,24 +139,21 @@ class _CallEvent(_Event):
 
 
 def node_events(project: Project, func: FunctionInfo,
-                context: Optional[ClassInfo],
-                stmt: ast.AST) -> List[_Event]:
-    """Classified events of one CFG statement, with ``self.m()`` calls
+                context: Optional[ClassInfo], node: Node) -> List[_Event]:
+    """Classified events of one CFG node, with ``self.m()`` calls
     resolved through ``context``'s MRO into ``call`` events carrying
     the callee."""
     events: List[_Event] = []
-    for node in statement_calls(stmt):
-        if not isinstance(node, ast.Call):
+    if node.stmt is None:
+        return events
+    for item in statement_calls(node.stmt):
+        if not isinstance(item, ast.Call):
             continue
-        name = call_name(node)
-        if (context is not None and name.startswith("self.")
-                and name.count(".") == 1):
-            callee = project.resolve_method(context.name,
-                                            name.split(".", 1)[1])
-            if callee is not None and callee.node is not func.node:
-                events.append(_CallEvent(node, callee))
-                continue
-        events.extend(classify(node))
+        callee = project.self_callee(context, item, func)
+        if callee is not None:
+            events.append(_CallEvent(item, callee))
+        else:
+            events.extend(classify(item))
     return events
 
 
@@ -192,60 +184,39 @@ class PendingStoreAnalysis:
         self._summaries: Dict[Tuple[int, str], Summary] = {}
         self._in_progress: set = set()
 
-    # -- events ---------------------------------------------------------
+    def _flow(self, func: FunctionInfo, context: Optional[ClassInfo]
+              ) -> Tuple[Callable[[Node], List[_Event]],
+                         Callable[[State, _Event], State]]:
+        """The ``events``/``step`` pair of ``func`` run as a method of
+        ``context``."""
+        def events(node: Node) -> List[_Event]:
+            return node_events(self.project, func, context, node)
 
-    def _events(self, func: FunctionInfo,
-                context: Optional[ClassInfo],
-                node_index: int) -> List[_Event]:
-        cfg = func.cfg
-        node = cfg.nodes[node_index]
-        if node.stmt is None:
-            return []
-        return node_events(self.project, func, context, node.stmt)
-
-    # -- transfer -------------------------------------------------------
-
-    def _transfer(self, func: FunctionInfo,
-                  context: Optional[ClassInfo],
-                  node_index: int, state: State) -> State:
-        if state == _BOTTOM:
-            return state
-        current = set(state)
-        for event in self._events(func, context, node_index):
+        def step(state: State, event: _Event) -> State:
             if event.kind == "store" and event.token is not None:
-                current.add(event.token)
-            elif event.kind in ("sync", "fence", "marker"):
+                return state | {event.token}
+            if event.kind in ("sync", "fence", "marker"):
                 # sync = flush+fence; the marker primitive syncs its
                 # own cache line and fences, closing the epoch.
-                current.clear()
-            elif isinstance(event, _CallEvent):
+                return _EMPTY
+            if isinstance(event, _CallEvent):
                 summary = self.summary(event.callee, context)
                 if summary.clears_all:
-                    current.clear()
+                    state = _EMPTY
                 if summary.may_exit_dirty:
                     line = getattr(event.call, "lineno", 0)
                     col = getattr(event.call, "col_offset", 0)
-                    current.add(
-                        (line, col,
-                         f"via {event.callee.qualname}()"))
-        return frozenset(current)
+                    state = state | {
+                        (line, col, f"via {event.callee.qualname}()")}
+            return state
+
+        return events, step
 
     def run(self, func: FunctionInfo,
             context: Optional[ClassInfo]) -> Dict[int, State]:
-        cfg = func.cfg
-
-        def transfer(index: int, state: State) -> State:
-            return self._transfer(func, context, index, state)
-
-        def join(a: State, b: State) -> State:
-            if a == _BOTTOM:
-                return b
-            if b == _BOTTOM:
-                return a
-            return a | b
-
-        return solve_forward(cfg, frozenset({_INHERITED}), transfer,
-                             join, _BOTTOM)
+        events, step = self._flow(func, context)
+        return solve_forward(func.cfg, frozenset({_INHERITED}),
+                             fold(func.cfg, events, step))
 
     # -- summaries ------------------------------------------------------
 
@@ -270,67 +241,35 @@ class PendingStoreAnalysis:
     def _summarise(self, func: FunctionInfo,
                    context: Optional[ClassInfo],
                    states: Dict[int, State]) -> Summary:
-        cfg = func.cfg
-        exit_state = states[cfg.exit]
-        clears_all = (exit_state == _BOTTOM
-                      or _INHERITED not in exit_state)
-        may_exit_dirty = (exit_state != _BOTTOM
-                          and any(token != _INHERITED
-                                  for token in exit_state))
-        may_marker = False
-        for _marker, pending in self.dirty_markers(func, context,
-                                                   states):
-            if _INHERITED in pending:
-                may_marker = True
-                break
+        exit_state = states.get(func.cfg.exit)
+        if exit_state is None:      # never returns normally
+            clears_all, may_exit_dirty = True, False
+        else:
+            clears_all = _INHERITED not in exit_state
+            may_exit_dirty = any(token != _INHERITED
+                                 for token in exit_state)
+        may_marker = any(_INHERITED in pending for _marker, pending
+                         in self.dirty_markers(func, context, states))
         return Summary(clears_all, may_exit_dirty, may_marker)
 
-    # -- reporting helpers ----------------------------------------------
+    # -- reporting ------------------------------------------------------
 
     def dirty_markers(self, func: FunctionInfo,
                       context: Optional[ClassInfo],
                       states: Dict[int, State]
                       ) -> Iterator[Tuple[ast.Call, State]]:
-        """(marker call, pending stores when it executes) pairs,
-        replaying each statement's events against its IN state."""
-        cfg = func.cfg
-        for node in cfg.nodes:
-            state = states[node.index]
-            if state == _BOTTOM or node.stmt is None:
-                continue
-            current = set(state)
-            for event in self._events(func, context, node.index):
-                if event.kind == "marker" and current:
-                    yield event.call, frozenset(current)
-                if event.kind == "store" and event.token is not None:
-                    current.add(event.token)
-                elif event.kind in ("sync", "fence", "marker"):
-                    current.clear()
-                elif isinstance(event, _CallEvent):
-                    summary = self.summary(event.callee, context)
-                    if summary.may_marker_unguarded and current:
-                        yield event.call, frozenset(current)
-                    if summary.clears_all:
-                        current.clear()
-                    if summary.may_exit_dirty:
-                        line = getattr(event.call, "lineno", 0)
-                        col = getattr(event.call, "col_offset", 0)
-                        current.add(
-                            (line, col,
-                             f"via {event.callee.qualname}()"))
+        """(marker call, pending stores when it executes) pairs: a
+        marker, or a call whose callee may reach one unguarded."""
+        events, step = self._flow(func, context)
+        for _node, event, pending in replay(func.cfg, states, events, step):
+            if pending and (event.kind == "marker" or (
+                    isinstance(event, _CallEvent) and self.summary(
+                        event.callee, context).may_marker_unguarded)):
+                yield event.call, pending
 
 
-def _function_contexts(
-        project: Project) -> Iterator[Tuple[FunctionInfo,
-                                            Optional[ClassInfo]]]:
-    """Every function, in its defining class's context (or module
-    scope). Nested defs are not indexed — their CFGs never run here."""
-    for func in project.functions:
-        yield func, func.cls
-
-
-@register_static_rule
-class StoreReachesMarkerUnsynced(StaticRule):
+@register_rule
+class StoreReachesMarkerUnsynced(Rule):
     """SDA001."""
 
     code = "SDA001"
@@ -342,18 +281,14 @@ class StoreReachesMarkerUnsynced(StaticRule):
     def check_project(self,
                       project: Project) -> Iterator[LintViolation]:
         analysis = PendingStoreAnalysis(project)
-        for func, context in _function_contexts(project):
-            states = analysis.run(func, context)
+        for func in project.functions:
+            states = analysis.run(func, func.cls)
             seen: set = set()
             for marker, pending in analysis.dirty_markers(
-                    func, context, states):
-                for token in sorted(pending):
-                    if token == _INHERITED:
-                        continue
-                    if token in seen:
-                        continue
-                    seen.add(token)
-                    line, _col, label = token
+                    func, func.cls, states):
+                fresh = sorted(pending - seen - {_INHERITED})
+                seen.update(fresh)
+                for line, _col, label in fresh:
                     yield self.violation(
                         func, marker,
                         f"store {label} at line {line} may reach "
@@ -361,8 +296,8 @@ class StoreReachesMarkerUnsynced(StaticRule):
                         f"sync/sfence on some path")
 
 
-@register_static_rule
-class DirtyStoreAtDurabilityExit(StaticRule):
+@register_rule
+class DirtyStoreAtDurabilityExit(Rule):
     """SDA002."""
 
     code = "SDA002"
@@ -377,23 +312,15 @@ class DirtyStoreAtDurabilityExit(StaticRule):
         analysis = PendingStoreAnalysis(project)
         seen: set = set()
         for cls, func in self._roots(project):
-            states = analysis.run(func, cls)
-            exit_state = states[func.cfg.exit]
-            if exit_state == _BOTTOM:
-                continue
-            for token in sorted(exit_state):
-                if token == _INHERITED:
-                    continue
-                line, col, label = token
+            exit_state = analysis.run(func, cls).get(func.cfg.exit,
+                                                     _EMPTY)
+            for line, col, label in sorted(exit_state - {_INHERITED}):
                 key = (func.file.path, line, col)
                 if key in seen:
                     continue
                 seen.add(key)
-                anchor = ast.Pass()
-                anchor.lineno = line
-                anchor.col_offset = col
                 yield self.violation(
-                    func, anchor,
+                    func, ast.Pass(lineno=line, col_offset=col),
                     f"store {label} may still be unsynced when "
                     f"{cls.name}.{func.name}() returns — the engine "
                     f"reports durable state a crash can lose")
@@ -417,8 +344,21 @@ class DirtyStoreAtDurabilityExit(StaticRule):
                 yield cls, func
 
 
-@register_static_rule
-class RedundantDoubleFlush(StaticRule):
+#: SDA003's events: the names a statement rebinds, then its calls.
+_FlushEvent = Union[List[str], _Event]
+
+
+def _flush_key(event: _FlushEvent) -> Optional[str]:
+    """``sync(a, n)``-style source text of a flush/sync event."""
+    if isinstance(event, list) or event.kind not in ("sync", "flush"):
+        return None
+    call = event.call
+    args = ", ".join(receiver_text(arg) for arg in call.args)
+    return f"{callee_name(call)}({args})"
+
+
+@register_rule
+class RedundantDoubleFlush(Rule):
     """SDA003."""
 
     code = "SDA003"
@@ -429,83 +369,41 @@ class RedundantDoubleFlush(StaticRule):
 
     def check_project(self,
                       project: Project) -> Iterator[LintViolation]:
-        for func, context in _function_contexts(project):
-            yield from self._check_function(project, func, context)
+        for func in project.functions:
+            yield from self._check_function(project, func)
 
-    def _check_function(self, project: Project, func: FunctionInfo,
-                        context: Optional[ClassInfo]
+    def _check_function(self, project: Project, func: FunctionInfo
                         ) -> Iterator[LintViolation]:
-        cfg = func.cfg
-        bottom = frozenset({"<unreached>"})
+        def events(node: Node) -> List[_FlushEvent]:
+            names = _assigned_names(node.stmt)
+            calls = node_events(project, func, func.cls, node)
+            return [names, *calls] if names else [*calls]
 
-        def events(index: int) -> List[_Event]:
-            node = cfg.nodes[index]
-            if node.stmt is None:
-                return []
-            return node_events(project, func, context, node.stmt)
+        def step(flushed: FrozenSet[str],
+                 event: _FlushEvent) -> FrozenSet[str]:
+            if isinstance(event, list):
+                # A rebound name invalidates every key mentioning it.
+                return frozenset(
+                    key for key in flushed
+                    if not any(_mentions(key, name) for name in event))
+            key = _flush_key(event)
+            if key is not None:
+                return flushed | {key}
+            if event.kind in ("store", "marker", "call", "other"):
+                return frozenset()
+            return flushed
 
-        def flush_key(event: _Event) -> Optional[str]:
-            if event.kind not in ("sync", "flush"):
-                return None
-            call = event.call
-            name = _last_segment(call_name(call))
-            args = ", ".join(receiver_text(arg) for arg in call.args)
-            return f"{name}({args})"
-
-        def invalidated(state: set, stmt_targets: List[str]) -> set:
-            if not stmt_targets:
-                return state
-            return {key for key in state
-                    if not any(_mentions(key, name)
-                               for name in stmt_targets)}
-
-        def transfer(index: int,
-                     state: FrozenSet[str]) -> FrozenSet[str]:
-            if state == bottom:
-                return state
-            node = cfg.nodes[index]
-            current = set(state)
-            current = invalidated(current,
-                                  _assigned_names(node.stmt))
-            for event in events(index):
-                key = flush_key(event)
-                if key is not None:
-                    current.add(key)
-                elif event.kind in ("store", "marker", "call",
-                                    "other"):
-                    current.clear()
-            return frozenset(current)
-
-        def join(a: FrozenSet[str],
-                 b: FrozenSet[str]) -> FrozenSet[str]:
-            if a == bottom:
-                return b
-            if b == bottom:
-                return a
-            return a | b
-
-        states = solve_forward(cfg, frozenset(), transfer, join,
-                               bottom)
-        for node in cfg.nodes:
-            state = states[node.index]
-            if state == bottom or node.stmt is None:
-                continue
-            current = set(state)
-            current = invalidated(current,
-                                  _assigned_names(node.stmt))
-            for event in events(node.index):
-                key = flush_key(event)
-                if key is not None:
-                    if key in current:
-                        yield self.violation(
-                            func, event.call,
-                            f"range {key} was already flushed with "
-                            f"no intervening store — the second "
-                            f"flush re-pays flush+fence latency")
-                    current.add(key)
-                elif event.kind in ("store", "marker", "call",
-                                    "other"):
-                    current.clear()
+        states = solve_forward(func.cfg, frozenset(),
+                               fold(func.cfg, events, step))
+        for _node, event, flushed in replay(func.cfg, states, events,
+                                            step):
+            key = _flush_key(event)
+            if isinstance(event, _Event) and key in flushed:
+                yield self.violation(
+                    func, event.call,
+                    f"range {key} was already flushed with no "
+                    f"intervening store — the second flush re-pays "
+                    f"flush+fence latency")
 
 
 def _mentions(key: str, name: str) -> bool:
@@ -535,8 +433,8 @@ def _assigned_names(stmt: Optional[ast.AST]) -> List[str]:
     return names
 
 
-@register_static_rule
-class FenceWithoutFlush(StaticRule):
+@register_rule
+class FenceWithoutFlush(Rule):
     """SDA004."""
 
     code = "SDA004"
@@ -550,50 +448,30 @@ class FenceWithoutFlush(StaticRule):
 
     def check_project(self,
                       project: Project) -> Iterator[LintViolation]:
-        for func, context in _function_contexts(project):
+        for func in project.functions:
             if func.name in self._WRAPPERS:
                 continue
-            yield from self._check_function(project, func, context)
+            yield from self._check_function(project, func)
 
-    def _check_function(self, project: Project, func: FunctionInfo,
-                        context: Optional[ClassInfo]
+    def _check_function(self, project: Project, func: FunctionInfo
                         ) -> Iterator[LintViolation]:
-        cfg = func.cfg
-        # State: 0 = unreached, 1 = no flush since last fence,
-        # 2 = may have flushed. join = max (may-analysis).
+        # State: may something have flushed since the last fence?
+        # Join = or (may-analysis).
 
-        def events(index: int) -> List[_Event]:
-            node = cfg.nodes[index]
-            if node.stmt is None:
-                return []
-            return node_events(project, func, context, node.stmt)
+        def events(node: Node) -> List[_Event]:
+            return node_events(project, func, func.cls, node)
 
-        def step(state: int, event: _Event) -> int:
-            if event.kind in ("flush", "store", "sync", "marker",
-                              "call", "other"):
-                # Any call may flush; stores make a future fence
-                # meaningful in the write-through model.
-                return 2
-            if event.kind == "fence":
-                return 1
-            return state
+        def step(flushed: bool, event: _Event) -> bool:
+            # Any call may flush; stores make a future fence
+            # meaningful in the write-through model.
+            return event.kind != "fence"
 
-        def transfer(index: int, state: int) -> int:
-            if state == 0:
-                return 0
-            for event in events(index):
-                state = step(state, event)
-            return state
-
-        states = solve_forward(cfg, 1, transfer, max, 0)
-        for node in cfg.nodes:
-            state = states[node.index]
-            if state == 0 or node.stmt is None:
-                continue
-            for event in events(node.index):
-                if event.kind == "fence" and state == 1:
-                    yield self.violation(
-                        func, event.call,
-                        f"sfence in {func.name}() with no preceding "
-                        f"flush on any path — it orders nothing")
-                state = step(state, event)
+        states = solve_forward(func.cfg, False,
+                               fold(func.cfg, events, step))
+        for _node, event, flushed in replay(func.cfg, states, events,
+                                            step):
+            if event.kind == "fence" and not flushed:
+                yield self.violation(
+                    func, event.call,
+                    f"sfence in {func.name}() with no preceding "
+                    f"flush on any path — it orders nothing")

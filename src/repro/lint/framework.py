@@ -1,16 +1,24 @@
-"""Lint framework: source model, rule registry, noqa waivers, runner.
+"""The rule engine behind ``repro lint`` and ``repro analyze``.
 
-The framework mirrors how ruff plugins are structured — a rule is a
-class with a stable code and a ``check`` hook yielding violations —
-but is built purely on the stdlib :mod:`ast` module so it runs in the
-bare container (no third-party linter install).
+One engine serves every static rule family: the per-file/project
+``LNT`` lint rules and the path-sensitive ``SDA``/``ACD`` dataflow
+rules. It is built purely on the stdlib :mod:`ast` module (ruff-plugin
+style — a rule is a class with a stable code and a hook yielding
+violations) so it runs in the bare container.
 
-Two rule scopes exist:
-
-* **file** rules inspect one parsed module at a time;
-* **project** rules see every scanned module at once (needed for the
-  fault-point registry cross-check, where registrations and fire sites
-  live in different files).
+* **Loading** — :func:`iter_source_files` expands paths into parsed
+  :class:`SourceFile`\\ s, decoding each file the way the interpreter
+  does (PEP 263 cookie, UTF-8 BOM). A file that cannot be decoded or
+  parsed is an error naming it, never a silent skip.
+* **Rules** — subclass :class:`Rule`, set ``code``/``name``/
+  ``description`` and decorate with :func:`register_rule`. A rule sees
+  the whole :class:`~repro.analysis.static.callgraph.Project` through
+  :meth:`Rule.check_project`; a per-file rule overrides
+  :meth:`Rule.check`, which the base runs over ``project.files``.
+* **Families** — a family is a tuple of code prefixes: :data:`LINT`
+  for ``repro lint``, :data:`ANALYZE` for ``repro analyze``.
+  :func:`run_rules` runs one family (or a ``select``-ed subset of it),
+  applies waivers and sorts; :func:`rule_catalogue` lists it.
 
 Waivers: a ``# noqa`` comment on the flagged physical line suppresses
 every code; ``# noqa: LNT001`` (comma-separated list allowed)
@@ -21,13 +29,22 @@ from __future__ import annotations
 
 import ast
 import re
+import tokenize
 from dataclasses import dataclass
 from pathlib import Path
-from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
-                    Set, Type, Union)
+from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List,
+                    Optional, Set, Tuple, Type, Union)
 
-__all__ = ["LintViolation", "Rule", "RULE_REGISTRY", "SourceFile",
-           "lint_files", "lint_paths", "register_rule"]
+if TYPE_CHECKING:  # the project model imports this module
+    from repro.analysis.static.callgraph import FunctionInfo, Project
+
+__all__ = ["ANALYZE", "LINT", "LintViolation", "Rule", "RULE_REGISTRY",
+           "SourceFile", "iter_source_files", "register_rule",
+           "rule_catalogue", "run_rules"]
+
+#: Rule families, as code prefixes.
+LINT: Tuple[str, ...] = ("LNT",)
+ANALYZE: Tuple[str, ...] = ("SDA", "ACD")
 
 _NOQA = re.compile(
     r"#\s*noqa(?::\s*(?P<codes>[A-Z]+\d+(?:\s*,\s*[A-Z]+\d+)*))?",
@@ -87,7 +104,13 @@ class SourceFile:
 
     @classmethod
     def read(cls, path: Union[str, Path]) -> "SourceFile":
-        return cls(path, Path(path).read_text())
+        """Decode and parse ``path`` as the interpreter would; a decode
+        or syntax error becomes a :class:`ValueError` naming the file."""
+        try:
+            with tokenize.open(path) as handle:
+                return cls(path, handle.read())
+        except (SyntaxError, ValueError) as error:
+            raise ValueError(f"{path}: {error}") from error
 
     def waives(self, violation: LintViolation) -> bool:
         codes = self.noqa.get(violation.line, frozenset())
@@ -95,28 +118,35 @@ class SourceFile:
 
 
 class Rule:
-    """Base class for lint rules. Subclasses set ``code``, ``name``,
-    ``description`` and override :meth:`check` (file scope) or
-    :meth:`check_project` (project scope, ``project_wide = True``)."""
+    """Base class for every rule. Subclasses set ``code``, ``name``,
+    ``description`` and override :meth:`check_project`, or
+    :meth:`check` for a rule that looks at one file at a time."""
 
     code: str = ""
     name: str = ""
     description: str = ""
-    project_wide: bool = False
+
+    def check_project(self,
+                      project: Project) -> Iterator[LintViolation]:
+        for file in project.files:
+            yield from self.check(file)
 
     def check(self, file: SourceFile) -> Iterator[LintViolation]:
         return iter(())
 
-    def check_project(
-            self, files: Sequence[SourceFile]) -> Iterator[LintViolation]:
-        return iter(())
-
-    def violation(self, file: SourceFile, node: ast.AST,
-                  message: str) -> LintViolation:
+    def violation(self, where: Union[SourceFile, FunctionInfo],
+                  node: ast.AST, message: str) -> LintViolation:
+        """A finding at ``node``, in a file or in a function (whose
+        qualname anchors the baseline fingerprint)."""
+        if isinstance(where, SourceFile):
+            path, line, symbol = where.path, 1, ""
+        else:
+            path, line = where.file.path, where.node.lineno
+            symbol = where.qualname
         return LintViolation(
-            code=self.code, message=message, path=file.path,
-            line=getattr(node, "lineno", 1),
-            col=getattr(node, "col_offset", 0))
+            code=self.code, message=message, path=path,
+            line=getattr(node, "lineno", line),
+            col=getattr(node, "col_offset", 0), symbol=symbol)
 
 
 #: code -> rule class; populated by :func:`register_rule`.
@@ -153,36 +183,32 @@ def iter_source_files(
     return files
 
 
-def lint_files(files: Sequence[SourceFile],
-               select: Optional[Iterable[str]] = None
-               ) -> List[LintViolation]:
-    """Run all registered (or ``select``-ed) rules over ``files``,
-    apply noqa waivers, return violations sorted by location."""
-    wanted = None if select is None else {code.upper()
-                                          for code in select}
-    unknown = (wanted or set()) - set(RULE_REGISTRY)
-    if unknown:
-        raise ValueError(
-            f"unknown rule codes: {', '.join(sorted(unknown))}; "
-            f"choose from {', '.join(sorted(RULE_REGISTRY))}")
-    by_path = {file.path: file for file in files}
-    violations: List[LintViolation] = []
-    for code in sorted(RULE_REGISTRY):
-        if wanted is not None and code not in wanted:
-            continue
-        rule = RULE_REGISTRY[code]()
-        if rule.project_wide:
-            violations.extend(rule.check_project(files))
-        else:
-            for file in files:
-                violations.extend(rule.check(file))
-    kept = [violation for violation in violations
-            if not by_path[violation.path].waives(violation)]
+def rule_catalogue(family: Tuple[str, ...]) -> Dict[str, Tuple[str, str]]:
+    """code -> (name, description) for one family, in code order."""
+    return {code: (cls.name, cls.description)
+            for code, cls in sorted(RULE_REGISTRY.items())
+            if code.startswith(family)}
+
+
+def run_rules(project: Project, family: Tuple[str, ...],
+              select: Optional[Iterable[str]] = None
+              ) -> List[LintViolation]:
+    """Run ``family``'s rules (or the ``select``-ed ones) over
+    ``project``, drop waived findings, return them sorted by
+    location."""
+    codes = list(rule_catalogue(family))
+    if select is not None:
+        wanted = {code.upper() for code in select}
+        unknown = wanted - set(codes)
+        if unknown:
+            raise ValueError(
+                f"unknown rule codes: {', '.join(sorted(unknown))}; "
+                f"choose from {', '.join(codes)}")
+        codes = [code for code in codes if code in wanted]
+    by_path = {file.path: file for file in project.files}
+    kept = [violation for code in codes
+            for violation in RULE_REGISTRY[code]().check_project(project)
+            if violation.path not in by_path
+            or not by_path[violation.path].waives(violation)]
     kept.sort(key=lambda v: (v.path, v.line, v.col, v.code))
     return kept
-
-
-def lint_paths(paths: Iterable[Union[str, Path]],
-               select: Optional[Iterable[str]] = None
-               ) -> List[LintViolation]:
-    return lint_files(iter_source_files(paths), select=select)

@@ -1,13 +1,13 @@
 """Shared report/exit-code/JSON/baseline plumbing for the source
 tools (``repro lint`` and ``repro analyze``).
 
-Extracted from the lint CLI so both commands present findings the same
-way: one human format, one JSON schema, one ``--select`` parser, and —
-for the analyzer — one baseline-ratchet format. A baseline maps
-finding *fingerprints* to counts; fingerprints anchor on the enclosing
-symbol when the rule provides one, so findings survive unrelated line
-drift but a genuinely new finding in the same function still shows up
-as a count increase.
+Both commands present findings the same way: one human format, one
+JSON schema, one ``--select`` parser, and — for the analyzer — one
+baseline-ratchet format. A baseline maps finding *fingerprints* to
+counts; fingerprints anchor on the enclosing symbol when the rule
+provides one, so findings survive unrelated line drift but a
+genuinely new finding in the same function still shows up as a count
+increase.
 """
 
 from __future__ import annotations
@@ -29,10 +29,14 @@ BASELINE_KIND = "repro-analyze-baseline/1"
 
 def parse_select(text: Optional[str]) -> Optional[List[str]]:
     """``"SDA001, ACD002"`` → ``["SDA001", "ACD002"]``; None/empty →
-    None (run everything)."""
+    None (run everything). Text that names no code (``", ,"``) is an
+    error, not an empty selection."""
     if not text:
         return None
-    return [code.strip() for code in text.split(",") if code.strip()]
+    codes = [code.strip() for code in text.split(",") if code.strip()]
+    if not codes:
+        raise ValueError("no rule codes in --select")
+    return codes
 
 
 def print_rule_catalogue(title: str,

@@ -22,18 +22,25 @@ LNT005    small value class (bare ``__init__`` of plain attribute
 ``DEFAULT_LINT_PATHS`` covers ``src/repro/engines``,
 ``src/repro/nvm``, and ``src/repro/fault`` (the fault package is
 included so the registry cross-check sees the ``recovery.*``
-registrations that live in ``fault/injector.py``).
+registrations that live in ``fault/injector.py``). ``lint_files`` and
+``lint_paths`` run this family (:data:`~.framework.LINT`) through the
+one rule engine.
 """
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple, Union)
 
-from .framework import LintViolation, Rule, SourceFile, register_rule
+from repro.analysis.static.callgraph import (Project, build_project,
+                                             callee_name)
 
-__all__ = ["DEFAULT_LINT_PATHS", "LINT_RULES"]
+from .framework import (LINT, LintViolation, Rule, SourceFile,
+                        register_rule, run_rules)
+
+__all__ = ["DEFAULT_LINT_PATHS", "lint_files", "lint_paths"]
 
 _PACKAGE_ROOT = Path(__file__).resolve().parents[1]
 
@@ -43,6 +50,19 @@ DEFAULT_LINT_PATHS: Tuple[str, ...] = (
     str(_PACKAGE_ROOT / "nvm"),
     str(_PACKAGE_ROOT / "fault"),
 )
+
+
+def lint_files(files: Sequence[SourceFile],
+               select: Optional[Iterable[str]] = None
+               ) -> List[LintViolation]:
+    """Run the LNT rules (or the ``select``-ed ones) over ``files``."""
+    return run_rules(Project(files), LINT, select)
+
+
+def lint_paths(paths: Iterable[Union[str, Path]],
+               select: Optional[Iterable[str]] = None
+               ) -> List[LintViolation]:
+    return run_rules(build_project(paths), LINT, select)
 
 
 def _functions(tree: ast.AST) -> Iterator[ast.AST]:
@@ -62,14 +82,6 @@ def _own_calls(function: ast.AST) -> Iterator[ast.Call]:
         if isinstance(node, ast.Call):
             yield node
         stack.extend(ast.iter_child_nodes(node))
-
-
-def _call_name(call: ast.Call) -> Optional[str]:
-    if isinstance(call.func, ast.Attribute):
-        return call.func.attr
-    if isinstance(call.func, ast.Name):
-        return call.func.id
-    return None
 
 
 def _literal_arg(call: ast.Call) -> Optional[str]:
@@ -96,13 +108,13 @@ class RawFlushWithoutFence(Rule):
             if function.name in self._WRAPPERS:
                 continue
             calls = list(_own_calls(function))
-            if any(_call_name(call) == "sfence" for call in calls):
+            if any(callee_name(call) == "sfence" for call in calls):
                 continue
             for call in calls:
-                if _call_name(call) in ("clflush", "clwb"):
+                if callee_name(call) in ("clflush", "clwb"):
                     yield self.violation(
                         file, call,
-                        f"{_call_name(call)} in {function.name}() with "
+                        f"{callee_name(call)} in {function.name}() with "
                         f"no sfence in the same function — the flush "
                         f"is unordered; use sync()/sync_ranges()")
 
@@ -110,14 +122,14 @@ class RawFlushWithoutFence(Rule):
 class _FaultPointScan:
     """Shared literal scan for the two fault-point rules."""
 
-    def __init__(self, files: Sequence[SourceFile]) -> None:
+    def __init__(self, project: Project) -> None:
         self.registered: Dict[str, Tuple[SourceFile, ast.Call]] = {}
         self.fired: Dict[str, List[Tuple[SourceFile, ast.Call]]] = {}
-        for file in files:
+        for file in project.files:
             for node in ast.walk(file.tree):
                 if not isinstance(node, ast.Call):
                     continue
-                name = _call_name(node)
+                name = callee_name(node)
                 literal = _literal_arg(node)
                 if literal is None:
                     continue
@@ -137,11 +149,10 @@ class UnregisteredFaultPoint(Rule):
     name = "unregistered-fault-point"
     description = ("faults.fire() name without a matching "
                    "register_fault_point() in the scanned tree")
-    project_wide = True
 
-    def check_project(
-            self, files: Sequence[SourceFile]) -> Iterator[LintViolation]:
-        scan = _FaultPointScan(files)
+    def check_project(self,
+                      project: Project) -> Iterator[LintViolation]:
+        scan = _FaultPointScan(project)
         for name, sites in sorted(scan.fired.items()):
             if name in scan.registered:
                 continue
@@ -160,11 +171,10 @@ class NeverFiredFaultPoint(Rule):
     name = "never-fired-fault-point"
     description = ("register_fault_point() name that no faults.fire() "
                    "call uses in the scanned tree")
-    project_wide = True
 
-    def check_project(
-            self, files: Sequence[SourceFile]) -> Iterator[LintViolation]:
-        scan = _FaultPointScan(files)
+    def check_project(self,
+                      project: Project) -> Iterator[LintViolation]:
+        scan = _FaultPointScan(project)
         for name, (file, call) in sorted(scan.registered.items()):
             if name not in scan.fired:
                 yield self.violation(
@@ -281,11 +291,3 @@ class MissingSlots(Rule):
                     return False
         return True
 
-
-#: code -> (name, description) for docs and ``repro lint --rules``.
-LINT_RULES: Dict[str, Tuple[str, str]] = {
-    cls.code: (cls.name, cls.description)
-    for cls in (RawFlushWithoutFence, UnregisteredFaultPoint,
-                NeverFiredFaultPoint, EngineOptionsKeywordOnly,
-                MissingSlots)
-}

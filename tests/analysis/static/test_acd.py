@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import textwrap
 
+from repro.analysis.static import analyze_project
 from repro.analysis.static.callgraph import Project
-from repro.analysis.static.runner import analyze_project
 from repro.lint.framework import SourceFile
 
 

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import re
 import textwrap
+
+import pytest
 
 from repro.analysis.static.callgraph import (Project, build_project,
                                              call_name)
@@ -98,9 +101,11 @@ class TestCallName:
 
 
 class TestBuildProject:
-    def test_skips_unparseable_files(self, tmp_path):
+    def test_unparseable_file_is_an_error(self, tmp_path):
+        # Once silently skipped: `analyze --gate` on a file that does
+        # not parse passed with 0 findings.
         (tmp_path / "good.py").write_text("def f():\n    pass\n")
-        (tmp_path / "bad.py").write_text("def f(:\n")
-        project = build_project([tmp_path])
-        assert [f.name for f in project.functions] == ["f"]
-        assert len(project.files) == 1
+        bad = tmp_path / "bad.py"
+        bad.write_text("def f(:\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: "):
+            build_project([tmp_path])

@@ -6,8 +6,8 @@ import textwrap
 
 import pytest
 
+from repro.analysis.static import analyze_project
 from repro.analysis.static.callgraph import Project
-from repro.analysis.static.runner import analyze_project
 from repro.lint.framework import SourceFile
 
 

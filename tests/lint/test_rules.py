@@ -6,12 +6,13 @@ asserts the real tree lints clean (the CI contract).
 
 from __future__ import annotations
 
+import importlib
 import textwrap
 
 import pytest
 
-from repro.lint import (DEFAULT_LINT_PATHS, LINT_RULES, RULE_REGISTRY,
-                        SourceFile, lint_files, lint_paths)
+from repro.lint import (ANALYZE, DEFAULT_LINT_PATHS, LINT, RULE_REGISTRY,
+                        SourceFile, lint_files, lint_paths, rule_catalogue)
 
 
 def lint_source(source: str, select=None):
@@ -215,9 +216,22 @@ class TestFrameworkPlumbing:
         assert "synthetic.py" in str(violations[0])
 
     def test_rule_catalogue_matches_registry(self):
-        assert set(LINT_RULES) == set(RULE_REGISTRY)
-        assert sorted(LINT_RULES) == ["LNT001", "LNT002", "LNT003",
-                                      "LNT004", "LNT005"]
+        lint_codes = {code for code in RULE_REGISTRY
+                      if code.startswith(LINT)}
+        assert set(rule_catalogue(LINT)) == lint_codes
+        assert sorted(rule_catalogue(LINT)) == ["LNT001", "LNT002",
+                                                "LNT003", "LNT004",
+                                                "LNT005"]
+
+    def test_every_rule_belongs_to_exactly_one_family(self):
+        # A rule outside both families would be registered but run by
+        # neither `repro lint` nor `repro analyze`.
+        importlib.import_module("repro.analysis.static")
+        assert not any(lint.startswith(analyze) or analyze.startswith(lint)
+                       for lint in LINT for analyze in ANALYZE)
+        for code in RULE_REGISTRY:
+            assert sum(code.startswith(family)
+                       for family in (LINT, ANALYZE)) == 1, code
 
 
 def test_project_tree_lints_clean():

@@ -1,11 +1,15 @@
 """Tests for the command-line interface."""
 
 import json
+import os
 import pathlib
 import socket
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.__main__ import main
 
 
@@ -173,6 +177,73 @@ def test_lint_command_json_output(tmp_path, capsys):
 def test_lint_command_unknown_select(capsys):
     assert main(["lint", "--select", "LNT999"]) == 2
     assert "unknown rule codes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["lint", "analyze"])
+@pytest.mark.parametrize("select", [", ,", ","])
+def test_rule_commands_reject_a_select_that_names_no_code(
+        command, select, tmp_path, capsys):
+    """Once: zero rules ran, ``0 finding(s)``, exit 0."""
+    clean = tmp_path / "clean.py"
+    clean.write_text("def noop():\n    pass\n")
+    assert main([command, str(clean), "--select", select]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{command} failed: no rule codes in --select\n"
+
+
+#: One LNT005 and one SDA001 finding, so each command must really
+#: read the module to pass.
+_ONE_FINDING_EACH = (
+    "class _Holder:\n"
+    "    def __init__(self):\n"
+    "        self.name = 'caf\xe9'\n"
+    "def commit(memory):\n"
+    "    memory.store_u64(0, 1)\n"
+    "    memory.atomic_durable_store_u64(8, 2)\n")
+
+
+@pytest.mark.parametrize("command", ["lint", "analyze"])
+@pytest.mark.parametrize("header, encoding", [
+    ("# -*- coding: latin-1 -*-\n", "latin-1"),
+    ("\ufeff", "utf-8"),
+], ids=["pep263-cookie", "utf8-bom"])
+def test_rule_commands_read_files_as_the_interpreter_does(
+        command, header, encoding, tmp_path, capsys):
+    """Once: ``'utf-8' codec can't decode`` / ``invalid non-printable
+    character U+FEFF`` for modules Python imports fine (and ``analyze``
+    silently skipped the BOM file)."""
+    module = tmp_path / "module.py"
+    module.write_bytes((header + _ONE_FINDING_EACH).encode(encoding))
+    assert main([command, str(module)]) == 1
+    assert capsys.readouterr().out.endswith("1 finding(s)\n")
+
+
+@pytest.mark.parametrize("argv", [["lint"], ["analyze", "--gate"]])
+def test_rule_commands_fail_on_a_file_that_does_not_parse(
+        argv, tmp_path, capsys):
+    """Once ``analyze --gate`` skipped it: ``0 finding(s)``, exit 0."""
+    broken = tmp_path / "broken.py"
+    broken.write_text("def f(:\n")
+    assert main(argv + [str(broken)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"{argv[0]} failed: {broken}: ")
+
+
+def test_engines_command_loads_no_rule_module():
+    """The parser is built for every command, `repro serve` included;
+    the rule families must load only when `lint`/`analyze` runs."""
+    probe = ("import sys\n"
+             "from repro.__main__ import main\n"
+             "main(['engines'])\n"
+             "rules = ('repro.lint', 'repro.analysis.static')\n"
+             "print(sorted(m for m in sys.modules if m.startswith(rules)))")
+    env = dict(os.environ, PYTHONPATH=str(
+        pathlib.Path(repro.__file__).resolve().parents[1]))
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.splitlines()[-1] == "[]"
 
 
 def test_chaos_command_fault_free_json_report(tmp_path, capsys):
