@@ -40,14 +40,15 @@ import random
 import socket
 import time
 import uuid
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from collections import deque
+from typing import Any, Deque, Dict, Iterable, List, Optional, Tuple
 
 from ..core.schema import Schema
 from ..errors import (CommitAmbiguousError, CrashedError,
                       DeadlineExceededError, ProtocolError,
                       RetryAfterError, ServerDisconnected)
 from ..server.protocol import (MAX_FRAME_BYTES, FrameDecoder,
-                               encode_frame, error_to_exception, request,
+                               encode_frame, error_to_exception,
                                schema_from_wire, schema_to_wire,
                                unwire_value, wire_value)
 
@@ -87,7 +88,7 @@ class ReproClient:
         self.max_frame_bytes = max_frame_bytes
         self._sock: Optional[socket.socket] = None
         self._decoder = FrameDecoder(max_frame_bytes=max_frame_bytes)
-        self._pending: List[Dict[str, Any]] = []
+        self._pending: Deque[Dict[str, Any]] = deque()
         self._request_ids = iter(range(1, 2 ** 62))
         self._rng = random.Random(jitter_seed)
         #: Nonce naming this client lifetime in commit tokens.
@@ -125,7 +126,7 @@ class ReproClient:
             (self.host, self.port), timeout=self.timeout)
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._decoder = FrameDecoder(max_frame_bytes=self.max_frame_bytes)
-        self._pending = []
+        self._pending = deque()
         self.reconnects += 1
 
     def _drop_socket(self) -> None:
@@ -177,8 +178,9 @@ class ReproClient:
                 # even for non-retryable verbs.
                 self._open_socket()
             request_id = next(self._request_ids)
-            frame = encode_frame(request(request_id, verb, **args),
-                                 max_frame_bytes=self.max_frame_bytes)
+            frame = encode_frame(
+                {"id": request_id, "verb": verb, "args": args},
+                max_frame_bytes=self.max_frame_bytes)
             try:
                 self._sock.sendall(frame)
                 payload = self._read_frame()
@@ -230,9 +232,7 @@ class ReproClient:
         time.sleep(seconds)
 
     def _read_frame(self) -> Dict[str, Any]:
-        while True:
-            if self._pending:
-                return self._pending.pop(0)
+        while not self._pending:
             data = self._sock.recv(65536)
             try:
                 if not data:
@@ -246,6 +246,7 @@ class ReproClient:
                 # commit tokens) take over.
                 raise ConnectionError(
                     f"unrecoverable byte stream: {exc}") from None
+        return self._pending.popleft()
 
     @staticmethod
     def _unpack(payload: Dict[str, Any], request_id: int,

@@ -107,24 +107,26 @@ class GroupCommitStage:
         stats = self._partition.platform.stats
         return stats.counter("fs.fsyncs") + stats.counter("cache.sfence")
 
-    def enqueue(self) -> "asyncio.Future":
+    def enqueue(self, release=None) -> "asyncio.Future":
         """Register one logically-committed transaction. The returned
         future resolves when its batch reaches the durable point (or
-        fails with :class:`CrashedError` if power fails first)."""
+        fails with :class:`CrashedError` if power fails first). Only a
+        batch still parked after ``release()`` arms the wall timer."""
         future = self._loop.create_future()
         self._waiters.append(future)
         self.txns += 1
-        if not self._config.enabled:
-            self.flush("immediate")
-            return future
         clock = self._partition.platform.clock
         if self._batch_open_ns is None:
             self._batch_open_ns = clock.now_ns
-        if len(self._waiters) >= self._config.batch_size:
+        if not self._config.enabled:
+            self.flush("immediate")
+        elif len(self._waiters) >= self._config.batch_size:
             self.flush("size")
         elif clock.now_ns - self._batch_open_ns >= self._config.max_hold_ns:
             self.flush("hold")
-        elif self._timer is None:
+        if release is not None:
+            release()
+        if self._waiters and self._timer is None:
             self._timer = self._loop.call_later(
                 self._config.max_hold_wall_s, self._timer_fired)
         return future

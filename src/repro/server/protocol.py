@@ -23,7 +23,6 @@ key ``__t__`` is therefore reserved — a column may not use it.
 
 from __future__ import annotations
 
-import asyncio
 import json
 import struct
 from typing import Any, Dict, List, Optional
@@ -34,7 +33,7 @@ from ..errors import ProtocolError, SchemaError, ServerError
 
 __all__ = [
     "PROTOCOL_VERSION", "MAX_FRAME_BYTES", "VERBS",
-    "encode_frame", "FrameDecoder", "read_frame",
+    "encode_frame", "FrameDecoder",
     "request", "ok_response", "error_response", "error_to_exception",
     "wire_value", "unwire_value", "schema_to_wire", "schema_from_wire",
 ]
@@ -69,11 +68,15 @@ _TUPLE_TAG = "__t__"
 # Framing
 # ----------------------------------------------------------------------
 
+#: ``json.dumps`` with non-default arguments builds an encoder per call.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False)
+_scan_once = json.JSONDecoder().scan_once
+
+
 def encode_frame(payload: Dict[str, Any], *,
                  max_frame_bytes: int = MAX_FRAME_BYTES) -> bytes:
     """Serialize one payload object into a length-prefixed frame."""
-    body = json.dumps(payload, separators=(",", ":"),
-                      ensure_ascii=False).encode("utf-8")
+    body = _ENCODER.encode(payload).encode("utf-8")
     if len(body) > max_frame_bytes:
         raise ProtocolError(
             f"frame body of {len(body)} bytes exceeds the "
@@ -82,8 +85,15 @@ def encode_frame(payload: Dict[str, Any], *,
 
 
 def _decode_body(body: bytes) -> Dict[str, Any]:
+    """A body the scanner does not consume whole goes to json.loads."""
     try:
-        payload = json.loads(body.decode("utf-8"))
+        text = str(body, "utf-8")
+        try:
+            payload, end = _scan_once(text, 0)
+        except (StopIteration, json.JSONDecodeError):
+            end = -1
+        if end != len(text):
+            payload = json.loads(text)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ProtocolError(f"frame body is not valid JSON: {exc}") \
             from None
@@ -95,12 +105,11 @@ def _decode_body(body: bytes) -> Dict[str, Any]:
 
 
 class FrameDecoder:
-    """Incremental frame decoder for byte streams.
+    """Incremental frame decoder for byte streams, used by the client
+    and the server alike.
 
-    Feed arbitrary chunks; complete payloads come back in order. Used
-    by the synchronous client and directly testable against truncated,
-    oversized, and garbage input (the asyncio server uses
-    :func:`read_frame`, which shares the same body decoding).
+    Feed arbitrary chunks; complete payloads come back in order.
+    Directly testable against truncated, oversized, and garbage input.
     """
 
     def __init__(self, *, max_frame_bytes: int = MAX_FRAME_BYTES) -> None:
@@ -112,52 +121,41 @@ class FrameDecoder:
         return len(self._buffer)
 
     def feed(self, data: bytes) -> List[Dict[str, Any]]:
-        """Absorb ``data``; return every frame it completed."""
-        self._buffer.extend(data)
-        payloads = []
-        while True:
-            if len(self._buffer) < _HEADER.size:
-                return payloads
-            (length,) = _HEADER.unpack_from(self._buffer)
-            if length == 0:
-                raise ProtocolError("zero-length frame")
-            if length > self._max_frame_bytes:
-                raise ProtocolError(
-                    f"frame length {length} exceeds the "
-                    f"{self._max_frame_bytes}-byte frame limit")
-            if len(self._buffer) < _HEADER.size + length:
-                return payloads
-            body = bytes(self._buffer[_HEADER.size:_HEADER.size + length])
-            del self._buffer[:_HEADER.size + length]
-            payloads.append(_decode_body(body))
+        """Absorb ``data``; return every frame it completed. A corrupt
+        frame raises :class:`ProtocolError` — but after the frames in
+        front of it: those return, and the next ``feed``/``eof`` raises."""
+        if self._buffer:
+            self._buffer += data
+            data, self._buffer = self._buffer, bytearray()
+        payloads, offset = [], 0
+        try:
+            while len(data) - offset >= _HEADER.size:
+                (length,) = _HEADER.unpack_from(data, offset)
+                if not 0 < length <= self._max_frame_bytes:
+                    raise ProtocolError(
+                        f"frame length {length} exceeds the "
+                        f"{self._max_frame_bytes}-byte frame limit"
+                        if length else "zero-length frame")
+                end = offset + _HEADER.size + length
+                if end > len(data):
+                    break
+                payloads.append(_decode_body(data[end - length:end]))
+                offset = end
+        except ProtocolError:
+            if not payloads:
+                raise
+        finally:
+            if offset < len(data):
+                self._buffer = bytearray(data[offset:])
+        return payloads
 
     def eof(self) -> None:
         """Signal end of stream; raises if a partial frame is buffered."""
+        self.feed(b"")
         if self._buffer:
             raise ProtocolError(
                 f"stream ended mid-frame with {len(self._buffer)} "
                 "bytes buffered (truncated frame)")
-
-
-async def read_frame(reader: asyncio.StreamReader, *,
-                     max_frame_bytes: int = MAX_FRAME_BYTES
-                     ) -> Dict[str, Any]:
-    """Read one frame from an asyncio stream.
-
-    Raises :class:`asyncio.IncompleteReadError` on a clean or mid-frame
-    disconnect and :class:`~repro.errors.ProtocolError` on a corrupt
-    frame.
-    """
-    header = await reader.readexactly(_HEADER.size)
-    (length,) = _HEADER.unpack(header)
-    if length == 0:
-        raise ProtocolError("zero-length frame")
-    if length > max_frame_bytes:
-        raise ProtocolError(
-            f"frame length {length} exceeds the "
-            f"{max_frame_bytes}-byte frame limit")
-    body = await reader.readexactly(length)
-    return _decode_body(body)
 
 
 # ----------------------------------------------------------------------
@@ -229,7 +227,7 @@ def wire_value(value: Any) -> Any:
 def unwire_value(value: Any) -> Any:
     """Inverse of :func:`wire_value`."""
     if isinstance(value, dict):
-        if set(value) == {_TUPLE_TAG}:
+        if len(value) == 1 and _TUPLE_TAG in value:
             return tuple(unwire_value(item) for item in value[_TUPLE_TAG])
         return {name: unwire_value(item) for name, item in value.items()}
     if isinstance(value, list):

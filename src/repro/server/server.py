@@ -20,11 +20,13 @@ mirrors the paper's testbed:
   counts, per partition, the sessions that hold or are queued on the
   lock; when a release leaves none, nobody can join the parked batch
   and the stage flushes it at once (reason ``quiet``).
+* **A frame costs its verb, not the event loop.** A verb runs as its
+  bytes arrive and becomes a task only if it must wait; reading pauses
+  while it waits and while the write buffer is over its high-water mark.
 * **Admission control** bounds transactions in flight (active plus
   awaiting durability) with a semaphore; a ``begin`` past the bound
-  parks, and because each connection processes frames sequentially,
-  that parks the whole connection — natural backpressure down the
-  socket.
+  parks, and that parks the whole connection — natural backpressure
+  down the socket.
 * **Grants follow session state.** No verb releases a grant by hand:
   the lock belongs to a session with an active transaction, the slot
   to one that is active or awaiting its durable point, and
@@ -48,9 +50,10 @@ import dataclasses
 import logging
 import signal
 import threading
-from collections import OrderedDict
+import types
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Set, Tuple, Union
+from typing import Any, Deque, Dict, Optional, Set, Tuple, Union
 
 from ..config import EngineConfig, LatencyProfile
 from ..core.database import Database
@@ -60,8 +63,8 @@ from ..errors import (ConfigError, CrashedError, DatabaseClosedError,
 from ..obs.metrics import MetricsRegistry
 from .groupcommit import GroupCommitConfig, GroupCommitStage
 from .ledger import CommitLedger
-from .protocol import (MAX_FRAME_BYTES, PROTOCOL_VERSION, encode_frame,
-                       error_response, ok_response, read_frame,
+from .protocol import (MAX_FRAME_BYTES, PROTOCOL_VERSION, FrameDecoder,
+                       encode_frame, error_response, ok_response,
                        schema_from_wire, schema_to_wire, unwire_value,
                        wire_value)
 from .registry import ProcedureRegistry
@@ -194,7 +197,7 @@ class DatabaseServer:
         #: only ones that could still join its parked batch).
         self._contenders: Dict[int, int] = {}
         self._admission: Optional[asyncio.Semaphore] = None
-        self._conn_tasks: Set[asyncio.Task] = set()
+        self._connections: Set[_Connection] = set()
         self._shutdown_event: Optional[asyncio.Event] = None
         self._stopped = False
         self._ledger = CommitLedger(self.config.commit_ledger_size)
@@ -251,8 +254,8 @@ class DatabaseServer:
                 or self.config.watchdog_recover_s is not None:
             self._maintenance_task = self._loop.create_task(
                 self._maintenance_loop())
-        self._server = await asyncio.start_server(
-            self._serve_connection, self.config.host, self.config.port)
+        self._server = await self._loop.create_server(
+            lambda: _Connection(self), self.config.host, self.config.port)
         sockname = self._server.sockets[0].getsockname()
         self.address = (sockname[0], sockname[1])
         logger.info("serving %s engine on %s:%d", self.database.engine_name,
@@ -274,7 +277,7 @@ class DatabaseServer:
 
     async def stop(self) -> None:
         """Stop listening, resolve outstanding durability, close every
-        session, and cancel connection tasks."""
+        connection and session, and cancel the verbs still waiting."""
         if self._stopped:
             return
         self._stopped = True
@@ -285,7 +288,6 @@ class DatabaseServer:
             self._maintenance_task = None
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
         alive = not (self.database.closed or self.database.crashed)
         for stage in self._stages.values():
             if alive:
@@ -293,11 +295,12 @@ class DatabaseServer:
             else:
                 stage.fail_pending("server shut down")
             stage.close()
-        for task in list(self._conn_tasks):
+        waiting = [conn.task for conn in self._connections if conn.task]
+        for conn in list(self._connections):
+            conn.transport.close()
+        for task in waiting:
             task.cancel()
-        if self._conn_tasks:
-            await asyncio.gather(*self._conn_tasks,
-                                 return_exceptions=True)
+        await asyncio.gather(*waiting, return_exceptions=True)
         for session_id in list(self._sessions):
             self._close_session(session_id)
         logger.info("server stopped (%d committed, %d aborted)",
@@ -329,53 +332,8 @@ class DatabaseServer:
                 loop.remove_signal_handler(signum)
 
     # ------------------------------------------------------------------
-    # Connection loop
+    # Dispatch
     # ------------------------------------------------------------------
-
-    async def _serve_connection(self, reader: asyncio.StreamReader,
-                                writer: asyncio.StreamWriter) -> None:
-        task = asyncio.current_task()
-        self._conn_tasks.add(task)
-        conn_sessions: Set[int] = set()
-        try:
-            while True:
-                try:
-                    payload = await read_frame(
-                        reader,
-                        max_frame_bytes=self.config.max_frame_bytes)
-                except (asyncio.IncompleteReadError, ConnectionError):
-                    break
-                except ProtocolError as exc:
-                    # Corrupt framing: answer once, then drop the
-                    # connection (resynchronization is impossible).
-                    self._error_count.inc()
-                    await self._send(writer, error_response(None, exc))
-                    break
-                response = await self._dispatch(conn_sessions, payload)
-                await self._send(writer, response)
-        except asyncio.CancelledError:
-            pass
-        finally:
-            self._conn_tasks.discard(task)
-            for session_id in list(conn_sessions):
-                self._close_session(session_id)
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
-
-    async def _send(self, writer: asyncio.StreamWriter,
-                    response: Dict[str, Any]) -> None:
-        try:
-            frame = encode_frame(
-                response, max_frame_bytes=self.config.max_frame_bytes)
-        except (ProtocolError, TypeError, ValueError) as exc:
-            # Unserializable or oversized result: degrade to an error
-            # frame rather than killing the connection.
-            self._error_count.inc()
-            frame = encode_frame(error_response(response.get("id"), exc))
-        writer.write(frame)
-        with contextlib.suppress(ConnectionError):
-            await writer.drain()
 
     async def _dispatch(self, conn_sessions: Set[int],
                         payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -597,8 +555,8 @@ class DatabaseServer:
         goes, so a release that leaves the partition quiet flushes a
         batch that already holds this commit."""
         remote.awaiting = True
-        future = self._stages[remote.partition_id].enqueue()
-        self._settle(remote)
+        future = self._stages[remote.partition_id].enqueue(
+            lambda: self._settle(remote))
         try:
             await future
         finally:
@@ -903,6 +861,107 @@ class DatabaseServer:
         "stats": _verb_stats,
         "shutdown": _verb_shutdown,
     }
+
+
+@types.coroutine
+def _resume(coro, waiting_on):
+    """Finish a hand-started ``coro``: the task's sends and throws go
+    on to it."""
+    while True:
+        try:
+            try:
+                sent = yield waiting_on
+            except BaseException as exc:
+                waiting_on = coro.throw(exc)
+            else:
+                waiting_on = coro.send(sent)
+        except StopIteration as done:
+            return done.value
+
+
+class _Connection(asyncio.BufferedProtocol):
+    """One client connection. It reads into one reused buffer: a plain
+    protocol's ``recv`` allocates 256 KiB per read."""
+
+    def __init__(self, server: DatabaseServer) -> None:
+        self._server = server
+        self._inbox = bytearray(1 << 16)
+        self._max_frame = server.config.max_frame_bytes
+        self._decoder = FrameDecoder(max_frame_bytes=self._max_frame)
+        self._backlog: Deque[Any] = deque()   # a ProtocolError ends it
+        self.sessions: Set[int] = set()
+        self.task: Optional[asyncio.Task] = None    # the verb that waits
+        self._write_paused = False
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self._server._connections.add(self)
+
+    def get_buffer(self, sizehint: int) -> bytearray:
+        return self._inbox
+
+    def buffer_updated(self, nbytes: int) -> None:
+        try:
+            self._backlog.extend(self._decoder.feed(self._inbox[:nbytes]))
+            if self._backlog and self._decoder.buffered_bytes:
+                self._decoder.feed(b"")     # raises on a corrupt frame
+        except ProtocolError as exc:
+            self._backlog.append(exc)
+        self._run()
+
+    def _run(self) -> None:
+        while self._backlog and self.task is None and not (
+                self._write_paused or self.transport.is_closing()):
+            payload = self._backlog.popleft()
+            if isinstance(payload, ProtocolError):
+                # Corrupt framing: answer once, then drop the connection.
+                self._server._error_count.inc()
+                self._send(error_response(None, payload))
+                self.transport.close()
+                return
+            coro = self._server._dispatch(self.sessions, payload)
+            try:
+                waiting_on = coro.send(None)
+            except StopIteration as done:
+                self._send(done.value)
+                continue
+            self.task = asyncio.ensure_future(_resume(coro, waiting_on))
+            self.task.add_done_callback(self._answered)
+        if self.task is None and not self._write_paused:
+            self.transport.resume_reading()
+        else:
+            self.transport.pause_reading()
+
+    def _answered(self, task: asyncio.Task) -> None:
+        self.task = None
+        if self.transport.is_closing():
+            self.connection_lost(None)      # now its sessions can close
+        elif not task.cancelled():
+            self._send(task.result())
+            self._run()
+
+    def _send(self, response: Dict[str, Any]) -> None:
+        try:
+            frame = encode_frame(response, max_frame_bytes=self._max_frame)
+        except (ProtocolError, TypeError, ValueError) as exc:
+            # Unserializable or oversized result: degrade to an error
+            # frame rather than killing the connection.
+            self._server._error_count.inc()
+            frame = encode_frame(error_response(response.get("id"), exc))
+        self.transport.write(frame)
+
+    def pause_writing(self) -> None:
+        self._write_paused = True
+
+    def resume_writing(self) -> None:
+        self._write_paused = False
+        self._run()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self._server._connections.discard(self)
+        if self.task is None:
+            for session_id in list(self.sessions):
+                self._server._close_session(session_id)
 
 
 class ServerThread:

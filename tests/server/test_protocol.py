@@ -4,7 +4,6 @@ crash or desynchronize the stream."""
 
 from __future__ import annotations
 
-import asyncio
 import json
 import struct
 
@@ -13,10 +12,9 @@ import pytest
 from repro.core.schema import Column, ColumnType, Schema
 from repro.errors import (ProtocolError, ServerError, SessionStateError,
                           TupleNotFoundError)
-from repro.server.protocol import (MAX_FRAME_BYTES, FrameDecoder,
-                                   encode_frame, error_response,
-                                   error_to_exception, ok_response,
-                                   read_frame, request, schema_from_wire,
+from repro.server.protocol import (FrameDecoder, encode_frame,
+                                   error_response, error_to_exception,
+                                   ok_response, request, schema_from_wire,
                                    schema_to_wire, unwire_value,
                                    wire_value)
 
@@ -137,42 +135,46 @@ def test_garbage_after_valid_frame_still_poisons_the_stream():
         decoder.feed(garbage)
 
 
+def test_complete_frames_before_a_corrupt_one_are_not_lost():
+    """One chunk of good frames then a corrupt one: the good frames
+    come back first, and the stream stays poisoned — the next feed and
+    ``eof`` raise."""
+    good = [{"id": i, "verb": "ping", "args": {}} for i in (1, 2)]
+    decoder = FrameDecoder()
+    chunk = b"".join(encode_frame(p) for p in good) + struct.pack(">I", 0)
+    assert decoder.feed(chunk) == good
+    with pytest.raises(ProtocolError, match="zero-length"):
+        decoder.feed(encode_frame(good[0]))
+    with pytest.raises(ProtocolError, match="zero-length"):
+        decoder.eof()
+    garbage = struct.pack(">I", 9) + b"\x00\xffnotjson"
+    decoder = FrameDecoder()
+    assert decoder.feed(encode_frame(good[0]) + garbage) == good[:1]
+    with pytest.raises(ProtocolError, match="not valid JSON"):
+        decoder.feed(b"")
+
+
+def test_body_decode_accepts_and_rejects_what_json_loads_does():
+    """Bodies go through the JSON scanner; whitespace around the
+    object and trailing garbage take the ``json.loads`` path."""
+    def feed(body: bytes):
+        return FrameDecoder().feed(struct.pack(">I", len(body)) + body)
+
+    assert feed(b' {"a": [1, 2.5, "\\u00e9"]} \n') == [
+        {"a": [1, 2.5, "\u00e9"]}]
+    assert feed('{"s":"ünï"}'.encode()) == [{"s": "ünï"}]
+    for bad in (b'{"a":1} x', b'{"a":1}{"b":2}', b'{"a":}', b"\xef\xbb\xbf{}",
+                b"NaNx", b"[1]"):
+        with pytest.raises(ProtocolError):
+            feed(bad)
+
+
 def test_decoder_stays_in_sync_after_good_frames():
     good = encode_frame({"id": 1, "verb": "ping", "args": {}})
     decoder = FrameDecoder()
     decoder.feed(good + good)
     with pytest.raises(ProtocolError):
         decoder.feed(struct.pack(">I", 0))
-
-
-# ----------------------------------------------------------------------
-# Async read_frame (server side) shares the same checks
-# ----------------------------------------------------------------------
-
-def _read_from(blob: bytes, **kwargs):
-    async def scenario():
-        reader = asyncio.StreamReader()
-        reader.feed_data(blob)
-        reader.feed_eof()
-        return await read_frame(reader, **kwargs)
-    return asyncio.run(scenario())
-
-
-def test_read_frame_round_trip():
-    payload = {"id": 9, "verb": "stats", "args": {}}
-    assert _read_from(encode_frame(payload)) == payload
-
-
-def test_read_frame_oversized_rejected():
-    blob = struct.pack(">I", 4096) + b"x" * 4096
-    with pytest.raises(ProtocolError, match="exceeds"):
-        _read_from(blob, max_frame_bytes=1024)
-
-
-def test_read_frame_truncated_raises_incomplete_read():
-    blob = encode_frame({"id": 1, "verb": "ping", "args": {}})
-    with pytest.raises(asyncio.IncompleteReadError):
-        _read_from(blob[:-2])
 
 
 # ----------------------------------------------------------------------

@@ -458,6 +458,28 @@ def test_flush_verb_forces_durability(server):
         admin.close()
 
 
+def test_lone_commits_arm_no_wall_timer(monkeypatch):
+    """A commit nobody can join is flushed by its own release of the
+    partition lock (``quiet``); the wall-clock backstop is armed only
+    for a batch still parked after that, so 200 lone commits make no
+    ``call_later`` call at all."""
+    with ServerThread(ServerConfig(engine="nvm-inp")) as thread, \
+            ReproClient(*thread.server.address) as client:
+        loop, armed = thread.server._loop, []
+        call_later = loop.call_later
+        monkeypatch.setattr(loop, "call_later", lambda *args: (
+            armed.append(args), call_later(*args))[1])
+        client.create_table(KV)
+        with client.session("lone") as session:
+            for key in range(200):
+                session.begin()
+                session.insert("kv", {"k": key, "v": "alone"})
+                session.commit()
+        assert armed == []
+        assert client.stats()["group_commit"][0]["flush_reasons"] == {
+            "quiet": 200}
+
+
 # ----------------------------------------------------------------------
 # Stats and shutdown
 # ----------------------------------------------------------------------
