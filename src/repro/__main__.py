@@ -628,8 +628,8 @@ def _cmd_chaos(args) -> int:
     telemetry = _Telemetry(args)
     publisher = None
     if telemetry.bus is not None:
-        from .obs.bus import BusPublisher
-        publisher = BusPublisher(telemetry.bus, source="chaos")
+        from .obs.bus import Publisher
+        publisher = Publisher(telemetry.bus.publish, source="chaos")
     report = None
     try:
         report = run_chaos_campaign(config, publisher=publisher)

@@ -9,7 +9,8 @@ The coordinator side (:class:`~repro.dist.coordinator.RemotePartition`)
 ships ``(op, args)`` commands over a ``multiprocessing`` pipe using the
 tagged-pipe protocol from :mod:`repro.harness.ipc`, and the executor
 dispatches each straight onto the partition's contract verb of that
-name (or onto its own few verbs, :class:`_Host`):
+name (or, for ``barrier`` and ``shutdown``, onto a no-op: replying at
+all is the point — the stream before is done):
 
 - ``TAG_CMDS`` carries a batch ``[(op, args), ...]``. Posted
   operations (:data:`POSTED_OPS`) produce no reply; their first
@@ -53,25 +54,15 @@ SYNC_OPS = frozenset({
 })
 
 
-class _Host:
-    """The verbs an executor serves itself, next to the partition
-    contract: liveness."""
-
-    def barrier(self) -> None:
-        """Replying at all is the point: the stream before is done."""
-
-    shutdown = barrier
-
-
 def executor_main(cmd_conn, reply_conn, partition_id: int, engine: str,
                   platform_config, engine_config) -> None:
     """Executor process entry point: serve command batches until a
     ``shutdown`` command or a closed pipe."""
     partition = Partition(partition_id, engine, platform_config,
                           engine_config)
-    host = _Host()
-    handlers = {op: getattr(host if hasattr(host, op) else partition, op)
-                for op in POSTED_OPS | SYNC_OPS}
+    handlers = dict.fromkeys(("barrier", "shutdown"), lambda: None)
+    handlers.update((op, getattr(partition, op))
+                    for op in POSTED_OPS | SYNC_OPS if op not in handlers)
     pending_error: Any = None
     running = True
     while running:

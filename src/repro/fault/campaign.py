@@ -54,8 +54,7 @@ from ..core.schema import Column, ColumnType, Schema
 from ..errors import SimulatedCrash, StorageEngineError, TransactionError
 from ..harness.scheduler import PointOutcome, run_sweep
 from ..obs import bus as _bus
-from ..obs.bus import (DEFAULT_HEARTBEAT_S, BusPublisher, EventBus,
-                       HeartbeatEmitter)
+from ..obs.bus import DEFAULT_HEARTBEAT_S, EventBus, Publisher
 from ..obs.profiler import PhaseProfiler
 from .injector import FaultPlan, fault_points_for_engine
 
@@ -324,47 +323,36 @@ class CampaignSpec:
         """Run the scripted workload under this spec's fault plan and
         verify the oracle after every recovery. ``database`` lets tests
         substitute a sabotaged engine; it must use the workload's
-        schema. ``telemetry`` (a
-        :class:`~repro.obs.bus.TelemetryPublisher`) streams heartbeats
-        — with crash/recovery counters — and phase transitions while
-        the point runs, and attaches the phase profile to the result."""
+        schema. ``telemetry`` (a :class:`~repro.obs.bus.Publisher`)
+        streams heartbeats — with crash/recovery counters — and phase
+        transitions while the point runs, and attaches the phase
+        profile to the result."""
         result = CampaignPointResult(engine=self.engine, seed=self.seed,
                                      triggers=self.triggers)
-        profiler = PhaseProfiler(publisher=telemetry,
-                                 enabled=telemetry is not None)
-        profiler.start()
+        profiler = PhaseProfiler.for_run(telemetry)
         with profiler.phase("setup"):
             db = database if database is not None \
                 else _make_database(self.engine, self.seed,
                                     self.workload, self.factory)
-        heartbeat = None
         try:
             if obs is not None:
                 obs.attach(db, self.engine, self.workload.name)
-            # Per-commit heartbeats hook partition objects directly,
-            # which executor processes do not expose.
-            if telemetry is not None \
-                    and not getattr(db, "is_sharded", False):
-                heartbeat = HeartbeatEmitter(
-                    telemetry, db,
-                    extra=lambda: {"crashes": result.crashes,
-                                   "recoveries": result.recoveries,
-                                   "ops": result.ops_applied})
-                heartbeat.install()
-            self._run_script(db, result, profiler)
+            with profiler.heartbeats(
+                    db, extra=lambda: {"crashes": result.crashes,
+                                       "recoveries": result.recoveries,
+                                       "ops": result.ops_applied}):
+                self._run_script(db, result, profiler)
         finally:
             # Also on an engine bug's traceback: a sharded database
             # owns executor processes that must not outlive the point.
-            if heartbeat is not None:
-                heartbeat.uninstall()
             db.disarm_faults()
             if obs is not None:
                 obs.detach(db)
-            with profiler.phase("teardown", db):
+            # Wall time only: a closed database has no clock to read
+            # (a sharded one's executors are already shut down).
+            with profiler.phase("teardown"):
                 db.close()
-        profiler.stop()
-        if profiler.enabled:
-            result.phases = profiler.to_dict()
+        profiler.finish(result)
         return result
 
     def _run_script(self, db: Database, result: CampaignPointResult,
@@ -620,8 +608,8 @@ def run_crash_campaign(engines: Sequence[str], seed: int = 7,
         bus.publish(_bus.CAMPAIGN_STARTED, source="campaign",
                     engines=list(engines), seed=seed, ops=ops)
     for engine in engines:
-        publisher = BusPublisher(bus, source=f"count-{engine}",
-                                 heartbeat_s=heartbeat_s) \
+        publisher = Publisher(bus.publish, source=f"count-{engine}",
+                              heartbeat_s=heartbeat_s) \
             if bus is not None else None
         count_spec = CampaignSpec(engine=engine, seed=seed, ops=ops,
                                   workload=workload, factory=factory)

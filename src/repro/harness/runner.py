@@ -18,7 +18,7 @@ from typing import Any, Dict, List, Optional
 
 from ..config import CacheConfig, PlatformConfig
 from ..core.database import Database
-from ..obs.bus import HeartbeatEmitter, TelemetryPublisher
+from ..obs.bus import Publisher
 from ..obs.profiler import PhaseProfiler
 from ..obs.session import ObservabilitySession
 from ..workloads.tpcc import TPCCConfig, TPCCWorkload
@@ -164,7 +164,7 @@ def _make_workload(spec: ExperimentSpec):
 def run(spec: ExperimentSpec,
         obs: Optional[ObservabilitySession] = None,
         database: Optional[Database] = None,
-        telemetry: Optional[TelemetryPublisher] = None
+        telemetry: Optional[Publisher] = None
         ) -> ExperimentResult:
     """Execute one experiment point; returns its measurements.
 
@@ -177,16 +177,14 @@ def run(spec: ExperimentSpec,
     the read/write experiments); that escape hatch is in-process only —
     live databases never cross the scheduler's process boundary.
 
-    Pass ``telemetry`` (a :class:`~repro.obs.bus.TelemetryPublisher`)
+    Pass ``telemetry`` (a :class:`~repro.obs.bus.Publisher`)
     to stream progress while the point runs: per-commit heartbeats
     (rate-limited) plus phase transitions, and to attach the phase
     profile to :attr:`ExperimentResult.phases`. Telemetry is wall-clock
     side-band data; the measured results are identical with it on or
     off.
     """
-    profiler = PhaseProfiler(publisher=telemetry,
-                             enabled=telemetry is not None)
-    profiler.start()
+    profiler = PhaseProfiler.for_run(telemetry)
     workload = _make_workload(spec)
     db = database
     fresh = db is None
@@ -195,49 +193,39 @@ def run(spec: ExperimentSpec,
             db = _make_database(spec)
     if obs is not None:
         obs.attach(db, spec.engine, spec.workload_name)
-    heartbeat = None
-    # Per-commit heartbeats hook partition objects directly, which the
-    # sharded facade does not expose — its progress streams through the
-    # phase events instead.
-    if telemetry is not None and not getattr(db, "is_sharded", False):
-        heartbeat = HeartbeatEmitter(telemetry, db)
-        heartbeat.install()
     try:
-        if fresh:
-            with profiler.phase("load", db):
-                workload.load(db)
-            # Post-load checkpoint (engines without checkpoints: no-op)
-            # so the in-run checkpoint cadence is measured from a clean
-            # base.
-            with profiler.phase("checkpoint", db):
-                db.checkpoint()
-        if spec.run_checkpoint_interval is not None:
-            db.set_checkpoint_interval(spec.run_checkpoint_interval)
-        db.settle()
-        with profiler.phase("run", db):
-            result = _measure(
-                db, lambda: workload.run(db, spec.num_txns), spec,
-                obs=obs)
-        if spec.workload == "ycsb":
-            result.extra["num_tuples"] = spec.num_tuples
-        else:
-            # The visible cost of the paper's single-partition cheat
-            # (and its sharded 2PC counterpart) — comparable across
-            # serial and sharded runs of the same spec.
-            result.extra["remote_redirected"] = \
-                workload.remote_redirected
-            result.extra["remote_distributed"] = \
-                workload.remote_distributed
-        result.extra["seed"] = spec.seed
-        result.extra["partitions"] = spec.partitions
-        result.extra["cache_bytes"] = spec.cache_bytes
-        _finish_run(db, result, obs, spec.crash_recover, profiler)
+        with profiler.heartbeats(db):
+            if fresh:
+                with profiler.phase("load", db):
+                    workload.load(db)
+                # Post-load checkpoint (engines without checkpoints:
+                # no-op) so the in-run checkpoint cadence is measured
+                # from a clean base.
+                with profiler.phase("checkpoint", db):
+                    db.checkpoint()
+            if spec.run_checkpoint_interval is not None:
+                db.set_checkpoint_interval(spec.run_checkpoint_interval)
+            db.settle()
+            with profiler.phase("run", db):
+                result = _measure(
+                    db, lambda: workload.run(db, spec.num_txns), spec,
+                    obs=obs)
+            if spec.workload == "ycsb":
+                result.extra["num_tuples"] = spec.num_tuples
+            else:
+                # The visible cost of the paper's single-partition
+                # cheat (and its sharded 2PC counterpart) — comparable
+                # across serial and sharded runs of the same spec.
+                result.extra["remote_redirected"] = \
+                    workload.remote_redirected
+                result.extra["remote_distributed"] = \
+                    workload.remote_distributed
+            result.extra["seed"] = spec.seed
+            result.extra["partitions"] = spec.partitions
+            result.extra["cache_bytes"] = spec.cache_bytes
+            _finish_run(db, result, obs, spec.crash_recover, profiler)
     finally:
-        if heartbeat is not None:
-            heartbeat.uninstall()
         if fresh:
             db.close()
-    profiler.stop()
-    if profiler.enabled:
-        result.phases = profiler.to_dict()
+    profiler.finish(result)
     return result

@@ -55,8 +55,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import SweepError
 from ..obs import bus as _bus
-from ..obs.bus import (DEFAULT_HEARTBEAT_S, BusPublisher, EventBus,
-                       PipePublisher, TelemetryEvent)
+from ..obs.bus import (DEFAULT_HEARTBEAT_S, EventBus, PipeSend,
+                       Publisher, TelemetryEvent)
 from ..obs.export import error_headline
 from ..obs.session import ObservabilitySession
 from . import ipc
@@ -112,28 +112,21 @@ class PointOutcome:
 
 
 def _execute_point(spec: ExperimentSpec, observe: bool,
-                   telemetry=None
+                   telemetry: Optional[Publisher]
                    ) -> Tuple[ExperimentResult,
                               Optional[ObservabilitySession]]:
     """Run one spec (in whatever process this is), optionally under a
     fresh per-point observability session and/or telemetry publisher.
 
-    A spec that defines its own ``execute(obs=...)`` (e.g. a
-    fault-injection campaign point) runs through it; plain
+    A spec that defines its own ``execute(obs=..., telemetry=...)``
+    (e.g. a fault-injection campaign point) runs through it; plain
     :class:`ExperimentSpec` points go through :func:`run`."""
     obs = ObservabilitySession() \
         if (observe or getattr(spec, "observe", False)) else None
     execute = getattr(spec, "execute", None)
     if callable(execute):
-        # Only pass telemetry when live: campaign specs accept it, but
-        # minimal test doubles only implement execute(obs=...).
-        result = execute(obs=obs, telemetry=telemetry) \
-            if telemetry is not None else execute(obs=obs)
-    elif telemetry is not None:
-        result = run(spec, obs=obs, telemetry=telemetry)
-    else:
-        result = run(spec, obs=obs)
-    return result, obs
+        return execute(obs=obs, telemetry=telemetry), obs
+    return run(spec, obs=obs, telemetry=telemetry), obs
 
 
 def _point_source(index: int, spec: ExperimentSpec) -> str:
@@ -180,13 +173,11 @@ def _point_worker(spec: ExperimentSpec, observe: bool, conn,
         signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     except ValueError:
         pass  # not the main thread (in-process test harnesses)
-    publisher = PipePublisher(conn, source=source,
-                              heartbeat_s=heartbeat_s) \
+    publisher = Publisher(PipeSend(conn), source=source,
+                          heartbeat_s=heartbeat_s) \
         if telemetry else None
     try:
-        result, session = _execute_point(spec, observe) \
-            if publisher is None \
-            else _execute_point(spec, observe, publisher)
+        result, session = _execute_point(spec, observe, publisher)
         ipc.send_done(conn, (result, session, None))
     except BaseException as exc:  # isolate *any* point failure
         try:
@@ -229,9 +220,9 @@ def _run_serial(outcomes: List[PointOutcome], observe: bool,
         spec = outcome.spec
         publisher = None
         if bus is not None:
-            publisher = BusPublisher(bus,
-                                     source=_point_source(index, spec),
-                                     heartbeat_s=heartbeat_s)
+            publisher = Publisher(bus.publish,
+                                  source=_point_source(index, spec),
+                                  heartbeat_s=heartbeat_s)
         for attempt in range(retries + 1):
             if attempt:
                 time.sleep(_backoff_s(retry_backoff_s, attempt))
@@ -241,8 +232,7 @@ def _run_serial(outcomes: List[PointOutcome], observe: bool,
             started = time.perf_counter()
             try:
                 outcome.result, outcome.session = \
-                    _execute_point(spec, observe) if publisher is None \
-                    else _execute_point(spec, observe, publisher)
+                    _execute_point(spec, observe, publisher)
                 outcome.error = None
             except Exception as exc:
                 outcome.error = _format_error(exc)
@@ -468,7 +458,7 @@ def run_sweep(specs: Sequence[ExperimentSpec], jobs: int = 1,
                                     for o in outcomes),
                         host_seconds=time.perf_counter() - started,
                         interrupted=interrupted,
-                        **bus.stats())
+                        published=bus.published)
         if artifacts_dir is not None and not interrupted:
             _write_artifacts(outcomes, artifacts_dir)
     return outcomes

@@ -17,8 +17,9 @@ latencies) but exposes it continuously instead of as end-of-run deltas:
   a :class:`~repro.core.database.Database`.
 * :mod:`repro.obs.bus` — cross-process telemetry event bus: workers
   stream typed events (point lifecycle, phase transitions, progress
-  heartbeats) over the scheduler pipe into a coordinator-side
-  aggregator with JSONL event logs and bounded, drop-counted queues.
+  heartbeats) over the scheduler pipe into a coordinator-side bus that
+  hands each one straight to its sinks (a JSONL event log, the live
+  renderer).
 * :mod:`repro.obs.live` — TTY-gated live progress renderer over the
   bus (``--live``), with a plain-log fallback.
 * :mod:`repro.obs.profiler` — per-phase wall-vs-simulated time
@@ -30,38 +31,8 @@ latencies) but exposes it continuously instead of as end-of-run deltas:
 Everything is opt-in: the default tracer is inactive and records
 nothing, so instrumented code paths cost one attribute check when
 observability is off.
+
+The package root re-exports nothing: import each module by name, so a
+process loads only the parts it uses (``import repro`` loads the
+tracer, not the bus, the renderer or the profiler).
 """
-
-from .bus import (BoundedEventQueue, BusPublisher, EventBus,
-                  HeartbeatEmitter, JsonlEventLog, PipePublisher,
-                  TelemetryEvent, TelemetryPublisher)
-from .live import LiveRenderer
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
-from .profiler import PhaseProfiler, merge_profiles, write_collapsed
-from .sampler import TimeSeriesSampler
-from .session import ObservabilityOptions, ObservabilitySession
-from .tracer import Span, Tracer
-
-__all__ = [
-    "BoundedEventQueue",
-    "BusPublisher",
-    "Counter",
-    "EventBus",
-    "Gauge",
-    "HeartbeatEmitter",
-    "Histogram",
-    "JsonlEventLog",
-    "LiveRenderer",
-    "MetricsRegistry",
-    "ObservabilityOptions",
-    "ObservabilitySession",
-    "PhaseProfiler",
-    "PipePublisher",
-    "Span",
-    "TelemetryEvent",
-    "TelemetryPublisher",
-    "TimeSeriesSampler",
-    "Tracer",
-    "merge_profiles",
-    "write_collapsed",
-]

@@ -2,30 +2,29 @@
 
 A multi-hour sweep used to be opaque: process-per-point workers ran to
 completion and the coordinator learned everything at the end. This
-module gives every run a structured event stream instead:
+module gives every run a structured event stream instead, along one
+path — publisher, bus, sinks:
 
-* **Workers** publish typed events — phase transitions, periodic
+* **Publishers** build typed events — phase transitions, periodic
   progress heartbeats with transaction counts and the sim-clock
-  position — through a :class:`PipePublisher` over the *existing*
-  scheduler pipe (no extra file descriptors, no sockets).
+  position — and hand each to a ``send`` callable. In process that is
+  :meth:`EventBus.publish`; in a scheduler worker it is a
+  :class:`PipeSend` over the *existing* result pipe (no extra file
+  descriptors, no sockets).
 * **The coordinator** owns an :class:`EventBus`. Point lifecycle events
   (started / finished / retried / crashed) are published by the
   scheduler itself; worker events are re-published as they arrive.
-* **Consumers** attach in two ways: push *sinks* see every event (the
-  :class:`JsonlEventLog` persists the full stream), and pull
-  :class:`BoundedEventQueue` subscriptions buffer events for periodic
-  consumers like the live renderer — bounded, with heartbeat
-  coalescing, and with every drop **counted**, never silent.
+* **Sinks** see every event, synchronously, in publish order: the
+  :class:`JsonlEventLog` persists the full stream and the live
+  renderer (:mod:`repro.obs.live`) redraws from it.
 
 Events are plain data (a kind, a source, a wall timestamp, a payload
 dict), so they cross the process boundary as dicts and land in JSONL
 logs unchanged. Ordering: the bus assigns a monotonically increasing
-``seq`` at publish time, and queues preserve publish order for
-non-heartbeat events (a coalesced heartbeat keeps its queue position
-but carries the newest payload).
+``seq`` at publish time.
 
-This is the observation substrate the upcoming network tier and the
-sharded executor publish into — anything that can call
+This is the observation substrate the network tier and the sharded
+executor publish into — anything that can call
 ``publisher.publish(kind, **data)`` becomes observable.
 """
 
@@ -35,15 +34,12 @@ import json
 import os
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 __all__ = [
-    "EVENT_KINDS", "TelemetryEvent", "EventBus", "BoundedEventQueue",
-    "JsonlEventLog", "TelemetryPublisher", "BusPublisher",
-    "PipePublisher", "HeartbeatEmitter", "DEFAULT_HEARTBEAT_S",
-    "DEFAULT_QUEUE_CAPACITY",
+    "TelemetryEvent", "EventBus", "JsonlEventLog",
+    "Publisher", "PipeSend", "HeartbeatEmitter", "DEFAULT_HEARTBEAT_S",
 ]
 
 # Event kinds (the wire vocabulary; free-form kinds are allowed, these
@@ -66,18 +62,8 @@ CHAOS_CRASH = "chaos_crash"
 CHAOS_RECOVER = "chaos_recover"
 CHAOS_FINISHED = "chaos_finished"
 
-EVENT_KINDS = (
-    SWEEP_STARTED, SWEEP_FINISHED, POINT_STARTED, POINT_FINISHED,
-    POINT_RETRIED, POINT_CRASHED, PHASE_ENTER, PHASE_EXIT, HEARTBEAT,
-    CAMPAIGN_STARTED, CAMPAIGN_COUNTED, LOG_CLOSED,
-    CHAOS_STARTED, CHAOS_CRASH, CHAOS_RECOVER, CHAOS_FINISHED,
-)
-
 #: Minimum wall seconds between heartbeats from one publisher.
 DEFAULT_HEARTBEAT_S = 0.25
-
-#: Default pending-event capacity of a subscribed queue.
-DEFAULT_QUEUE_CAPACITY = 1024
 
 
 @dataclass
@@ -109,65 +95,17 @@ class TelemetryEvent:
                    seq=int(payload.get("seq", -1)))
 
 
-class BoundedEventQueue:
-    """Pull-side event buffer: bounded, heartbeat-coalescing, and
-    drop-counting.
-
-    * Non-heartbeat events drain in publish (``seq``) order.
-    * A heartbeat whose source already has a pending heartbeat
-      *coalesces*: the pending entry is replaced in place with the
-      newer payload (``coalesced`` counts how many were folded away).
-    * When the queue is full, the **oldest** pending event is dropped
-      to make room (the freshest state wins for a live display) and
-      ``dropped`` is incremented — drops are always counted, never
-      silent.
-    """
-
-    def __init__(self, capacity: int = DEFAULT_QUEUE_CAPACITY) -> None:
-        if capacity <= 0:
-            raise ValueError("queue capacity must be positive")
-        self.capacity = capacity
-        self.dropped = 0
-        self.coalesced = 0
-        self._events: Deque[TelemetryEvent] = deque()
-
-    def push(self, event: TelemetryEvent) -> None:
-        if event.kind == HEARTBEAT:
-            for index in range(len(self._events) - 1, -1, -1):
-                pending = self._events[index]
-                if pending.kind == HEARTBEAT \
-                        and pending.source == event.source:
-                    self._events[index] = event
-                    self.coalesced += 1
-                    return
-        if len(self._events) >= self.capacity:
-            self._events.popleft()
-            self.dropped += 1
-        self._events.append(event)
-
-    def drain(self) -> List[TelemetryEvent]:
-        """All pending events, oldest first; the queue is left empty."""
-        events = list(self._events)
-        self._events.clear()
-        return events
-
-    def __len__(self) -> int:
-        return len(self._events)
-
-
 class EventBus:
     """Coordinator-side aggregator: assigns order, fans events out.
 
-    ``publish`` stamps each event with a global sequence number, pushes
-    it into every subscribed :class:`BoundedEventQueue`, and hands it to
-    every sink. Sinks see the complete stream (a JSONL log must not have
-    holes); queues are bounded and account for their own losses.
+    ``publish`` stamps each event with a global sequence number and
+    hands it to every sink, so each sink sees the complete stream (a
+    JSONL log must not have holes).
     """
 
     def __init__(self) -> None:
         self._sinks: List[Callable[[TelemetryEvent], None]] = []
-        self._queues: List[BoundedEventQueue] = []
-        self._seq = 0
+        #: Events published so far (the next event's ``seq``).
         self.published = 0
 
     def add_sink(self, sink: Callable[[TelemetryEvent], None]) -> None:
@@ -178,13 +116,6 @@ class EventBus:
         if sink in self._sinks:
             self._sinks.remove(sink)
 
-    def subscribe(self, capacity: int = DEFAULT_QUEUE_CAPACITY
-                  ) -> BoundedEventQueue:
-        """A new bounded queue receiving every subsequent event."""
-        queue = BoundedEventQueue(capacity)
-        self._queues.append(queue)
-        return queue
-
     def publish(self, event, source: str = "",
                 **data: Any) -> TelemetryEvent:
         """Publish an event (or build one from ``kind`` + ``data``);
@@ -194,23 +125,11 @@ class EventBus:
                                    data=data)
         if event.wall_s == 0.0:
             event.wall_s = time.time()
-        event.seq = self._seq
-        self._seq += 1
+        event.seq = self.published
         self.published += 1
-        for queue in self._queues:
-            queue.push(event)
         for sink in self._sinks:
             sink(event)
         return event
-
-    def stats(self) -> Dict[str, int]:
-        """Aggregate accounting: published events plus every
-        subscriber's drop/coalesce counts (the non-silent report)."""
-        return {
-            "published": self.published,
-            "dropped": sum(q.dropped for q in self._queues),
-            "coalesced": sum(q.coalesced for q in self._queues),
-        }
 
 
 class JsonlEventLog:
@@ -218,20 +137,18 @@ class JsonlEventLog:
 
     Lines are flushed as written so ``tail -f`` follows a running
     sweep. ``close()`` appends a final ``log_closed`` event carrying
-    the bus accounting (published/dropped/coalesced), so any queue
-    losses are recorded in the artifact itself.
+    the bus's ``published`` count and the log's own ``lines``, so a
+    reader can tell a complete log from a truncated one.
     """
 
-    def __init__(self, path: str,
-                 bus: Optional[EventBus] = None) -> None:
+    def __init__(self, path: str, bus: EventBus) -> None:
         self.path = path
         self.lines = 0
         self._bus = bus
         parent = os.path.dirname(os.path.abspath(path))
         os.makedirs(parent, exist_ok=True)
         self._stream = open(path, "w", encoding="utf-8")
-        if bus is not None:
-            bus.add_sink(self)
+        bus.add_sink(self)
 
     def __call__(self, event: TelemetryEvent) -> None:
         self._stream.write(json.dumps(event.to_dict(), sort_keys=True))
@@ -242,12 +159,11 @@ class JsonlEventLog:
     def close(self) -> None:
         if self._stream.closed:
             return
-        if self._bus is not None:
-            self._bus.remove_sink(self)
-            stats = dict(self._bus.stats(), lines=self.lines)
-            self(TelemetryEvent(kind=LOG_CLOSED, source="log",
-                                data=stats, wall_s=time.time(),
-                                seq=self._bus.published))
+        self._bus.remove_sink(self)
+        self(TelemetryEvent(kind=LOG_CLOSED, source="log",
+                            data={"published": self._bus.published,
+                                  "lines": self.lines},
+                            wall_s=time.time(), seq=self._bus.published))
         self._stream.close()
 
     def __enter__(self) -> "JsonlEventLog":
@@ -261,28 +177,29 @@ class JsonlEventLog:
 # Publishers (the worker/run side)
 # ----------------------------------------------------------------------
 
-class TelemetryPublisher:
-    """Base publisher: event construction + heartbeat rate limiting.
+class Publisher:
+    """Event construction + heartbeat rate limiting over one ``send``.
 
-    Subclasses implement :meth:`_emit` to move the event somewhere —
-    into a local bus or over a pipe. ``heartbeat()`` is rate-limited to
-    one per ``heartbeat_s`` wall seconds, and :meth:`heartbeat_due`
-    makes the *pre-collection* gate cheap: callers skip gathering
-    counter snapshots entirely between beats.
+    ``send`` moves a built event somewhere: :meth:`EventBus.publish` in
+    process, a :class:`PipeSend` in a scheduler worker.
+    ``heartbeat()`` is rate-limited to one per ``heartbeat_s`` wall
+    seconds, and :meth:`heartbeat_due` makes the *pre-collection* gate
+    cheap: callers skip gathering counter snapshots entirely between
+    beats.
     """
 
-    def __init__(self, source: str = "",
+    def __init__(self, send: Callable[[TelemetryEvent], Any],
+                 source: str = "",
                  heartbeat_s: float = DEFAULT_HEARTBEAT_S) -> None:
+        self._send = send
         self.source = source
         self.heartbeat_s = heartbeat_s
-        self.sent = 0
         self._last_heartbeat = float("-inf")
 
     def publish(self, kind: str, **data: Any) -> TelemetryEvent:
         event = TelemetryEvent(kind=kind, source=self.source,
                                data=data, wall_s=time.time())
-        self._emit(event)
-        self.sent += 1
+        self._send(event)
         return event
 
     def heartbeat_due(self) -> bool:
@@ -299,51 +216,34 @@ class TelemetryPublisher:
         self.publish(HEARTBEAT, **data)
         return True
 
-    def _emit(self, event: TelemetryEvent) -> None:
-        raise NotImplementedError
 
-
-class BusPublisher(TelemetryPublisher):
-    """In-process publisher: events go straight into a local bus
-    (serial sweeps, counting runs, anything coordinator-side)."""
-
-    def __init__(self, bus: EventBus, source: str = "",
-                 heartbeat_s: float = DEFAULT_HEARTBEAT_S) -> None:
-        super().__init__(source, heartbeat_s)
-        self._bus = bus
-
-    def _emit(self, event: TelemetryEvent) -> None:
-        self._bus.publish(event)
-
-
-class PipePublisher(TelemetryPublisher):
-    """Worker-process publisher: events travel the scheduler's result
-    pipe as :data:`~repro.harness.ipc.TAG_EVENT` messages, interleaved
-    ahead of the final :data:`~repro.harness.ipc.TAG_DONE`. Sends are
+class PipeSend:
+    """A worker's ``send``: events travel the scheduler's result pipe
+    as :data:`~repro.harness.ipc.TAG_EVENT` messages, interleaved ahead
+    of the final :data:`~repro.harness.ipc.TAG_DONE`. Sends are
     lock-serialized (heartbeats may fire from instrumentation hooks)
     and a dead pipe — the coordinator gave up on this point — degrades
-    to counting, never raising into the workload."""
+    to counting ``failures``, never raising into the workload."""
 
-    def __init__(self, conn, source: str = "",
-                 heartbeat_s: float = DEFAULT_HEARTBEAT_S) -> None:
-        super().__init__(source, heartbeat_s)
+    def __init__(self, conn) -> None:
         self._conn = conn
         self._lock = threading.Lock()
-        self.send_failures = 0
+        self.failures = 0
 
-    def _emit(self, event: TelemetryEvent) -> None:
+    def __call__(self, event: TelemetryEvent) -> None:
         from ..harness import ipc
         with self._lock:
             if not ipc.send_event(self._conn, event.to_dict()):
-                self.send_failures += 1
+                self.failures += 1
 
 
 class HeartbeatEmitter:
     """Per-commit probe turning a running database into heartbeats.
 
-    Installed as ``platform.txn_probe`` on every partition (the same
-    pattern as the session's latency histogram: one attribute check per
-    transaction when telemetry is off). Each call is gated by the
+    Installed as ``platform.txn_probe`` on every partition for the
+    duration of a ``with`` block (the same pattern as the session's
+    latency histogram: one attribute check per transaction when
+    telemetry is off). Each call is gated by the
     publisher's heartbeat window before any counters are gathered, so
     steady-state cost is a clock read and a comparison.
 
@@ -353,7 +253,7 @@ class HeartbeatEmitter:
     crash/recovery counters).
     """
 
-    def __init__(self, publisher: TelemetryPublisher, db,
+    def __init__(self, publisher: Publisher, db,
                  extra: Optional[Callable[[], Dict[str, Any]]] = None
                  ) -> None:
         self._publisher = publisher
@@ -368,6 +268,13 @@ class HeartbeatEmitter:
         for partition in self._db.partitions:
             if partition.platform.txn_probe is self:
                 partition.platform.txn_probe = None
+
+    def __enter__(self) -> "HeartbeatEmitter":
+        self.install()
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        self.uninstall()
 
     def __call__(self) -> None:
         if not self._publisher.heartbeat_due():

@@ -258,7 +258,7 @@ def summarize_profile(profile: Dict[str, Any]) -> str:
 def summarize_events(records: List[Dict[str, Any]]) -> str:
     """Render a telemetry event log (JSONL, see
     :class:`repro.obs.bus.JsonlEventLog`) as per-kind and per-source
-    tables, surfacing the final accounting (drops are never silent)."""
+    tables, surfacing the closing ``log_closed`` accounting."""
     by_kind: Dict[str, int] = {}
     sources = set()
     first_wall = last_wall = None

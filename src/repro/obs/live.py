@@ -1,22 +1,22 @@
 """Live in-terminal progress for sweeps and crash campaigns.
 
-The renderer subscribes to an :class:`~repro.obs.bus.EventBus` and
-keeps a tiny rolling model of the run: points done/failed/retried,
-worker and simulated crashes, per-engine throughput (freshest
-heartbeat wins, finished-point results override), and an ETA from the
-observed point completion rate.
+The renderer is a sink on an :class:`~repro.obs.bus.EventBus`. It
+applies each event to a tiny rolling model of the run: points
+done/failed/retried, worker and simulated crashes, per-engine
+throughput (freshest heartbeat wins, finished-point results override),
+and an ETA from the observed point completion rate.
 
 Two output modes, auto-detected from the stream:
 
 * **TTY** — a single status line redrawn in place (``\\r`` + erase),
   updated at most every ``min_refresh_s``.
 * **plain log** — one line per point lifecycle event plus a periodic
-  heartbeat digest; safe for CI logs and ``| tee``.
+  heartbeat digest (at most every ``plain_heartbeat_s``); safe for CI
+  logs and ``| tee``. Lines, like TTY redraws, are written only when
+  the ``min_refresh_s`` window allows.
 
-The renderer is registered as a bus *sink* purely as a wake-up signal
-(every published event offers a redraw opportunity); the events
-themselves are consumed from a bounded queue, so a stalled terminal
-costs bounded memory and the losses are counted, not hidden.
+Rendering is synchronous inside ``publish``, so it costs the publisher
+one write per refresh window, and never more memory than one event.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ class LiveRenderer:
     """Render bus events as live progress on a terminal stream."""
 
     def __init__(self, bus: EventBus,
-                 total_points: Optional[int] = None,
                  stream: Optional[TextIO] = None,
                  live: Optional[bool] = None,
                  min_refresh_s: float = DEFAULT_REFRESH_S,
@@ -69,9 +68,8 @@ class LiveRenderer:
             live = bool(getattr(self._stream, "isatty", lambda: False)())
         #: True: in-place status line; False: plain log lines.
         self.tty = live
-        self._queue = bus.subscribe()
         self._bus = bus
-        bus.add_sink(self._wake)
+        bus.add_sink(self)
         self._clock = clock
         self._min_refresh_s = min_refresh_s
         self._plain_heartbeat_s = plain_heartbeat_s
@@ -80,7 +78,7 @@ class LiveRenderer:
         self._started_at = clock()
         self._closed = False
         # Rolling model.
-        self.total = total_points
+        self.total: Optional[int] = None
         self.finished = 0
         self.failed = 0
         self.retries = 0
@@ -93,23 +91,17 @@ class LiveRenderer:
     # Event intake
     # ------------------------------------------------------------------
 
-    def _wake(self, event: TelemetryEvent) -> None:
-        self.tick()
-
-    def tick(self, force: bool = False) -> None:
-        """Drain pending events and redraw if the refresh window
-        elapsed (or ``force``)."""
-        if self._closed:
-            return
+    def __call__(self, event: TelemetryEvent) -> None:
+        """Apply one event and redraw if the refresh window elapsed."""
+        self._apply(event)
         now = self._clock()
-        events = self._queue.drain()
-        for event in events:
-            self._apply(event)
-        if not force and now - self._last_render < self._min_refresh_s:
+        if now - self._last_render < self._min_refresh_s:
             return
-        if events or force:
-            self._last_render = now
-            self._render(events)
+        self._last_render = now
+        if self.tty:
+            self._redraw()
+        else:
+            self._log(event, now)
 
     def _apply(self, event: TelemetryEvent) -> None:
         data = event.data
@@ -165,74 +157,63 @@ class LiveRenderer:
                 f"{engine} {_fmt_rate(rate)} txn/s"
                 for engine, rate in sorted(self._engine_rate.items()))
             parts.append(rates)
-        dropped = self._bus.stats()["dropped"]
-        if dropped:
-            parts.append(f"{dropped} events dropped")
         return "[live] " + " | ".join(parts)
 
-    def _render(self, events) -> None:
-        if self.tty:
-            line = self._status_line()
-            pad = " " * max(0, self._line_len - len(line))
-            self._stream.write("\r" + line + pad)
-            self._stream.flush()
-            self._line_len = len(line)
-            return
-        # Plain mode: one line per lifecycle event, digested heartbeats.
-        now = self._clock()
-        for event in events:
-            data = event.data
-            if event.kind == _bus.POINT_FINISHED:
-                status = "ok" if data.get("ok", True) else \
-                    f"FAILED: {data.get('error', '?')}"
-                rate = data.get("throughput")
-                rate_s = f" {_fmt_rate(rate)} txn/s" if rate else ""
-                self._line(f"point {data.get('index', '?')} "
-                           f"{event.source}: {status}{rate_s} "
-                           f"({data.get('host_seconds', 0.0):.2f}s)")
-            elif event.kind == _bus.POINT_RETRIED:
-                self._line(f"point {data.get('index', '?')} "
-                           f"{event.source}: retrying "
-                           f"(attempt {data.get('attempt', '?')}): "
-                           f"{data.get('error', '?')}")
-            elif event.kind == _bus.POINT_CRASHED:
-                self._line(f"point {data.get('index', '?')} "
-                           f"{event.source}: worker crashed "
-                           f"(exit code {data.get('exitcode', '?')})")
-            elif event.kind == _bus.HEARTBEAT:
-                if now - self._last_plain_heartbeat \
-                        >= self._plain_heartbeat_s:
-                    self._last_plain_heartbeat = now
-                    self._line(self._status_line())
-            elif event.kind == _bus.SWEEP_STARTED:
-                self._line(f"{event.kind}: "
-                           f"{data.get('points', '?')} points")
-            elif event.kind == _bus.CAMPAIGN_STARTED:
-                engines = ", ".join(data.get("engines", [])) or "?"
-                self._line(f"{event.kind}: {engines} "
-                           f"(seed {data.get('seed', '?')})")
+    def _redraw(self) -> None:
+        """TTY mode: rewrite the one status line in place."""
+        line = self._status_line()
+        pad = " " * max(0, self._line_len - len(line))
+        self._stream.write("\r" + line + pad)
+        self._stream.flush()
+        self._line_len = len(line)
+
+    def _log(self, event: TelemetryEvent, now: float) -> None:
+        """Plain mode: one line per lifecycle event, digested
+        heartbeats."""
+        data = event.data
+        if event.kind == _bus.POINT_FINISHED:
+            status = "ok" if data.get("ok", True) else \
+                f"FAILED: {data.get('error', '?')}"
+            rate = data.get("throughput")
+            rate_s = f" {_fmt_rate(rate)} txn/s" if rate else ""
+            self._line(f"point {data.get('index', '?')} "
+                       f"{event.source}: {status}{rate_s} "
+                       f"({data.get('host_seconds', 0.0):.2f}s)")
+        elif event.kind == _bus.POINT_RETRIED:
+            self._line(f"point {data.get('index', '?')} "
+                       f"{event.source}: retrying "
+                       f"(attempt {data.get('attempt', '?')}): "
+                       f"{data.get('error', '?')}")
+        elif event.kind == _bus.POINT_CRASHED:
+            self._line(f"point {data.get('index', '?')} "
+                       f"{event.source}: worker crashed "
+                       f"(exit code {data.get('exitcode', '?')})")
+        elif event.kind == _bus.HEARTBEAT:
+            if now - self._last_plain_heartbeat \
+                    >= self._plain_heartbeat_s:
+                self._last_plain_heartbeat = now
+                self._line(self._status_line())
+        elif event.kind == _bus.SWEEP_STARTED:
+            self._line(f"{event.kind}: "
+                       f"{data.get('points', '?')} points")
+        elif event.kind == _bus.CAMPAIGN_STARTED:
+            engines = ", ".join(data.get("engines", [])) or "?"
+            self._line(f"{event.kind}: {engines} "
+                       f"(seed {data.get('seed', '?')})")
 
     def _line(self, text: str) -> None:
         self._stream.write(text + "\n")
         self._stream.flush()
 
-    def _summary(self) -> str:
-        stats = self._bus.stats()
-        tail = ""
-        if stats["dropped"] or stats["coalesced"]:
-            tail = (f" (display queue: {stats['dropped']} dropped, "
-                    f"{stats['coalesced']} heartbeats coalesced)")
-        return self._status_line() + tail
-
     def close(self) -> None:
-        """Final forced render plus a closing summary line."""
+        """Erase the status line and print it once more as the closing
+        summary."""
         if self._closed:
             return
-        self.tick(force=True)
-        self._bus.remove_sink(self._wake)
+        self._bus.remove_sink(self)
         if self.tty:
             self._stream.write("\r" + " " * self._line_len + "\r")
-        self._line(self._summary())
+        self._line(self._status_line())
         self._closed = True
 
     def __enter__(self) -> "LiveRenderer":

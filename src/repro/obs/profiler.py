@@ -24,12 +24,21 @@ Outputs:
 Phase transitions are also published to a telemetry publisher when one
 is attached (``phase_enter`` / ``phase_exit`` events on the bus), so a
 live observer sees *which phase* a long-running point is in.
+
+A run point (:func:`repro.harness.runner.run`,
+:meth:`repro.fault.campaign.CampaignSpec.execute`) is wired through
+three methods: :meth:`PhaseProfiler.for_run` opens the profile,
+:meth:`PhaseProfiler.heartbeats` streams progress while the database
+works, and :meth:`PhaseProfiler.finish` attaches the profile to the
+result.
 """
 
 from __future__ import annotations
 
+import contextlib
 import time
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import (Any, Callable, ContextManager, Dict, Iterable,
+                    Iterator, List, Optional, Tuple)
 
 from . import bus as _bus
 
@@ -44,44 +53,6 @@ PHASES = ("setup", "load", "run", "checkpoint", "recovery", "verify",
 PROFILE_KIND = "repro-phase-profile"
 
 _STACK_SEP = ";"
-
-
-class _PhaseScope:
-    """Context manager charging one phase entry/exit."""
-
-    __slots__ = ("_profiler", "_name", "_db", "_wall0", "_sim0")
-
-    def __init__(self, profiler: "PhaseProfiler", name: str,
-                 db=None) -> None:
-        self._profiler = profiler
-        self._name = name
-        self._db = db
-
-    def __enter__(self) -> "_PhaseScope":
-        self._wall0 = self._profiler._wall()
-        self._sim0 = self._db.now_ns if self._db is not None else None
-        self._profiler._enter(self._name)
-        return self
-
-    def __exit__(self, *exc: object) -> bool:
-        wall_s = self._profiler._wall() - self._wall0
-        sim_ns = (self._db.now_ns - self._sim0) \
-            if self._db is not None else 0.0
-        self._profiler._exit(wall_s, sim_ns)
-        return False
-
-
-class _NullScope:
-    __slots__ = ()
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, *exc: object) -> bool:
-        return False
-
-
-_NULL_SCOPE = _NullScope()
 
 
 class PhaseProfiler:
@@ -102,6 +73,38 @@ class PhaseProfiler:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
+
+    @classmethod
+    def for_run(cls, telemetry: Optional[_bus.Publisher]
+                ) -> "PhaseProfiler":
+        """The profiler of one run point, its window already open. It
+        records — and publishes phase transitions — only with
+        ``telemetry``: a profile is wall-clock side-band data, so
+        default runs stay byte-identical between serial and parallel
+        sweeps."""
+        profiler = cls(publisher=telemetry,
+                       enabled=telemetry is not None)
+        profiler.start()
+        return profiler
+
+    def heartbeats(self, db,
+                   extra: Optional[Callable[[], Dict[str, Any]]] = None
+                   ) -> ContextManager[object]:
+        """Stream rate-limited per-commit heartbeats from ``db`` while
+        the block runs. Only with telemetry, and only on in-process
+        partitions: the probe hooks partition objects directly, which
+        executor processes do not expose — a sharded run's progress
+        streams through its phase events instead."""
+        if self._publisher is None or getattr(db, "is_sharded", False):
+            return contextlib.nullcontext()
+        return _bus.HeartbeatEmitter(self._publisher, db, extra)
+
+    def finish(self, result) -> None:
+        """Close the window and, when recording, attach the profile as
+        ``result.phases``."""
+        self.stop()
+        if self.enabled:
+            result.phases = self.to_dict()
 
     def start(self) -> None:
         """Open the total-wall measurement window (idempotent)."""
@@ -126,36 +129,37 @@ class PhaseProfiler:
     # Recording
     # ------------------------------------------------------------------
 
-    def phase(self, name: str, db=None):
+    @contextlib.contextmanager
+    def phase(self, name: str, db=None) -> Iterator[None]:
         """Charge the enclosed block to ``name`` (nested under the
         current stack); pass ``db`` to also attribute simulated time."""
         if not self.enabled:
-            return _NULL_SCOPE
-        return _PhaseScope(self, name, db)
-
-    def _enter(self, name: str) -> None:
+            yield
+            return
+        wall0 = self._wall()
+        sim0 = db.now_ns if db is not None else None
         self.start()
         self._stack.append(name)
-        if self._publisher is not None:
-            self._publisher.publish(
-                _bus.PHASE_ENTER, phase=name,
-                stack=_STACK_SEP.join(self._stack))
-
-    def _exit(self, wall_s: float, sim_ns: float) -> None:
         key = tuple(self._stack)
-        record = self._records.get(key)
-        if record is None:
-            record = {"wall_s": 0.0, "sim_ns": 0.0, "count": 0}
-            self._records[key] = record
-        record["wall_s"] += wall_s
-        record["sim_ns"] += sim_ns
-        record["count"] += 1
-        name = self._stack.pop()
         if self._publisher is not None:
             self._publisher.publish(
-                _bus.PHASE_EXIT, phase=name,
-                stack=_STACK_SEP.join(key),
-                wall_s=wall_s, sim_ns=sim_ns)
+                _bus.PHASE_ENTER, phase=name, stack=_STACK_SEP.join(key))
+        try:
+            yield
+        finally:
+            wall_s = self._wall() - wall0
+            sim_ns = (db.now_ns - sim0) if db is not None else 0.0
+            record = self._records.setdefault(
+                key, {"wall_s": 0.0, "sim_ns": 0.0, "count": 0})
+            record["wall_s"] += wall_s
+            record["sim_ns"] += sim_ns
+            record["count"] += 1
+            self._stack.pop()
+            if self._publisher is not None:
+                self._publisher.publish(
+                    _bus.PHASE_EXIT, phase=name,
+                    stack=_STACK_SEP.join(key),
+                    wall_s=wall_s, sim_ns=sim_ns)
 
     # ------------------------------------------------------------------
     # Reports

@@ -17,6 +17,7 @@ from repro.dist.txn import Branch, DistributedTransaction
 from repro.errors import (ConfigError, SimulatedCrash,
                           TransactionAborted)
 from repro.fault.injector import FaultPlan
+from repro.obs.bus import EventBus
 from tests.core.test_database_contract import FACTORIES
 
 TABLE = "pairs"
@@ -171,10 +172,18 @@ def test_resolution_is_idempotent_across_repeated_recovery(db):
 # Campaign: every sampled coordinate survives with a clean oracle
 # ----------------------------------------------------------------------
 
+@pytest.mark.parametrize("telemetered", [False, True],
+                         ids=["quiet", "bus"])
 @pytest.mark.parametrize("factory", FACTORIES)
-def test_twopc_campaign_finds_no_violations(factory):
+def test_twopc_campaign_finds_no_violations(factory, telemetered):
+    """Telemetry on must not change what the campaign finds — nor may
+    its teardown read the clock of a database it just closed (a
+    sharded one's executors are gone by then)."""
     report = run_twopc_campaign(["nvm-inp"], seed=11, ops=24,
-                                factory=factory)
+                                factory=factory,
+                                bus=EventBus() if telemetered else None)
+    assert len(report.profiles) == \
+        (1 + len(report.outcomes) if telemetered else 0)
     assert report.ok, (report.violations, report.failures)
     assert not any(report.uncovered.values())
     # All three protocol points were reached and swept.

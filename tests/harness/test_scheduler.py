@@ -79,10 +79,10 @@ def test_serial_error_isolated_and_reported():
 def test_worker_crash_marks_only_its_point_failed(monkeypatch):
     real = scheduler._execute_point
 
-    def boom(spec, observe):
+    def boom(spec, observe, telemetry=None):
         if spec.engine == "nvm-inp":
             os._exit(13)  # simulated hard worker death
-        return real(spec, observe)
+        return real(spec, observe, telemetry)
 
     monkeypatch.setattr(scheduler, "_execute_point", boom)
     specs = [ExperimentSpec.ycsb(engine, "balanced", "low", **TINY)
@@ -97,10 +97,10 @@ def test_worker_crash_marks_only_its_point_failed(monkeypatch):
 def test_worker_timeout_terminates_point(monkeypatch):
     real = scheduler._execute_point
 
-    def stall(spec, observe):
+    def stall(spec, observe, telemetry=None):
         if spec.engine == "log":
             time.sleep(60)
-        return real(spec, observe)
+        return real(spec, observe, telemetry)
 
     monkeypatch.setattr(scheduler, "_execute_point", stall)
     specs = [ExperimentSpec.ycsb(engine, "balanced", "low", **TINY)

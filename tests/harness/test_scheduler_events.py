@@ -23,10 +23,11 @@ def _specs(engines=("inp", "log")):
 
 def _capture(jobs, specs=None, **kwargs):
     bus = EventBus()
-    queue = bus.subscribe(capacity=4096)
+    events = []
+    bus.add_sink(events.append)
     outcomes = run_sweep(specs or _specs(), jobs=jobs, bus=bus,
                          heartbeat_s=0.0, **kwargs)
-    return outcomes, queue.drain()
+    return outcomes, events
 
 
 # ----------------------------------------------------------------------
@@ -47,8 +48,6 @@ def test_sweep_emits_lifecycle_events(jobs):
     assert "heartbeat" in kinds
     assert "phase_enter" in kinds and "phase_exit" in kinds
     # Bus ordering: non-heartbeat events arrive in seq order.
-    # (Coalesced heartbeats keep their queue slot but carry the
-    # newest payload's seq, so they may sit ahead of larger seqs.)
     seqs = [event.seq for event in events
             if event.kind != "heartbeat"]
     assert seqs == sorted(seqs) and len(set(seqs)) == len(seqs)
@@ -56,9 +55,9 @@ def test_sweep_emits_lifecycle_events(jobs):
     assert started.data == {"points": 2, "jobs": jobs}
     finished = events[-1]
     assert finished.data["failed"] == 0
-    # The closing stats count every publish; the drained queue holds
-    # fewer because per-source heartbeats coalesce.
-    assert finished.data["published"] >= len(events)
+    # The closing record counts every publish before it, and a sink
+    # sees every one of them.
+    assert finished.data["published"] == len(events) - 1
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -133,7 +132,8 @@ def test_retry_events_published_per_attempt():
         return real(spec, observe, telemetry)
 
     bus = EventBus()
-    queue = bus.subscribe()
+    events = []
+    bus.add_sink(events.append)
     original = scheduler._execute_point
     scheduler._execute_point = flaky
     try:
@@ -143,7 +143,7 @@ def test_retry_events_published_per_attempt():
     finally:
         scheduler._execute_point = original
     assert outcomes[0].ok and outcomes[0].attempts == 2
-    retried = [e for e in queue.drain() if e.kind == "point_retried"]
+    retried = [e for e in events if e.kind == "point_retried"]
     assert len(retried) == 1
     assert retried[0].data["attempt"] == 1
     assert "transient-glitch" in retried[0].data["error"]
@@ -160,11 +160,12 @@ def test_worker_death_publishes_point_crashed(monkeypatch):
 
     monkeypatch.setattr(scheduler, "_execute_point", boom)
     bus = EventBus()
-    queue = bus.subscribe()
+    events = []
+    bus.add_sink(events.append)
     outcomes = run_sweep(_specs(("inp", "log")), jobs=2, bus=bus,
                          heartbeat_s=0.0)
     assert outcomes[0].ok and not outcomes[1].ok
-    crashed = [e for e in queue.drain() if e.kind == "point_crashed"]
+    crashed = [e for e in events if e.kind == "point_crashed"]
     assert len(crashed) == 1
     assert crashed[0].data["exitcode"] == 13
 
@@ -177,7 +178,7 @@ def test_bus_does_not_change_results():
     specs = _specs()
     plain = run_sweep(specs, jobs=1)
     bus = EventBus()
-    bus.subscribe()
+    bus.add_sink(lambda event: None)
     observed = run_sweep(specs, jobs=1, bus=bus, heartbeat_s=0.0)
     plain_json = json.dumps([o.result.to_dict() for o in plain])
     observed_json = json.dumps(

@@ -32,7 +32,7 @@ class FlakySpec:
     def to_dict(self):
         return {"kind": "flaky", "label": self.label}
 
-    def execute(self, obs=None):
+    def execute(self, obs=None, telemetry=None):
         if not os.path.exists(self.marker_path):
             with open(self.marker_path, "w") as stream:
                 stream.write("attempted\n")
@@ -51,7 +51,7 @@ class AlwaysFailSpec:
     def to_dict(self):
         return {"kind": "doomed", "label": self.label}
 
-    def execute(self, obs=None):
+    def execute(self, obs=None, telemetry=None):
         raise RuntimeError("permanently broken")
 
 

@@ -1,14 +1,11 @@
-"""Event bus: ordering, heartbeat coalescing, drop accounting."""
+"""Event bus: ordering, the event log, publishers, heartbeats."""
 
 import json
 import multiprocessing
 
-import pytest
-
 from repro.obs import bus as bus_mod
-from repro.obs.bus import (BoundedEventQueue, BusPublisher, EventBus,
-                           HeartbeatEmitter, JsonlEventLog,
-                           PipePublisher, TelemetryEvent)
+from repro.obs.bus import (EventBus, HeartbeatEmitter, JsonlEventLog,
+                           PipeSend, Publisher, TelemetryEvent)
 
 
 def _event(kind="heartbeat", source="p0", **data):
@@ -39,87 +36,16 @@ def test_bus_assigns_monotonic_seq_in_publish_order():
     bus = EventBus()
     seen = []
     bus.add_sink(lambda e: seen.append(e))
-    queue = bus.subscribe()
     for index in range(5):
         bus.publish("point_started", source=f"p{index}", index=index)
     assert [e.seq for e in seen] == [0, 1, 2, 3, 4]
-    drained = queue.drain()
-    assert [e.seq for e in drained] == [0, 1, 2, 3, 4]
-    assert [e.data["index"] for e in drained] == [0, 1, 2, 3, 4]
+    assert [e.data["index"] for e in seen] == [0, 1, 2, 3, 4]
 
 
 def test_bus_stamps_wall_clock_when_unset():
     bus = EventBus()
     event = bus.publish("sweep_started", source="sweep")
     assert event.wall_s > 0
-
-
-def test_queue_preserves_order_of_non_heartbeat_events():
-    queue = BoundedEventQueue(capacity=10)
-    kinds = ["point_started", "phase_enter", "phase_exit",
-             "point_finished"]
-    for seq, kind in enumerate(kinds):
-        event = _event(kind)
-        event.seq = seq
-        queue.push(event)
-    assert [e.kind for e in queue.drain()] == kinds
-
-
-# ----------------------------------------------------------------------
-# Heartbeat coalescing
-# ----------------------------------------------------------------------
-
-def test_heartbeats_coalesce_per_source_in_place():
-    queue = BoundedEventQueue(capacity=10)
-    queue.push(_event("heartbeat", "a", txns=1))
-    queue.push(_event("point_started", "b"))
-    queue.push(_event("heartbeat", "b", txns=5))
-    queue.push(_event("heartbeat", "a", txns=2))  # replaces a's beat
-    queue.push(_event("heartbeat", "a", txns=3))  # replaces again
-    events = queue.drain()
-    # a's heartbeat kept its original queue position, newest payload.
-    assert [(e.kind, e.source) for e in events] == [
-        ("heartbeat", "a"), ("point_started", "b"), ("heartbeat", "b")]
-    assert events[0].data["txns"] == 3
-    assert queue.coalesced == 2
-
-
-def test_distinct_sources_do_not_coalesce():
-    queue = BoundedEventQueue(capacity=10)
-    queue.push(_event("heartbeat", "a", txns=1))
-    queue.push(_event("heartbeat", "b", txns=2))
-    assert len(queue) == 2
-    assert queue.coalesced == 0
-
-
-# ----------------------------------------------------------------------
-# Bounded queue drop accounting
-# ----------------------------------------------------------------------
-
-def test_full_queue_drops_oldest_and_counts():
-    queue = BoundedEventQueue(capacity=3)
-    for index in range(5):
-        queue.push(_event("point_started", f"p{index}", index=index))
-    events = queue.drain()
-    assert [e.data["index"] for e in events] == [2, 3, 4]
-    assert queue.dropped == 2
-
-
-def test_bus_stats_aggregate_subscriber_losses():
-    bus = EventBus()
-    bus.subscribe(capacity=2)
-    bus.subscribe(capacity=100)
-    for index in range(6):
-        bus.publish("point_started", source=f"p{index}")
-    stats = bus.stats()
-    assert stats["published"] == 6
-    assert stats["dropped"] == 4  # only the tiny queue lost events
-    assert stats["coalesced"] == 0
-
-
-def test_queue_capacity_must_be_positive():
-    with pytest.raises(ValueError):
-        BoundedEventQueue(capacity=0)
 
 
 # ----------------------------------------------------------------------
@@ -138,9 +64,7 @@ def test_event_log_persists_stream_and_closing_accounting(tmp_path):
         "sweep_started", "heartbeat", "sweep_finished", "log_closed"]
     assert [r["seq"] for r in records[:3]] == [0, 1, 2]
     closing = records[-1]["data"]
-    assert closing["published"] == 3
-    assert closing["dropped"] == 0
-    assert closing["lines"] == 3
+    assert closing == {"published": 3, "lines": 3}
 
 
 def test_event_log_close_is_idempotent(tmp_path):
@@ -156,26 +80,28 @@ def test_event_log_close_is_idempotent(tmp_path):
 
 def test_bus_publisher_rate_limits_heartbeats():
     bus = EventBus()
-    queue = bus.subscribe()
-    publisher = BusPublisher(bus, source="p0", heartbeat_s=3600.0)
+    events = []
+    bus.add_sink(events.append)
+    publisher = Publisher(bus.publish, source="p0", heartbeat_s=3600.0)
     assert publisher.heartbeat(txns=1) is True
     assert publisher.heartbeat(txns=2) is False  # window not elapsed
     assert publisher.publish("phase_enter", phase="run")  # not limited
-    kinds = [e.kind for e in queue.drain()]
+    kinds = [e.kind for e in events]
     assert kinds == ["heartbeat", "phase_enter"]
 
 
 def test_zero_interval_heartbeats_all_pass():
     bus = EventBus()
-    publisher = BusPublisher(bus, source="p0", heartbeat_s=0.0)
+    publisher = Publisher(bus.publish, source="p0", heartbeat_s=0.0)
     assert publisher.heartbeat(txns=1)
     assert publisher.heartbeat(txns=2)
-    assert bus.stats()["published"] == 2
+    assert bus.published == 2
 
 
 def test_pipe_publisher_sends_tagged_events():
     parent, child = multiprocessing.Pipe(duplex=False)
-    publisher = PipePublisher(child, source="0001-x", heartbeat_s=0.0)
+    publisher = Publisher(PipeSend(child), source="0001-x",
+                          heartbeat_s=0.0)
     publisher.publish("phase_enter", phase="load")
     tag, payload = parent.recv()
     assert tag == "event"
@@ -189,11 +115,12 @@ def test_pipe_publisher_sends_tagged_events():
 
 def test_pipe_publisher_survives_dead_pipe():
     parent, child = multiprocessing.Pipe(duplex=False)
-    publisher = PipePublisher(child, source="p0", heartbeat_s=0.0)
+    send = PipeSend(child)
+    publisher = Publisher(send, source="p0", heartbeat_s=0.0)
     parent.close()
     child.close()
     publisher.publish("heartbeat", txns=1)  # must not raise
-    assert publisher.send_failures == 1
+    assert send.failures == 1
 
 
 # ----------------------------------------------------------------------
@@ -220,8 +147,9 @@ class _FakeDb:
 
 def test_heartbeat_emitter_payload_and_install_cycle():
     bus = EventBus()
-    queue = bus.subscribe()
-    publisher = BusPublisher(bus, source="p0", heartbeat_s=0.0)
+    events = []
+    bus.add_sink(events.append)
+    publisher = Publisher(bus.publish, source="p0", heartbeat_s=0.0)
     db = _FakeDb()
     emitter = HeartbeatEmitter(
         publisher, db, extra=lambda: {"crashes": 3})
@@ -230,7 +158,7 @@ def test_heartbeat_emitter_payload_and_install_cycle():
     emitter()  # what the partition executor calls per commit
     emitter.uninstall()
     assert db.partitions[0].platform.txn_probe is None
-    (event,) = queue.drain()
+    (event,) = events
     assert event.kind == bus_mod.HEARTBEAT
     assert event.data == {
         "engine": "inp", "txns": 42, "aborted": 1, "sim_ns": 5e9,
@@ -239,9 +167,9 @@ def test_heartbeat_emitter_payload_and_install_cycle():
 
 def test_heartbeat_emitter_skips_collection_when_not_due():
     bus = EventBus()
-    publisher = BusPublisher(bus, source="p0", heartbeat_s=3600.0)
+    publisher = Publisher(bus.publish, source="p0", heartbeat_s=3600.0)
     db = _FakeDb()
     emitter = HeartbeatEmitter(publisher, db)
     emitter()
     emitter()
-    assert bus.stats()["published"] == 1
+    assert bus.published == 1

@@ -101,14 +101,15 @@ def test_repeated_phase_accumulates_count():
 
 def test_phase_events_published_to_bus():
     bus = EventBus()
-    queue = bus.subscribe()
-    from repro.obs.bus import BusPublisher
+    events = []
+    bus.add_sink(events.append)
+    from repro.obs.bus import Publisher
     profiler = PhaseProfiler(
-        publisher=BusPublisher(bus, source="p0"))
+        publisher=Publisher(bus.publish, source="p0"))
     with profiler.phase("run"):
         with profiler.phase("recovery"):
             pass
-    kinds = [(e.kind, e.data["stack"]) for e in queue.drain()]
+    kinds = [(e.kind, e.data["stack"]) for e in events]
     assert kinds == [
         ("phase_enter", "run"),
         ("phase_enter", "run;recovery"),

@@ -233,8 +233,14 @@ def test_rule_commands_fail_on_a_file_that_does_not_parse(
 
 def test_engines_command_loads_no_rule_module():
     """The parser is built for every command, `repro serve` included;
-    the rule families must load only when `lint`/`analyze` runs."""
+    the rule families must load only when `lint`/`analyze` runs. And
+    `import repro` (every ladder, served and executor child pays it)
+    loads none of the sweep telemetry modules."""
     probe = ("import sys\n"
+             "import repro\n"
+             "telemetry = ('repro.obs.bus', 'repro.obs.live',\n"
+             "             'repro.obs.profiler', 'repro.obs.history')\n"
+             "print(sorted(m for m in sys.modules if m in telemetry))\n"
              "from repro.__main__ import main\n"
              "main(['engines'])\n"
              "rules = ('repro.lint', 'repro.analysis.static')\n"
@@ -243,6 +249,7 @@ def test_engines_command_loads_no_rule_module():
         pathlib.Path(repro.__file__).resolve().parents[1]))
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, check=True)
+    assert result.stdout.splitlines()[0] == "[]"
     assert result.stdout.splitlines()[-1] == "[]"
 
 
