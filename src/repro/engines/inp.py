@@ -18,8 +18,8 @@ from __future__ import annotations
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from ..config import EngineConfig
-from ..core.schema import FIELD_SLOT_SIZE, SLOT_HEADER_SIZE, ColumnType, Schema
-from ..core.tuple_codec import (decode_fields, decode_inlined,
+from ..core.schema import FIELD_SLOT_SIZE, SLOT_HEADER_SIZE, Schema
+from ..core.tuple_codec import (VARLEN, decode_fields, decode_inlined,
                                 encode_fields, encode_inlined,
                                 encode_slotted)
 from ..core.transaction import Transaction
@@ -218,34 +218,26 @@ class InPEngine(StorageEngine):
         """In-place update of the changed fields; returns the old
         varlen pointers that were replaced (for undo). When ``created``
         is supplied it is filled with the fresh varlen pointers."""
-        schema = store.schema
+        layout = store.schema.layout
         replaced: Dict[str, int] = {}
         owned = store.varlen_of.setdefault(addr, [])
-        for position, column in enumerate(schema.columns):
-            if column.name not in changes:
-                continue
-            value = changes[column.name]
+        for position in layout.positions_of(changes):
+            name = layout.names[position]
+            stored = layout.packers[position](changes[name])
             offset = addr + SLOT_HEADER_SIZE + position * FIELD_SLOT_SIZE
-            if column.type is ColumnType.STRING and not column.inline:
+            if layout.kinds[position] == VARLEN:
                 old_ptr = _U64.unpack(
                     self.memory.load(offset, FIELD_SLOT_SIZE))[0]
-                raw = value.encode("utf-8")
-                new_ptr = store.varlen.write(
-                    struct.pack("<I", len(raw)) + raw)
+                new_ptr = store.varlen.write(stored)
                 self.memory.store(offset, _U64.pack(new_ptr))
-                replaced[column.name] = old_ptr
+                replaced[name] = old_ptr
                 if created is not None:
-                    created[column.name] = new_ptr
+                    created[name] = new_ptr
                 if old_ptr in owned:
                     owned.remove(old_ptr)
                 owned.append(new_ptr)
             else:
-                fragment, __ = encode_slotted(
-                    _single_column_schema(schema, column),
-                    {column.name: value}, store.varlen.write)
-                self.memory.store(
-                    offset, fragment[SLOT_HEADER_SIZE:
-                                     SLOT_HEADER_SIZE + FIELD_SLOT_SIZE])
+                self.memory.store(offset, stored)
         return replaced
 
     def _restore_fields(self, store: _Table, addr: int,
@@ -254,16 +246,15 @@ class InPEngine(StorageEngine):
         """Undo an in-place update: inline fields get their old values
         written back; varlen fields get their *original pointers*
         restored and the aborted update's fresh slots freed."""
-        schema = store.schema
+        layout = store.schema.layout
         owned = store.varlen_of.setdefault(addr, [])
-        for position, column in enumerate(schema.columns):
-            if column.name not in before:
-                continue
+        for position in layout.positions_of(before):
+            name = layout.names[position]
             offset = addr + SLOT_HEADER_SIZE + position * FIELD_SLOT_SIZE
-            if column.name in replaced:
+            if name in replaced:
                 new_ptr = _U64.unpack(
                     self.memory.load(offset, FIELD_SLOT_SIZE))[0]
-                old_ptr = replaced[column.name]
+                old_ptr = replaced[name]
                 self.memory.store(offset, _U64.pack(old_ptr))
                 if new_ptr in owned:
                     owned.remove(new_ptr)
@@ -271,12 +262,8 @@ class InPEngine(StorageEngine):
                     store.varlen.free(new_ptr)
                 owned.append(old_ptr)
             else:
-                fragment, __ = encode_slotted(
-                    _single_column_schema(schema, column),
-                    {column.name: before[column.name]}, store.varlen.write)
                 self.memory.store(
-                    offset, fragment[SLOT_HEADER_SIZE:
-                                     SLOT_HEADER_SIZE + FIELD_SLOT_SIZE])
+                    offset, layout.packers[position](before[name]))
 
     # ------------------------------------------------------------------
     # Secondary index maintenance
@@ -483,7 +470,3 @@ class InPEngine(StorageEngine):
         breakdown["checkpoint"] = self._checkpointer.size_bytes
         return breakdown
 
-
-def _single_column_schema(schema: Schema, column) -> Schema:
-    """A one-column throwaway schema for encoding a single field."""
-    return Schema(schema.table, (column,), (column.name,))

@@ -27,7 +27,7 @@ from typing import Any, Dict, List
 
 from ..config import EngineConfig
 from ..core.schema import FIELD_SLOT_SIZE, SLOT_HEADER_SIZE
-from ..core.tuple_codec import (STATE_PERSISTED, decode_fields,
+from ..core.tuple_codec import (STATE_PERSISTED, VARLEN, decode_fields,
                                 encode_fields, encode_slotted)
 from ..core.transaction import Transaction
 from ..errors import DuplicateKeyError, TupleNotFoundError
@@ -80,7 +80,7 @@ class NVMInPEngine(InPEngine):
         with self.stats.category(Category.RECOVERY):
             self._nvm_wal.append(txn.txn_id, NVMWalRecord(
                 "insert", table, key, tuple_ptr=addr,
-                after_varlen=tuple(zip(self._varlen_columns(store),
+                after_varlen=tuple(zip(store.schema.layout.varlen_names,
                                        pointers))))
         with self.stats.category(Category.STORAGE):
             store.pool.set_state(addr, STATE_PERSISTED, durable=False)
@@ -109,8 +109,9 @@ class NVMInPEngine(InPEngine):
         with self.stats.category(Category.STORAGE):
             old_values = self._read_tuple(store, addr)
         before = {name: old_values[name] for name in changes}
+        varlen_names = store.schema.layout.varlen_names
         inline_before = {name: value for name, value in before.items()
-                         if store.schema.column(name).inline}
+                         if name not in varlen_names}
         # WAL: changed inline before-images + old varlen pointers
         # (Table 3: log = F + p), synced before the in-place write.
         with self.stats.category(Category.RECOVERY):
@@ -153,29 +154,22 @@ class NVMInPEngine(InPEngine):
     # Helpers
     # ------------------------------------------------------------------
 
-    def _varlen_columns(self, store: _Table) -> List[str]:
-        return [column.name for column in store.schema.columns
-                if not column.inline]
-
     def _varlen_ptrs_of(self, store: _Table, addr: int,
                         changes: Dict[str, Any]) -> Dict[str, int]:
         """Current varlen pointers of the changed non-inline columns."""
-        pointers: Dict[str, int] = {}
-        for position, column in enumerate(store.schema.columns):
-            if column.name in changes and not column.inline:
-                offset = addr + SLOT_HEADER_SIZE \
-                    + position * FIELD_SLOT_SIZE
-                pointers[column.name] = _U64.unpack(
-                    self.memory.load(offset, FIELD_SLOT_SIZE))[0]
-        return pointers
+        layout = store.schema.layout
+        return {layout.names[position]: _U64.unpack(self.memory.load(
+                    addr + SLOT_HEADER_SIZE + position * FIELD_SLOT_SIZE,
+                    FIELD_SLOT_SIZE))[0]
+                for position in layout.positions_of(changes)
+                if layout.kinds[position] == VARLEN}
 
     def _field_ranges(self, store: _Table, addr: int,
                       names) -> List[tuple]:
         """``(addr, size)`` ranges of the named fields' slot positions."""
         return [(addr + SLOT_HEADER_SIZE + position * FIELD_SLOT_SIZE,
                  FIELD_SLOT_SIZE)
-                for position, column in enumerate(store.schema.columns)
-                if column.name in names]
+                for position in store.schema.layout.positions_of(names)]
 
     def _sync_fields(self, store: _Table, addr: int,
                      changes: Dict[str, Any],
@@ -287,7 +281,7 @@ class NVMInPEngine(InPEngine):
             current = self._read_tuple(store, addr)
             # Restore old varlen pointers recorded in the WAL entry.
             for name, old_ptr in record.before_varlen:
-                position = store.schema.column_names.index(name)
+                position = store.schema.layout.positions[name]
                 offset = addr + SLOT_HEADER_SIZE \
                     + position * FIELD_SLOT_SIZE
                 new_ptr = _U64.unpack(

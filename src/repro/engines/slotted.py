@@ -16,12 +16,10 @@ lets recovery reclaim slots of uncommitted transactions (Section 4.1).
 
 from __future__ import annotations
 
-import struct
 from typing import Any, Dict, List, Set
 
-from ..core.schema import FIELD_SLOT_SIZE, SLOT_HEADER_SIZE, Schema
-from ..core.tuple_codec import (STATE_PERSISTED, STATE_UNALLOCATED,
-                                decode_slotted)
+from ..core.schema import Schema
+from ..core.tuple_codec import STATE_PERSISTED, STATE_UNALLOCATED
 from ..errors import InvalidAddressError
 from ..nvm.allocator import Allocation, NVMAllocator
 from ..nvm.memory import NVMMemory
@@ -30,23 +28,17 @@ from ..nvm.pointers import NVPtr
 #: Tuple slots per fixed-size block allocation.
 SLOTS_PER_BLOCK = 64
 
-_U64 = struct.Struct("<Q")
-
 
 def read_slotted_tuple(schema: Schema, pool: "FixedSlotPool",
                        varlen: "VarlenPool", addr: int) -> Dict[str, Any]:
     """Read and decode one tuple: the fixed-size slot first, then all
     of its variable-length fields as one overlapped batch (the field
     pointers are independent once the slot is in hand)."""
-    slot = pool.read_slot(addr)[:schema.fixed_slot_size]
-    pointers = []
-    offset = SLOT_HEADER_SIZE
-    for column in schema.columns:
-        if not column.inline:
-            pointers.append(_U64.unpack_from(slot, offset)[0])
-        offset += FIELD_SLOT_SIZE
-    blobs = varlen.read_many(pointers) if pointers else {}
-    return decode_slotted(schema, slot, lambda pointer: blobs[pointer])
+    layout = schema.layout
+    fields = layout.fields.unpack_from(pool.read_slot(addr))
+    pointers = [fields[i] for i in layout.varlen]
+    return layout.slot_values(
+        fields, varlen.read_many(pointers) if pointers else ())
 
 
 class FixedSlotPool:
@@ -190,12 +182,12 @@ class VarlenPool:
         allocation = self._slots[addr]
         return self._memory.load(allocation.addr, allocation.size)
 
-    def read_many(self, addrs: List[NVPtr]) -> Dict[NVPtr, bytes]:
-        """Batch-read several slots: their addresses are independent,
-        so the loads overlap (memory-level parallelism)."""
-        ranges = [(addr, self._slots[addr].size) for addr in addrs]
-        blobs = self._memory.load_batch(ranges)
-        return dict(zip(addrs, blobs))
+    def read_many(self, addrs: List[NVPtr]) -> List[bytes]:
+        """Batch-read several slots, in ``addrs`` order: their
+        addresses are independent, so the loads overlap (memory-level
+        parallelism)."""
+        return self._memory.load_batch(
+            [(addr, self._slots[addr].size) for addr in addrs])
 
     def sync(self, addr: NVPtr) -> None:
         allocation = self._slots[addr]

@@ -70,10 +70,6 @@ class STXBTree:
     def _free_node(self, node: _Node) -> None:
         self._cost.node_freed(node.node_id)
 
-    def _read(self, node: _Node) -> None:
-        """Search descent through a node: a partial (probe) read."""
-        self._cost.node_probed(node.node_id, self.node_size)
-
     def _write(self, node: _Node) -> None:
         self._cost.node_written(node.node_id, self.node_size)
 
@@ -82,12 +78,12 @@ class STXBTree:
     # ------------------------------------------------------------------
 
     def _find_leaf(self, key: Any) -> _Node:
+        probe, size = self._cost.node_probed, self.node_size
         node = self._root
-        self._read(node)
+        probe(node.node_id, size)
         while not node.is_leaf:
-            index = bisect_right(node.keys, key)
-            node = node.children[index]
-            self._read(node)
+            node = node.children[bisect_right(node.keys, key)]
+            probe(node.node_id, size)
         return node
 
     def get(self, key: Any, default: Any = None) -> Any:
@@ -119,14 +115,15 @@ class STXBTree:
             raise KeyError(f"duplicate key {key!r}")
 
     def _put(self, key: Any, value: Any, replace: bool) -> bool:
+        probe, size = self._cost.node_probed, self.node_size
         path: List[Tuple[_Node, int]] = []
         node = self._root
-        self._read(node)
+        probe(node.node_id, size)
         while not node.is_leaf:
             index = bisect_right(node.keys, key)
             path.append((node, index))
             node = node.children[index]
-            self._read(node)
+            probe(node.node_id, size)
         index = bisect_left(node.keys, key)
         if index < len(node.keys) and node.keys[index] == key:
             if not replace:
@@ -195,7 +192,7 @@ class STXBTree:
         return removed
 
     def _delete(self, node: _Node, key: Any) -> bool:
-        self._read(node)
+        self._cost.node_probed(node.node_id, self.node_size)
         if node.is_leaf:
             index = bisect_left(node.keys, key)
             if index >= len(node.keys) or node.keys[index] != key:
@@ -285,8 +282,9 @@ class STXBTree:
         else:
             node = self._find_leaf(lo)
             start = bisect_left(node.keys, lo)
+        probe, size = self._cost.node_probed, self.node_size
         while node is not None:
-            self._read(node)
+            probe(node.node_id, size)
             for index in range(start, len(node.keys)):
                 key = node.keys[index]
                 if hi is not None and key >= hi:
@@ -296,11 +294,12 @@ class STXBTree:
             start = 0
 
     def _leftmost_leaf(self) -> _Node:
+        probe, size = self._cost.node_probed, self.node_size
         node = self._root
-        self._read(node)
+        probe(node.node_id, size)
         while not node.is_leaf:
             node = node.children[0]
-            self._read(node)
+            probe(node.node_id, size)
         return node
 
     def keys(self) -> Iterator[Any]:

@@ -3,7 +3,8 @@
 This is the "Memory Interface (load, store)" box from Fig. 2 of the
 paper: a thin facade that routes byte accesses and object-region
 accounting through the CPU cache model, and exposes the persistence
-primitives.
+primitives. Reads have no observer hook, so the read entry points are
+the cache's own bound methods: a load costs no call through here.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ PublishRanges = Tuple[Tuple[int, int], ...]
 class NVMMemory:
     """Load/store interface over the cache + device pair."""
 
-    __slots__ = ("_cache", "line_size", "observer")
+    __slots__ = ("_cache", "line_size", "observer", "load", "load_batch",
+                 "touch_read", "touch_read_scattered")
 
     def __init__(self, cache: CPUCache) -> None:
         self._cache = cache
@@ -32,23 +34,24 @@ class NVMMemory:
         #: :class:`repro.analysis.ordering.OrderingChecker`). ``None``
         #: means "off" and costs one attribute check per primitive.
         self.observer = None
+        #: ``load(addr, size)`` reads bytes; ``load_batch(ranges)``
+        #: reads independent ``(addr, size)`` ranges with memory-level
+        #: parallelism (one full-latency miss for the whole batch).
+        self.load = cache.load
+        self.load_batch = cache.load_batch
+        #: ``touch_read(addr, size)`` charges reading an object region;
+        #: ``touch_read_scattered(addr, size, probes)`` charges
+        #: scattered single-line reads (Bloom filter probes).
+        self.touch_read = cache.touch_read
+        self.touch_read_scattered = cache.touch_read_scattered
 
     # -- byte-backed data ------------------------------------------------
-
-    def load(self, addr: int, size: int) -> bytes:
-        """Read ``size`` bytes at ``addr``."""
-        return self._cache.load(addr, size)
 
     def store(self, addr: int, data: bytes) -> None:
         """Write ``data`` at ``addr`` (buffered in the CPU cache)."""
         self._cache.store(addr, data)
         if self.observer is not None:
             self.observer.on_store(addr, len(data), byte_backed=True)
-
-    def load_batch(self, ranges) -> list:
-        """Read independent (addr, size) ranges with memory-level
-        parallelism (one full-latency miss for the whole batch)."""
-        return self._cache.load_batch(ranges)
 
     def load_u64(self, addr: int) -> int:
         """Read one little-endian 8-byte unsigned integer."""
@@ -66,20 +69,11 @@ class NVMMemory:
 
     # -- object regions (accounting only) --------------------------------
 
-    def touch_read(self, addr: int, size: int) -> None:
-        """Charge the cost of reading an object region."""
-        self._cache.touch_read(addr, size)
-
     def touch_write(self, addr: int, size: int) -> None:
         """Charge the cost of writing an object region."""
         self._cache.touch_write(addr, size)
         if self.observer is not None:
             self.observer.on_store(addr, size, byte_backed=False)
-
-    def touch_read_scattered(self, addr: int, size: int,
-                             probes: int) -> None:
-        """Charge scattered single-line reads (Bloom filter probes)."""
-        self._cache.touch_read_scattered(addr, size, probes)
 
     # -- persistence primitives ------------------------------------------
 

@@ -13,9 +13,10 @@ Two kinds of data are collected:
 Hot-path design (see docs/performance.md): instead of subscribing a
 per-charge callback to the clock, the collector keeps one mutable
 accumulator cell per category and installs the innermost category's
-cell into the clock (:meth:`SimClock.set_attribution_cell`); a charge
-is then a single indexed add — same order, same values, byte-identical
-totals. Hot counters are bumped through prebound
+cell into the clock; a charge is then a single indexed add — same
+order, same values, byte-identical totals. A ``category()`` block
+swaps that cell itself: one identity-hashed lookup, one push and one
+pop, no further call. Hot counters are bumped through prebound
 :class:`CounterHandle` objects so the per-event cost is one dict add
 on an interned key, batched to one call per cache operation.
 """
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
-from typing import Dict, List
+from typing import Callable, Dict, List
 
 from .clock import AttributionCell, SimClock
 
@@ -36,6 +37,10 @@ class Category(enum.Enum):
     RECOVERY = "recovery"
     INDEX = "index"
     OTHER = "other"
+
+    #: Members hash by identity (in C) rather than by name (in Python):
+    #: ``StatsCollector.category`` looks one up for every engine block.
+    __hash__ = object.__hash__
 
 
 class CounterHandle:
@@ -60,21 +65,27 @@ class CounterHandle:
 
 
 class _CategoryContext:
-    """Reusable context manager pushing one category (no generator
-    frame, no allocation per ``with`` block)."""
+    """Reusable context manager attributing a block to one category's
+    cell: it pushes the cell and installs it in the clock, then pops
+    it and reinstalls the enclosing one (no generator frame, no
+    allocation per ``with`` block)."""
 
-    __slots__ = ("_stats", "_category")
+    __slots__ = ("_cell", "_stack", "_clock")
 
-    def __init__(self, stats: "StatsCollector",
-                 category: Category) -> None:
-        self._stats = stats
-        self._category = category
+    def __init__(self, cell: AttributionCell,
+                 stack: List[AttributionCell], clock: SimClock) -> None:
+        self._cell = cell
+        self._stack = stack
+        self._clock = clock
 
     def __enter__(self) -> None:
-        self._stats.push_category(self._category)
+        self._stack.append(self._cell)
+        self._clock._cell = self._cell
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        self._stats.pop_category()
+        stack = self._stack
+        stack.pop()
+        self._clock._cell = stack[-1]
 
 
 class StatsCollector:
@@ -96,26 +107,13 @@ class StatsCollector:
         #: is the OTHER cell (the "no category pushed" default).
         self._cell_stack: List[AttributionCell] = [
             self._cells[Category.OTHER]]
-        self._contexts = {category: _CategoryContext(self, category)
-                          for category in Category}
+        #: ``with stats.category(Category.STORAGE): ...`` attributes
+        #: all simulated time inside the block to that category; the
+        #: lookup is the dict's own, so no Python frame runs for it.
+        self.category: Callable[[Category], _CategoryContext] = {
+            category: _CategoryContext(cell, self._cell_stack, clock)
+            for category, cell in self._cells.items()}.__getitem__
         clock.set_attribution_cell(self._cell_stack[0])
-
-    def category(self, category: Category) -> _CategoryContext:
-        """Attribute all simulated time inside the block to
-        ``category`` (``with stats.category(Category.STORAGE): ...``)."""
-        return self._contexts[category]
-
-    def push_category(self, category: Category) -> None:
-        """Imperative spelling of :meth:`category` for hot paths that
-        pair it with ``try/finally``."""
-        cell = self._cells[category]
-        self._cell_stack.append(cell)
-        self._clock.set_attribution_cell(cell)
-
-    def pop_category(self) -> None:
-        stack = self._cell_stack
-        stack.pop()
-        self._clock.set_attribution_cell(stack[-1])
 
     def bump(self, name: str, amount: int = 1) -> None:
         """Increment counter ``name`` by ``amount``."""
