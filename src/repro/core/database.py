@@ -152,11 +152,15 @@ class Database:
         are legal on a crashed database (and the counters of partitions
         in this process stay readable after :meth:`close`)."""
         try:
-            return self._partition_class.broadcast(
-                self.partitions, op, *args)
+            return self._broadcast(op, *args)
         except SimulatedCrash:
             self.crash()
             raise
+
+    def _broadcast(self, op: str, *args: Any) -> List[Any]:
+        """The same contract call on every partition: one fan-out."""
+        return self._partition_class.fan_out(
+            [(partition, op, args) for partition in self.partitions])
 
     def _require_alive(self) -> None:
         if self._closed:
@@ -274,38 +278,47 @@ class Database:
 
     def execute_distributed(self, dtxn) -> Any:
         """Run a :class:`~repro.dist.txn.DistributedTransaction` with
-        two-phase commit; returns the home branch's result. Raises
-        :class:`~repro.errors.TransactionAborted` if any branch votes
-        no (all prepared branches are rolled back first). Synchronous:
-        the participants stall until the decision, exactly the
-        synchronization-vs-persistence cost 2PC implies."""
+        two-phase commit in three rounds — prepare every branch, make
+        the decision durable at home, finish every branch — each
+        fanned out to all participants at once; returns the home
+        branch's result. A no vote, or any other failure before the
+        decision is durable, rolls back every prepared branch in one
+        round, then raises (:class:`~repro.errors.TransactionAborted`
+        for a no vote). Synchronous: the participants stall until the
+        decision, exactly the synchronization-vs-persistence cost 2PC
+        implies."""
         self._require_alive()
         dtxn_id = next(self._dtxn_ids)
-        partitions = self.partitions
-        prepared: List[int] = []
-        home_result = None
+        fan_out = self._partition_class.fan_out
+        branches = [(self.partitions[branch.partition], branch)
+                    for branch in dtxn.branches()]
+
+        def finish(commit: bool) -> None:
+            fan_out([(partition, "branch_finish", (dtxn_id, commit))
+                     for partition, __ in branches])
+
         try:
-            for branch in dtxn.branches():
-                vote, result = partitions[branch.partition] \
-                    .branch_prepare(dtxn_id, dtxn.home,
-                                    branch.procedure, branch.args)
-                if not vote:
-                    for pid in prepared:
-                        partitions[pid].branch_finish(dtxn_id, False)
-                    raise TransactionAborted(
-                        f"distributed transaction {dtxn_id}: partition "
-                        f"{branch.partition} voted no")
-                prepared.append(branch.partition)
-                if branch.partition == dtxn.home:
-                    home_result = result
-            partitions[dtxn.home].log_decision(dtxn_id,
-                                               dtxn.participants)
-            for pid in prepared:
-                partitions[pid].branch_finish(dtxn_id, True)
+            try:
+                votes = fan_out([
+                    (partition, "branch_prepare",
+                     (dtxn_id, dtxn.home, branch.procedure, branch.args))
+                    for partition, branch in branches])
+                for (__, branch), (vote, __) in zip(branches, votes):
+                    if not vote:
+                        raise TransactionAborted(
+                            f"distributed transaction {dtxn_id}: "
+                            f"partition {branch.partition} voted no")
+                branches[0][0].log_decision(dtxn_id, dtxn.participants)
+            except SimulatedCrash:
+                raise
+            except Exception:
+                finish(False)
+                raise
+            finish(True)
         except SimulatedCrash:
             self.crash()
             raise
-        return home_result
+        return votes[0][1]
 
     # ------------------------------------------------------------------
     # Restart events
@@ -318,7 +331,7 @@ class Database:
         rollback — recovery decides its fate — so a later ``commit()``
         on it raises :class:`~repro.errors.SessionStateError`."""
         self._require_open("crash")
-        self._partition_class.broadcast(self.partitions, "crash")
+        self._broadcast("crash")
         self._crashed = True
         for session in self._sessions:
             session.invalidate()
@@ -337,11 +350,11 @@ class Database:
         if not self._crashed:
             return 0.0
         partitions = self.partitions
-        broadcast = self._partition_class.broadcast
+        broadcast = self._broadcast
         try:
-            latency = max(broadcast(partitions, "recover"))
+            latency = max(broadcast("recover"))
             by_home: Dict[int, set] = {}
-            for pending in broadcast(partitions, "pending_prepares"):
+            for pending in broadcast("pending_prepares"):
                 for dtxn_id, home in pending:
                     by_home.setdefault(home, set()).add(dtxn_id)
             decisions: Dict[int, bool] = {}
@@ -352,7 +365,7 @@ class Database:
                                  for dtxn_id in ids)
             if decisions:
                 latency = max(latency, *broadcast(
-                    partitions, "resolve_prepared", decisions))
+                    "resolve_prepared", decisions))
         except SimulatedCrash:
             self.crash()
             raise
@@ -366,10 +379,12 @@ class Database:
     def arm_faults(self, plan: Optional[FaultPlan] = None) -> None:
         """Arm every partition's fault injector — count fault-point hits
         and, with a non-empty ``plan``, crash at its triggers. Each
-        injector gets the same plan and the first trigger to complete
-        crashes the whole database (campaigns that need one
-        interpretation of a plan use a single partition, or fault
-        points only one partition reaches at a time).
+        injector gets the same plan and counts its own hits; the first
+        trigger to complete crashes the whole database. Every call of
+        a fan-out runs before its first failure is raised, so a point
+        all participants of a 2PC round reach (``twopc.prepare.after``)
+        may fire on several partitions at once; the crash raised is
+        the first in canonical branch order, on both transports.
 
         Arming a *crashed* database is allowed — that is how a plan
         targets the upcoming recovery (crash-during-recovery)."""

@@ -62,12 +62,21 @@ class Partition:
         self._observer: Optional[PartitionObserver] = None
 
     @staticmethod
-    def broadcast(partitions: Iterable["Partition"], op: str,
-                  *args: Any) -> List[Any]:
-        """Run contract verb ``op`` on every partition; results in
-        partition order. (A transport may overlap the calls.)"""
-        return [getattr(partition, op)(*args)
-                for partition in partitions]
+    def fan_out(calls: Iterable[Tuple["Partition", str, Tuple[Any, ...]]]
+                ) -> List[Any]:
+        """Run each ``(partition, verb, args)`` contract call; results
+        in call order. Every call runs before the first failure is
+        raised (a transport may overlap the calls)."""
+        results: List[Any] = []
+        failure: Optional[BaseException] = None
+        for partition, op, args in calls:
+            try:
+                results.append(getattr(partition, op)(*args))
+            except Exception as exc:
+                failure = failure or exc
+        if failure is not None:
+            raise failure
+        return results
 
     # ------------------------------------------------------------------
     # Transactions
@@ -280,13 +289,15 @@ class Partition:
         """Phase 2: commit (and force durability) or abort the prepared
         branch, then mark it resolved. The resolved marker is appended
         only after ``flush_commits`` returns, so it is never durable
-        before the data it covers."""
-        try:
-            context = self._prepared.pop(dtxn_id)
-        except KeyError:
+        before the data it covers. Aborting a branch that never
+        prepared (it voted no or failed) is a no-op."""
+        context = self._prepared.pop(dtxn_id, None)
+        if context is None:
+            if not commit:
+                return  # presumed abort: nothing prepared, nothing to undo
             raise TransactionStateError(
                 f"no prepared branch for distributed transaction "
-                f"{dtxn_id} on partition {self.partition_id}") from None
+                f"{dtxn_id} on partition {self.partition_id}")
         if commit:
             self.commit(context)
             self.engine.flush_commits()

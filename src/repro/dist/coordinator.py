@@ -19,8 +19,10 @@ Two mechanisms keep sharded runs deterministic in simulated time:
   applies its stream in order, so its partition's simulation is
   identical to the serial run's. A synchronous verb drains *every*
   partition's buffer first (command order is observable across
-  partitions through 2PC), and a broadcast is sent to all executors
-  before the first reply is collected, so they work concurrently.
+  partitions through 2PC), and a fan-out (every round of two-phase
+  commit, every verb the database runs on all partitions) is sent to
+  all executors before the first reply is collected, so they work
+  concurrently.
 - Deterministic merge. The database aggregates per-partition
   snapshots, and an observability session the ``obs_*`` replies, in
   partition order on both transports, so exports are byte-identical
@@ -146,22 +148,26 @@ class RemotePartition:
         return self._value(self._reply())
 
     @staticmethod
-    def broadcast(partitions: Sequence["RemotePartition"], op: str,
-                  *args: Any) -> List[Any]:
-        """Contract verb ``op`` on every partition. Every executor has
-        the command before the first reply is awaited, so they work
-        concurrently; every reply is read before the first failure is
-        raised, so the pipes stay in step."""
-        if op in POSTED_OPS:
-            return [getattr(partition, op)(*args)
-                    for partition in partitions]
-        for partition in partitions:
-            partition._buffer.append((op, args))
-        for partition in partitions:
-            partition._flush()
-        replies = [partition._reply() for partition in partitions]
+    def fan_out(calls: Sequence[Tuple["RemotePartition", str,
+                                      Tuple[Any, ...]]]) -> List[Any]:
+        """Run each ``(partition, verb, args)`` contract call; results
+        in call order. Every executor has its commands before the
+        first reply is awaited, so they work concurrently; every reply
+        is read before the first failure is raised, so the pipes stay
+        in step."""
+        waits = [op in SYNC_OPS for __, op, __ in calls]
+        for (partition, op, args), wait in zip(calls, waits):
+            if wait:
+                partition._buffer.append((op, args))
+            else:
+                getattr(partition, op)(*args)
+        if any(waits):
+            for peer in calls[0][0].peers:
+                peer._flush()
+        replies = [partition._reply() if wait else (True, None)
+                   for (partition, __, __), wait in zip(calls, waits)]
         return [partition._value(reply)
-                for partition, reply in zip(partitions, replies)]
+                for (partition, __, __), reply in zip(calls, replies)]
 
     # -- verbs that are more than their wire form --------------------------
 

@@ -36,8 +36,11 @@ class DistributedTransaction:
     """A home branch plus remote branches on distinct partitions.
 
     The branch order is canonical: home first, then remotes sorted by
-    partition id. Prepare and finish both walk that order, which keeps
-    the protocol's simulated-clock accounting deterministic.
+    partition id. Two-phase commit runs in three rounds — prepare
+    every branch, log the decision at home, finish every branch — and
+    each round issues its calls in that order, so every partition sees
+    the same commands as a one-branch-at-a-time run and the failure a
+    round raises is the first in that order, on either transport.
     """
 
     __slots__ = ("home_branch", "remote_branches")

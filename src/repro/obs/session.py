@@ -153,7 +153,8 @@ def _broadcast(db, verb: str, *args: Any) -> List[Any]:
     """Contract verb ``verb`` on every partition of ``db``, replies in
     partition order, on whatever transport the partitions speak."""
     partitions = db.partitions
-    return type(partitions[0]).broadcast(partitions, verb, *args)
+    return type(partitions[0]).fan_out(
+        [(partition, verb, args) for partition in partitions])
 
 
 class ObservabilitySession:

@@ -12,13 +12,18 @@ import pytest
 from repro.config import CacheConfig, EngineConfig, PlatformConfig
 from repro.core.schema import Column, ColumnType, Schema
 from repro.core import twopc
+from repro.core.database import Database
+from repro.dist import ShardedDatabase, coordinator
 from repro.dist.campaign import PairWrite, run_twopc_campaign
 from repro.dist.txn import Branch, DistributedTransaction
-from repro.errors import (ConfigError, SimulatedCrash,
+from repro.errors import (ConfigError, ShardedError, SimulatedCrash,
                           TransactionAborted)
 from repro.fault.injector import FaultPlan
 from repro.obs.bus import EventBus
-from tests.core.test_database_contract import FACTORIES
+from tests.core.test_database_contract import FACTORIES, HAVE_FORK
+
+needs_fork = pytest.mark.skipif(
+    not HAVE_FORK, reason="sharded tier tests need the fork start method")
 
 TABLE = "pairs"
 
@@ -58,6 +63,10 @@ def _upsert(ctx, key, value):
 
 def _veto(ctx):
     raise TransactionAborted("participant says no")
+
+
+def _fail(ctx):
+    raise ValueError("participant is broken")
 
 
 def _pair(key, value, home=0):
@@ -113,6 +122,84 @@ def test_veto_aborts_every_branch(db):
     assert _read(db, 1, 1) == "before"
 
 
+def test_failing_branch_strands_no_prepared_branch(db):
+    """A branch that raises (rather than voting no) must not leave the
+    branches that prepared beside it open: their uncommitted write
+    would be visible, and the stale prepare record's presumed-abort
+    undo would later overwrite an acknowledged commit."""
+    db.execute_distributed(_pair(1, "old"))
+    dtxn = DistributedTransaction(
+        Branch(0, _upsert, (1, "new")), (Branch(1, _fail, ()),))
+    with pytest.raises((ValueError, ShardedError)):
+        db.execute_distributed(dtxn)
+    assert _read(db, 1, 0) == "old"
+    assert db.partitions[0].pending_prepares() == []
+    db.execute_distributed(_pair(1, "third"))
+    db.crash()
+    db.recover()
+    assert _read(db, 1, 0) == "third"
+    assert _read(db, 1, 1) == "third"
+
+
+def _home_veto_counters(factory):
+    with _database(factory) as db:
+        db.execute_distributed(_pair(1, "before"))
+        db.arm_faults()
+        dtxn = DistributedTransaction(
+            Branch(0, _veto, ()), (Branch(1, _upsert, (1, "after")),))
+        with pytest.raises(TransactionAborted):
+            db.execute_distributed(dtxn)
+        hits = [partition.fault_hits().get(twopc.FP_PREPARE_AFTER, 0)
+                for partition in db.partitions]
+        pending = [partition.pending_prepares()
+                   for partition in db.partitions]
+        rows = [_read(db, 1, pid) for pid in (0, 1)]
+        return hits, pending, rows, [partition.snapshot()
+                                     for partition in db.partitions]
+
+
+@needs_fork
+def test_home_veto_rolls_back_the_prepared_remote_on_both_transports():
+    """Round 1 prepares every branch, so a vetoing home no longer spares
+    the remote its prepare: it prepares, then rolls back — the same
+    work, counted the same, on both transports."""
+    hits, pending, rows, snapshots = _home_veto_counters(Database)
+    assert hits == [0, 1]  # only the remote prepared
+    assert pending == [[], []]
+    assert rows == ["before", "before"]
+    assert _home_veto_counters(ShardedDatabase) == \
+        (hits, pending, rows, snapshots)
+
+
+@needs_fork
+def test_pair_update_waits_three_times(monkeypatch):
+    """A committed pair update is three rounds on the pipes: both
+    prepares go out before either reply is read, the decision is one
+    round trip to the home executor, and both finishes go out before
+    either reply is read."""
+    with _database(ShardedDatabase) as db:
+        db.barrier()
+        events = []
+        send, recv = coordinator.ipc.send, coordinator.ipc.recv
+
+        def traced_send(*args):
+            events.append("send")
+            return send(*args)
+
+        def traced_recv(*args):
+            events.append("recv")
+            return recv(*args)
+
+        monkeypatch.setattr(coordinator.ipc, "send", traced_send)
+        monkeypatch.setattr(coordinator.ipc, "recv", traced_recv)
+        assert db.execute_distributed(_pair(1, "shape")) == "shape"
+        monkeypatch.undo()
+        assert events == ["send", "send", "recv", "recv",
+                          "send", "recv",
+                          "send", "send", "recv", "recv"]
+        assert _read(db, 1, 0) == _read(db, 1, 1) == "shape"
+
+
 def test_acknowledged_commit_survives_crash(db):
     db.execute_distributed(_pair(2, "durable", home=1))
     db.crash()
@@ -135,8 +222,9 @@ def _crash_at(db, point):
 
 
 def test_crash_after_prepare_aborts_in_doubt(db):
-    """Only one participant prepared: no decision record exists, so
-    presumed abort must roll the pair back to the acked value."""
+    """Round 1 reaches every participant, so both prepared (and the
+    plan fired on each), but no decision record exists: presumed abort
+    must roll the pair back to the acked value."""
     _crash_at(db, twopc.FP_PREPARE_AFTER)
     assert _read(db, 3, 0) == "acked"
     assert _read(db, 3, 1) == "acked"
@@ -193,6 +281,18 @@ def test_twopc_campaign_finds_no_violations(factory, telemetered):
     for outcome in report.outcomes:
         assert outcome.result.crashes >= 1
         assert outcome.result.fired, "trigger never fired"
+
+
+@needs_fork
+def test_twopc_campaign_is_the_same_on_both_transports():
+    """Every fault plan fires at the same coordinates, and the same
+    failure is raised, whether the participants are in this process or
+    in executor processes: each round runs every participant before
+    its first failure is raised on both transports."""
+    serial = run_twopc_campaign(["nvm-inp"], seed=11, ops=24)
+    sharded = run_twopc_campaign(["nvm-inp"], seed=11, ops=24,
+                                 factory=ShardedDatabase)
+    assert sharded.to_dict() == serial.to_dict()
 
 
 def test_twopc_campaign_parallel_sweep_matches_serial():
