@@ -308,9 +308,10 @@ class Database:
                         raise TransactionAborted(
                             f"distributed transaction {dtxn_id}: "
                             f"partition {branch.partition} voted no")
-                branches[0][0].log_decision(dtxn_id, dtxn.participants)
+                self.partitions[dtxn.home].log_decision(
+                    dtxn_id, dtxn.participants)
             except SimulatedCrash:
-                raise
+                raise  # a power failure, not an abort: recovery decides
             except Exception:
                 finish(False)
                 raise
@@ -318,7 +319,7 @@ class Database:
         except SimulatedCrash:
             self.crash()
             raise
-        return votes[0][1]
+        return votes[0][1]  # the home branch comes first
 
     # ------------------------------------------------------------------
     # Restart events
