@@ -34,7 +34,7 @@ from ..core.tuple_codec import decode_inlined, encode_inlined
 from ..core.transaction import Transaction
 from ..errors import DuplicateKeyError, StorageEngineError, TupleNotFoundError
 from ..fault.injector import register_fault_point
-from ..index.cost import NVMIndexCostModel
+from ..index.cost import NVMIndexCostModel, PerNodeProbes
 from ..index.cow_btree import CoWBTree, CoWNode
 from ..nvm.platform import Platform
 from ..sim.stats import Category
@@ -98,7 +98,7 @@ class _PageCache:
         self._pages.clear()
 
 
-class _PagedCostModel:
+class _PagedCostModel(PerNodeProbes):
     """Wraps the in-memory cost model with page-cache accounting."""
 
     def __init__(self, inner: NVMIndexCostModel,

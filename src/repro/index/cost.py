@@ -15,7 +15,7 @@ decouples the tree algorithms from the accounting:
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Protocol
+from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 
 from ..nvm.allocator import Allocation, NVMAllocator
 from ..nvm.memory import NVMMemory
@@ -36,12 +36,26 @@ class IndexCostModel(Protocol):
     def node_probed(self, node_id: int, size: int) -> None:
         """A search descended through this node (partial read)."""
 
+    def nodes_probed(self, node_ids: Sequence[int], size: int) -> None:
+        """A search descended through these nodes, root first: one
+        descent is one platform operation."""
+
     def node_read(self, node_id: int, size: int) -> None:
         """The node's full contents were read (copy / scan)."""
 
     def node_written(self, node_id: int, size: int) -> None: ...
 
     def sync_node(self, node_id: int, offset: int, size: int) -> None: ...
+
+
+class PerNodeProbes:
+    """``nodes_probed`` as one ``node_probed`` per node, root first: for
+    models whose probe does more than touch the cache (a page cache, a
+    DRAM tier), so each node stays an operation of its own."""
+
+    def nodes_probed(self, node_ids: Sequence[int], size: int) -> None:
+        for node_id in node_ids:
+            self.node_probed(node_id, size)  # type: ignore[attr-defined]
 
 
 class NullCostModel:
@@ -54,6 +68,9 @@ class NullCostModel:
         pass
 
     def node_probed(self, node_id: int, size: int) -> None:
+        pass
+
+    def nodes_probed(self, node_ids: Sequence[int], size: int) -> None:
         pass
 
     def node_read(self, node_id: int, size: int) -> None:
@@ -102,6 +119,21 @@ class NVMIndexCostModel:
             self._memory.touch_read(
                 allocation.addr,
                 min(size, allocation.size, PROBE_BYTES))
+
+    def nodes_probed(self, node_ids: Sequence[int], size: int) -> None:
+        """Charge a whole descent as one cache operation. Each node is
+        a run of its own (it keeps its own prefetch-stream state), so
+        the hits, misses and simulated time are those of one
+        :meth:`node_probed` per node; clock listeners are told once."""
+        allocations = self._allocations
+        size = min(size, PROBE_BYTES)
+        ranges: List[Tuple[int, int]] = []
+        for node_id in node_ids:
+            allocation = allocations.get(node_id)
+            if allocation is not None:
+                ranges.append((allocation.addr, min(size, allocation.size)))
+        if ranges:
+            self._memory.touch_read_runs(ranges)
 
     def node_read(self, node_id: int, size: int) -> None:
         allocation = self._allocations.get(node_id)

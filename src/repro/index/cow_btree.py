@@ -174,11 +174,11 @@ class CoWBTree:
     def get(self, key: Any, default: Any = None, dirty: bool = True) -> Any:
         """Look up ``key`` in the dirty (default) or current version."""
         node = self._root_for(dirty)
-        self._cost.node_probed(node.node_id, self.node_size)
+        path = [node.node_id]
         while not node.is_leaf:
-            index = bisect_right(node.keys, key)
-            node = node.children[index]
-            self._cost.node_probed(node.node_id, self.node_size)
+            node = node.children[bisect_right(node.keys, key)]
+            path.append(node.node_id)
+        self._cost.nodes_probed(path, self.node_size)
         index = bisect_left(node.keys, key)
         if index < len(node.keys) and node.keys[index] == key:
             value = node.values[index]

@@ -78,12 +78,12 @@ class STXBTree:
     # ------------------------------------------------------------------
 
     def _find_leaf(self, key: Any) -> _Node:
-        probe, size = self._cost.node_probed, self.node_size
         node = self._root
-        probe(node.node_id, size)
+        path = [node.node_id]
         while not node.is_leaf:
             node = node.children[bisect_right(node.keys, key)]
-            probe(node.node_id, size)
+            path.append(node.node_id)
+        self._cost.nodes_probed(path, self.node_size)
         return node
 
     def get(self, key: Any, default: Any = None) -> Any:
@@ -115,15 +115,15 @@ class STXBTree:
             raise KeyError(f"duplicate key {key!r}")
 
     def _put(self, key: Any, value: Any, replace: bool) -> bool:
-        probe, size = self._cost.node_probed, self.node_size
         path: List[Tuple[_Node, int]] = []
         node = self._root
-        probe(node.node_id, size)
+        probed = [node.node_id]
         while not node.is_leaf:
             index = bisect_right(node.keys, key)
             path.append((node, index))
             node = node.children[index]
-            probe(node.node_id, size)
+            probed.append(node.node_id)
+        self._cost.nodes_probed(probed, self.node_size)
         index = bisect_left(node.keys, key)
         if index < len(node.keys) and node.keys[index] == key:
             if not replace:
@@ -181,6 +181,9 @@ class STXBTree:
 
     def delete(self, key: Any) -> bool:
         """Delete ``key``; returns True if it existed."""
+        # Every probe of the descent precedes the first write, so the
+        # descent is charged up front, as one operation.
+        self._find_leaf(key)
         removed = self._delete(self._root, key)
         if removed:
             self._size -= 1
@@ -192,7 +195,6 @@ class STXBTree:
         return removed
 
     def _delete(self, node: _Node, key: Any) -> bool:
-        self._cost.node_probed(node.node_id, self.node_size)
         if node.is_leaf:
             index = bisect_left(node.keys, key)
             if index >= len(node.keys) or node.keys[index] != key:
@@ -294,12 +296,12 @@ class STXBTree:
             start = 0
 
     def _leftmost_leaf(self) -> _Node:
-        probe, size = self._cost.node_probed, self.node_size
         node = self._root
-        probe(node.node_id, size)
+        path = [node.node_id]
         while not node.is_leaf:
             node = node.children[0]
-            probe(node.node_id, size)
+            path.append(node.node_id)
+        self._cost.nodes_probed(path, self.node_size)
         return node
 
     def keys(self) -> Iterator[Any]:

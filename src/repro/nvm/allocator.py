@@ -11,8 +11,9 @@ The allocator satisfies the paper's two requirements:
 It follows a *rotating best-fit* policy (the paper extends libpmem the
 same way): the free-list search starts from a rotating cursor so that
 repeated alloc/free cycles spread allocations across the device, which
-levels wear. After a crash, the allocator "reclaims memory that has not
-been persisted and restores its internal metadata to a consistent
+levels wear. The search is a lookup in a size-sorted copy of the free
+list, not a scan. After a crash, the allocator "reclaims memory that has
+not been persisted and restores its internal metadata to a consistent
 state" — allocations never passed to :meth:`persist` are freed.
 
 Two kinds of allocation are supported:
@@ -28,6 +29,7 @@ Two kinds of allocation are supported:
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import InvalidAddressError, OutOfMemoryError
@@ -39,10 +41,6 @@ from .pointers import NVPtr
 HEADER_SIZE = 16
 
 _ALIGNMENT = 8
-
-
-def _align_up(value: int, alignment: int = _ALIGNMENT) -> int:
-    return (value + alignment - 1) // alignment * alignment
 
 
 class Allocation:
@@ -74,16 +72,20 @@ class NVMAllocator:
     def __init__(self, memory: NVMMemory, capacity_bytes: int,
                  stats: StatsCollector, tracer=None) -> None:
         self._memory = memory
-        self._stats = stats
+        self._counters = stats.counter_table()
         self._tracer = tracer
         #: Persistence-ordering observer (malloc/persist/free events);
         #: ``None`` means "off" — one attribute check per call.
         self.observer = None
         self.capacity_bytes = capacity_bytes
-        # Reserve [0, _ALIGNMENT) so that 0 is never a valid pointer.
-        self._free: List[Tuple[int, int]] = [
-            (_ALIGNMENT, capacity_bytes - _ALIGNMENT)]
+        #: Free blocks ``(base, size)`` by base, searched from index
+        #: ``_cursor``; the best-fit index ``_by_size`` sorts them as
+        #: ``(size, base)``.
+        self._free: List[Tuple[int, int]] = []
+        self._by_size: List[Tuple[int, int]] = []
         self._cursor = 0
+        # Reserve [0, _ALIGNMENT) so that 0 is never a valid pointer.
+        self._insert_free(_ALIGNMENT, capacity_bytes - _ALIGNMENT)
         self._allocations: Dict[NVPtr, Allocation] = {}
         self._bytes_by_tag: Dict[str, int] = {}
         self._peak_by_tag: Dict[str, int] = {}
@@ -103,22 +105,25 @@ class NVMAllocator:
             raise ValueError("allocation size must be positive")
         if kind not in ("bytes", "object"):
             raise ValueError(f"unknown allocation kind {kind!r}")
-        needed = _align_up(size + HEADER_SIZE)
+        needed = -(-(size + HEADER_SIZE) // _ALIGNMENT) * _ALIGNMENT
         index = self._find_best_fit(needed)
         if index is None:
             raise OutOfMemoryError(
                 f"cannot allocate {size} bytes "
                 f"({self.free_bytes} free, fragmented)")
         base, block_size = self._free[index]
+        by_size = self._by_size
+        del by_size[bisect_left(by_size, (block_size, base))]
         if block_size == needed:
             del self._free[index]
         else:
             self._free[index] = (base + needed, block_size - needed)
+            insort(by_size, (block_size - needed, base + needed))
         addr = base + HEADER_SIZE
         allocation = Allocation(addr, size, tag, kind)
         self._allocations[addr] = allocation
         self._account(tag, needed)
-        self._stats.bump("alloc.malloc")
+        self._counters["alloc.malloc"] += 1
         # Writing the allocation header touches NVM.
         self._memory.touch_write(base, HEADER_SIZE)
         if self.observer is not None:
@@ -134,23 +139,21 @@ class NVMAllocator:
         return allocation
 
     def _find_best_fit(self, needed: int) -> Optional[int]:
-        """Best-fit search starting at the rotating cursor."""
-        count = len(self._free)
-        if count == 0:
+        """The index in ``_free`` of the smallest block that fits, the
+        first at or after the cursor (wrapping) among equal sizes."""
+        by_size = self._by_size
+        smallest = bisect_left(by_size, (needed,))
+        if smallest == len(by_size):
             return None
-        best_index: Optional[int] = None
-        best_size = None
-        for offset in range(count):
-            index = (self._cursor + offset) % count
-            __, block_size = self._free[index]
-            if block_size >= needed and (best_size is None
-                                         or block_size < best_size):
-                best_index, best_size = index, block_size
-                if block_size == needed:
-                    break
-        if best_index is not None:
-            self._cursor = (best_index + 1) % max(count, 1)
-        return best_index
+        free = self._free
+        count = len(free)
+        size = by_size[smallest][0]
+        found = bisect_left(by_size, (size, free[self._cursor % count][0]))
+        if found == len(by_size) or by_size[found][0] != size:
+            found = smallest
+        index = bisect_left(free, (by_size[found][1],))
+        self._cursor = (index + 1) % count
+        return index
 
     def free(self, allocation: Allocation) -> None:
         """Return ``allocation``'s region to the free list."""
@@ -159,33 +162,31 @@ class NVMAllocator:
             raise InvalidAddressError(
                 f"double free or foreign allocation at {allocation.addr:#x}")
         base = allocation.addr - HEADER_SIZE
-        needed = _align_up(allocation.size + HEADER_SIZE)
+        needed = -(-(allocation.size + HEADER_SIZE) // _ALIGNMENT) * _ALIGNMENT
         self._insert_free(base, needed)
         self._account(allocation.tag, -needed)
-        self._stats.bump("alloc.free")
+        self._counters["alloc.free"] += 1
         allocation.obj = None
         if self.observer is not None:
             self.observer.on_free(allocation)
 
     def _insert_free(self, base: int, size: int) -> None:
         """Insert a free block, coalescing with adjacent blocks."""
-        free = self._free
-        lo, hi = 0, len(free)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if free[mid][0] < base:
-                lo = mid + 1
-            else:
-                hi = mid
-        free.insert(lo, (base, size))
-        # Coalesce with successor, then predecessor.
-        if lo + 1 < len(free) and base + size == free[lo + 1][0]:
-            free[lo] = (base, size + free[lo + 1][1])
-            del free[lo + 1]
-        if lo > 0 and free[lo - 1][0] + free[lo - 1][1] == free[lo][0]:
-            free[lo - 1] = (free[lo - 1][0],
-                            free[lo - 1][1] + free[lo][1])
-            del free[lo]
+        free, by_size = self._free, self._by_size
+        index = bisect_left(free, (base,))
+        if index < len(free) and free[index][0] == base + size:
+            __, next_size = free.pop(index)
+            del by_size[bisect_left(by_size, (next_size, base + size))]
+            size += next_size
+        if index > 0 and sum(free[index - 1]) == base:   # prev. ends here
+            index -= 1
+            base, prev_size = free[index]
+            del by_size[bisect_left(by_size, (prev_size, base))]
+            size += prev_size
+            free[index] = (base, size)
+        else:
+            free.insert(index, (base, size))
+        insort(by_size, (size, base))
 
     # ------------------------------------------------------------------
     # Durability & naming
@@ -199,7 +200,7 @@ class NVMAllocator:
         if allocation.persisted:
             return
         allocation.persisted = True
-        self._stats.bump("alloc.persist")
+        self._counters["alloc.persist"] += 1
         if self._tracer is not None and self._tracer.enabled:
             self._tracer.event("alloc.persist", size=allocation.size,
                                tag=allocation.tag)
@@ -233,7 +234,7 @@ class NVMAllocator:
             allocation.persisted = True
             if self.observer is not None:
                 self.observer.on_persist(allocation)
-        self._stats.bump("alloc.sync")
+        self._counters["alloc.sync"] += 1
 
     def sync_many(self, allocations: Sequence[Allocation],
                   extra_ranges: Sequence[Tuple[int, int]] = ()) -> None:
@@ -254,7 +255,7 @@ class NVMAllocator:
                 if self.observer is not None:
                     self.observer.on_persist(allocation)
         if allocations:
-            self._stats.bump("alloc.sync", len(allocations))
+            self._counters["alloc.sync"] += len(allocations)
 
     def resolve(self, addr: NVPtr) -> Allocation:
         """Map a non-volatile pointer back to its live allocation."""
@@ -278,7 +279,7 @@ class NVMAllocator:
                   if not allocation.persisted]
         for allocation in doomed:
             self.free(allocation)
-        self._stats.bump("alloc.crash_reclaimed", len(doomed))
+        self._counters["alloc.crash_reclaimed"] += len(doomed)
         return len(doomed)
 
     # ------------------------------------------------------------------

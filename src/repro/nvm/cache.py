@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import random
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..config import CacheConfig
 from ..sim.clock import SimClock
@@ -61,16 +61,8 @@ from ..sim.stats import StatsCollector
 from .device import NVMDevice
 
 
-class _Line:
-    """One cached line. ``buffer`` holds pending bytes for byte-backed
-    lines; accounting-only lines (index nodes and other object regions)
-    have ``buffer is None``."""
-
-    __slots__ = ("dirty", "buffer")
-
-    def __init__(self, dirty: bool, buffer: Optional[bytearray]) -> None:
-        self.dirty = dirty
-        self.buffer = buffer
+#: ``CPUCache._lines.get`` default: the line is not cached at all.
+_ABSENT = object()
 
 
 class CPUCache:
@@ -82,15 +74,16 @@ class CPUCache:
         self.config = config
         self.device = device
         self._clock = clock
-        self._stats = stats
         self._rng = rng
         self.line_size = config.line_size
         self.capacity_lines = config.capacity_lines
-        #: line base address -> _Line, in LRU order (front = coldest).
-        #: An OrderedDict so the hit path can refresh recency with one
-        #: C-level ``move_to_end`` and eviction can pop the coldest
-        #: entry with ``popitem(last=False)``.
-        self._lines: "OrderedDict[int, _Line]" = OrderedDict()
+        #: line base -> pending bytes (a ``bytearray``), or ``None`` for
+        #: an accounting-only line, in LRU order (front = coldest): a
+        #: hit refreshes recency with one C-level ``move_to_end``, an
+        #: eviction pops the coldest with ``popitem(last=False)``.
+        self._lines: "OrderedDict[int, Optional[bytearray]]" = OrderedDict()
+        #: Bases of the resident lines that differ from the device.
+        self._dirty: Set[int] = set()
         self.hits = 0
         self.misses = 0
         #: Next-line stream prefetcher state: the line base one past the
@@ -106,14 +99,8 @@ class CPUCache:
                                     * latency.read_latency_ns)
         self._writeback_ns = (device.line_size
                               / latency.bandwidth_bytes_per_ns)
-        # Prebound hot counters: one dict add per batched event group
-        # instead of a bump() call per line.
-        self._n_loads = stats.counter_handle("nvm.loads")
-        self._n_stores = stats.counter_handle("nvm.stores")
-        self._n_clflush = stats.counter_handle("cache.clflush")
-        self._n_clwb = stats.counter_handle("cache.clwb")
-        self._n_sfence = stats.counter_handle("cache.sfence")
-        self._n_sync = stats.counter_handle("cache.sync")
+        # Counters post in place, one dict add per operation.
+        self._counters = stats.counter_table()
 
     # ------------------------------------------------------------------
     # The touch/evict kernel
@@ -141,22 +128,15 @@ class CPUCache:
         their share of it. ``collect`` returns each range's logical
         bytes.
         """
-        device = self.device
         clock = self._clock
         cell = clock._cell
         lines_map = self._lines
         get_line = lines_map.get
         move_line = lines_map.move_to_end
-        new_line = _Line
-        capacity = self.capacity_lines
+        dirty = self._dirty
         line_size = self.line_size
         hit_ns = self.config.hit_latency_ns
-        miss_ns = self._miss_ns
-        prefetched_miss_ns = self._prefetched_miss_ns
-        wb_ns = self._writeback_ns
-        # Re-read per call: reset_counters() rebinds the histogram.
-        wear = device._wear
-        read_raw = device.read_raw
+        room = self.capacity_lines - len(lines_map)     # free lines
         start = now = clock._now_ns
         cat = cell[0]
         hits = misses = stores = 0
@@ -165,49 +145,52 @@ class CPUCache:
         for addr, size in ranges:
             base = addr - addr % line_size
             end = addr + size
-            last = ((end - 1 if size > 1 else addr)
-                    // line_size) * line_size
+            stop = end if size else end + 1     # an empty range: one line
             if stream:
                 streamed = base == self._stream_next
-                self._stream_next = last + line_size
+                self._stream_next = -(-stop // line_size) * line_size
             if collect:
-                parts: List[bytearray] = []
-                offsets: List[int] = []
+                parts: Optional[List[bytearray]] = None
                 holes = False
-            for line_base in range(base, last + 1, line_size):
-                line = get_line(line_base)
-                if line is not None:
+            for line_base in range(base, stop, line_size):
+                buffer = get_line(line_base, _ABSENT)
+                if buffer is not _ABSENT:
                     hits += 1
                     now += hit_ns
                     cat += hit_ns
                     move_line(line_base)  # refresh to MRU position
                 else:
                     misses += 1
-                    charge = prefetched_miss_ns if streamed else miss_ns
+                    charge = (self._prefetched_miss_ns if streamed
+                              else self._miss_ns)
                     streamed = True
                     now += charge
                     cat += charge
-                    if len(lines_map) >= capacity:
+                    if room > 0:
+                        room -= 1
+                    else:
                         evict_base, evicted = lines_map.popitem(False)
-                        if evicted.dirty:
+                        if evict_base in dirty:
+                            dirty.remove(evict_base)
                             stores += 1
-                            if evicted.buffer is not None:
-                                device.write_raw(evict_base,
-                                                 bytes(evicted.buffer))
+                            device = self.device
+                            if evicted is not None:
+                                device.write_raw(evict_base, evicted)
+                            # Re-read: reset_counters() rebinds it.
+                            wear = device._wear
                             if wear is not None:
                                 wear[evict_base
                                      // device.WEAR_SEGMENT_BYTES] += 1
-                            now += wb_ns
-                            cat += wb_ns
+                            now += self._writeback_ns
+                            cat += self._writeback_ns
                     # Insert at MRU position.
-                    line = lines_map[line_base] = new_line(False, None)
+                    buffer = lines_map[line_base] = None
                 if write:
-                    line.dirty = True
+                    dirty.add(line_base)
                     if data is not None:
-                        buffer = line.buffer
                         if buffer is None:
-                            buffer = line.buffer = bytearray(
-                                read_raw(line_base, line_size))
+                            buffer = lines_map[line_base] = bytearray(
+                                self.device.read_raw(line_base, line_size))
                         # The byte write happens line by line, inside
                         # the run: a run long enough to evict its own
                         # earlier lines must write back those lines
@@ -223,10 +206,11 @@ class CPUCache:
                     # modify buffers and evictions write them back, so
                     # these are the bytes an overlay taken after the
                     # whole range would see.
-                    buffer = line.buffer
                     if buffer is None:
                         holes = True
                     else:
+                        if parts is None:
+                            parts, offsets = [], []
                         lo = addr if addr > line_base else line_base
                         line_end = line_base + line_size
                         hi = end if end < line_end else line_end
@@ -238,8 +222,8 @@ class CPUCache:
                     # overlaid with the buffered content that has not
                     # reached the device. (read_raw charges no time,
                     # so the batched clock need not settle first.)
-                    image = read_raw(addr, size)
-                    if parts:
+                    image = self.device.read_raw(addr, size)
+                    if parts is not None:
                         overlay = bytearray(image)
                         for offset, part in zip(offsets, parts):
                             overlay[offset:offset + len(part)] = part
@@ -249,7 +233,7 @@ class CPUCache:
                     # Every line is buffer-resident: the device copy is
                     # stale for these bytes anyway, so skip the
                     # read_raw round trip.
-                    results.append(b"".join(parts))
+                    results.append(b"".join(parts))  # type: ignore[arg-type]
         self.hits += hits
         self.misses += misses
         # Post batched counters once per call, loads before stores:
@@ -257,13 +241,15 @@ class CPUCache:
         # eviction writeback, so first-insertion order in the counter
         # table matches a per-event model.
         if misses:
+            device = self.device
+            counters = self._counters
             device.loads += misses
             device.bytes_loaded += misses * device.line_size
-            self._n_loads.add(misses)
-        if stores:
-            device.stores += stores
-            device.bytes_stored += stores * device.line_size
-            self._n_stores.add(stores)
+            counters["nvm.loads"] += misses
+            if stores:
+                device.stores += stores
+                device.bytes_stored += stores * device.line_size
+                counters["nvm.stores"] += stores
         clock._now_ns = now
         cell[0] = cat
         if clock._listeners:
@@ -271,9 +257,8 @@ class CPUCache:
         return results
 
     def _line_range(self, addr: int, size: int) -> range:
-        first = (addr // self.line_size) * self.line_size
-        last = ((addr + max(size, 1) - 1) // self.line_size) * self.line_size
-        return range(first, last + 1, self.line_size)
+        line_size = self.line_size
+        return range(addr - addr % line_size, addr + max(size, 1), line_size)
 
     # ------------------------------------------------------------------
     # Byte-backed access
@@ -304,6 +289,13 @@ class CPUCache:
     def touch_read(self, addr: int, size: int) -> None:
         """Charge the cost of reading an object region (no byte move)."""
         self._access(((addr, size),), True)
+
+    def touch_read_runs(self, ranges) -> None:
+        """Charge reading several object regions in one operation
+        (a B+tree descent's node probes): each ``(addr, size)`` range
+        is a sequential run, charged exactly as its own
+        :meth:`touch_read` would be."""
+        self._access(ranges, True)
 
     def touch_write(self, addr: int, size: int) -> None:
         """Charge the cost of writing an object region (no byte move)."""
@@ -336,36 +328,37 @@ class CPUCache:
         wb_ns = self._writeback_ns
         wear = device._wear
         lines_map = self._lines
-        handle = self._n_clwb if keep else self._n_clflush
+        dirty = self._dirty
         start = now = clock._now_ns
         cat = cell[0]
         pending = stores = 0
         for base in bases:
             if keep:
-                line = lines_map.get(base)
+                buffer = lines_map.get(base)
             else:
-                line = lines_map.pop(base, None)
+                buffer = lines_map.pop(base, None)
             pending += 1
             now += flush_ns
             cat += flush_ns
-            if line is not None and line.dirty:
+            if base in dirty:
+                dirty.remove(base)
                 stores += 1
-                if line.buffer is not None:
-                    device.write_raw(base, bytes(line.buffer))
+                if buffer is not None:
+                    device.write_raw(base, buffer)
                 if wear is not None:
                     wear[base // device.WEAR_SEGMENT_BYTES] += 1
-                line.dirty = False
                 now += wb_ns
                 cat += wb_ns
         # Flush count posted before the store count: a writeback is
         # always preceded by its own line's flush event, so the counter
         # table's first-insertion order matches a per-event model.
         if pending:
-            handle.add(pending)
-        if stores:
-            device.stores += stores
-            device.bytes_stored += stores * device.line_size
-            self._n_stores.add(stores)
+            counters = self._counters
+            counters["cache.clwb" if keep else "cache.clflush"] += pending
+            if stores:
+                device.stores += stores
+                device.bytes_stored += stores * device.line_size
+                counters["nvm.stores"] += stores
         clock._now_ns = now
         cell[0] = cat
         if clock._listeners:
@@ -381,15 +374,16 @@ class CPUCache:
 
     def sfence(self) -> None:
         """Store fence: order preceding flushes before later stores."""
-        self._n_sfence.add(1)
+        self._counters["cache.sfence"] += 1
         self._clock.advance(self.config.fence_latency_ns)
 
     def _sync_lines(self, bases: Iterable[int]) -> None:
-        self._flush_run(bases, keep=self.config.use_clwb)
+        config = self.config
+        self._flush_run(bases, config.use_clwb)
         self.sfence()
-        self._n_sync.add(1)
-        if self.config.sync_extra_latency_ns:
-            self._clock.advance(self.config.sync_extra_latency_ns)
+        self._counters["cache.sync"] += 1
+        if config.sync_extra_latency_ns:
+            self._clock.advance(config.sync_extra_latency_ns)
 
     def sync(self, addr: int, size: int) -> None:
         """The allocator's durable sync primitive (Section 2.3):
@@ -405,25 +399,22 @@ class CPUCache:
         the allocator places back to back) share boundary lines;
         syncing them one by one flushes those lines twice and pays one
         fence per range."""
-        line_size = self.line_size
         bases: Dict[int, None] = {}     # insertion-ordered set
         for addr, size in ranges:
-            base = addr - addr % line_size
-            last = ((addr + (size if size > 1 else 1) - 1)
-                    // line_size) * line_size
-            for line_base in range(base, last + 1, line_size):
-                bases[line_base] = None
+            bases.update(dict.fromkeys(self._line_range(addr, size)))
         self._sync_lines(bases)
 
     def drain(self) -> None:
         """Write back every dirty line (used by orderly shutdown)."""
         device = self.device
-        for base, line in self._lines.items():
-            if line.dirty:
-                if line.buffer is not None:
-                    device.write_raw(base, bytes(line.buffer))
+        dirty = self._dirty
+        for base, buffer in self._lines.items():
+            if base in dirty:
+                if buffer is not None:
+                    device.write_raw(base, buffer)
                 device.charge_store(1, addr=base)
         self._lines.clear()
+        dirty.clear()
         # The prefetch stream must not survive an empty cache: a
         # post-drain access that happens to start at the stale
         # stream_next is not a hardware-visible continuation.
@@ -444,16 +435,18 @@ class CPUCache:
         """
         survived = lost = 0
         probability = self.config.crash_eviction_probability
-        for base, line in self._lines.items():
-            if not line.dirty:
+        dirty = self._dirty
+        for base, buffer in self._lines.items():
+            if base not in dirty:
                 continue
             if self._rng.random() < probability:
-                if line.buffer is not None:
-                    self.device.write_raw(base, bytes(line.buffer))
+                if buffer is not None:
+                    self.device.write_raw(base, buffer)
                 survived += 1
             else:
                 lost += 1
         self._lines.clear()
+        dirty.clear()
         self._stream_next = -1  # see drain()
         return survived, lost
 

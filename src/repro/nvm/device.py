@@ -123,19 +123,20 @@ class NVMDevice:
 
     def read_raw(self, addr: int, size: int) -> bytes:
         """Read ``size`` bytes at ``addr`` without charging time."""
-        self._check_range(addr, size)
-        return bytes(self._data[addr:addr + size])
+        if addr < 0 or size < 0 or addr + size > self.capacity_bytes:
+            raise self._range_error(addr, size)
+        return self._data[addr:addr + size]
 
     def write_raw(self, addr: int, data: bytes) -> None:
         """Write ``data`` at ``addr`` without charging time."""
-        self._check_range(addr, len(data))
+        if addr < 0 or addr + len(data) > self.capacity_bytes:
+            raise self._range_error(addr, len(data))
         self._data[addr:addr + len(data)] = data
 
-    def _check_range(self, addr: int, size: int) -> None:
-        if addr < 0 or size < 0 or addr + size > self.capacity_bytes:
-            raise InvalidAddressError(
-                f"access [{addr}, {addr + size}) outside device "
-                f"of {self.capacity_bytes} bytes")
+    def _range_error(self, addr: int, size: int) -> InvalidAddressError:
+        return InvalidAddressError(
+            f"access [{addr}, {addr + size}) outside device "
+            f"of {self.capacity_bytes} bytes")
 
     def reset_counters(self) -> None:
         self.loads = 0

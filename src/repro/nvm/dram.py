@@ -17,6 +17,7 @@ from typing import Dict
 
 from ..config import DRAM_BANDWIDTH_BYTES_PER_NS, DRAM_LATENCY_NS
 from ..errors import InvalidAddressError, OutOfMemoryError
+from ..index.cost import PerNodeProbes
 from ..sim.clock import SimClock
 from ..sim.stats import StatsCollector
 
@@ -96,7 +97,7 @@ class DRAMTier:
         return len(self._allocations)
 
 
-class DRAMBackedIndexCostModel:
+class DRAMBackedIndexCostModel(PerNodeProbes):
     """Index cost model placing nodes on the DRAM tier.
 
     Drop-in alternative to

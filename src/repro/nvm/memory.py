@@ -25,7 +25,7 @@ class NVMMemory:
     """Load/store interface over the cache + device pair."""
 
     __slots__ = ("_cache", "line_size", "observer", "load", "load_batch",
-                 "touch_read", "touch_read_scattered")
+                 "touch_read", "touch_read_runs", "touch_read_scattered")
 
     def __init__(self, cache: CPUCache) -> None:
         self._cache = cache
@@ -39,10 +39,12 @@ class NVMMemory:
         #: parallelism (one full-latency miss for the whole batch).
         self.load = cache.load
         self.load_batch = cache.load_batch
-        #: ``touch_read(addr, size)`` charges reading an object region;
+        #: ``touch_read(addr, size)`` charges reading an object region,
+        #: ``touch_read_runs(ranges)`` several in one operation;
         #: ``touch_read_scattered(addr, size, probes)`` charges
         #: scattered single-line reads (Bloom filter probes).
         self.touch_read = cache.touch_read
+        self.touch_read_runs = cache.touch_read_runs
         self.touch_read_scattered = cache.touch_read_scattered
 
     # -- byte-backed data ------------------------------------------------

@@ -16,9 +16,9 @@ accumulator cell per category and installs the innermost category's
 cell into the clock; a charge is then a single indexed add — same
 order, same values, byte-identical totals. A ``category()`` block
 swaps that cell itself: one identity-hashed lookup, one push and one
-pop, no further call. Hot counters are bumped through prebound
-:class:`CounterHandle` objects so the per-event cost is one dict add
-on an interned key, batched to one call per cache operation.
+pop, no further call. The cache model and the allocator add to the
+live counter table in place (:meth:`StatsCollector.counter_table`):
+one dict add per counter per operation, and no call.
 """
 
 from __future__ import annotations
@@ -41,27 +41,6 @@ class Category(enum.Enum):
     #: Members hash by identity (in C) rather than by name (in Python):
     #: ``StatsCollector.category`` looks one up for every engine block.
     __hash__ = object.__hash__
-
-
-class CounterHandle:
-    """A prebound counter: ``handle.add(n)`` is exactly
-    ``stats.bump(name, n)`` without the attribute/bound-method lookup
-    or string re-interning on every event. Handles share the
-    collector's counter table, so mixing ``bump`` and handle adds on
-    the same name stays consistent."""
-
-    __slots__ = ("name", "_counters")
-
-    def __init__(self, name: str, counters: "Counter[str]") -> None:
-        self.name = name
-        self._counters = counters
-
-    def add(self, amount: int = 1) -> None:
-        self._counters[self.name] += amount
-
-    def __repr__(self) -> str:
-        return (f"CounterHandle({self.name!r}, "
-                f"count={self._counters[self.name]})")
 
 
 class _CategoryContext:
@@ -119,9 +98,11 @@ class StatsCollector:
         """Increment counter ``name`` by ``amount``."""
         self._counters[name] += amount
 
-    def counter_handle(self, name: str) -> CounterHandle:
-        """Prebind counter ``name`` for repeated cheap increments."""
-        return CounterHandle(name, self._counters)
+    def counter_table(self) -> "Counter[str]":
+        """The live counter table: ``table[name] += n`` is exactly
+        ``bump(name, n)``, without the call. :meth:`reset` clears it in
+        place, so a held table stays valid."""
+        return self._counters
 
     def counter(self, name: str) -> int:
         """Current value of counter ``name`` (0 if never bumped)."""
@@ -155,8 +136,8 @@ class StatsCollector:
 
     def reset(self) -> None:
         """Clear all counters and category times (the clock is kept).
-        Cells are zeroed in place so outstanding handles and the
-        clock's installed attribution cell stay valid."""
+        The counter table and cells are cleared in place, so a held
+        table and the clock's installed attribution cell stay valid."""
         self._counters.clear()
         for cell in self._cells.values():
             cell[0] = 0.0

@@ -60,6 +60,13 @@ class AllocatorMachine(RuleBasedStateMachine):
             assert self.allocator.resolve_optional(addr) is allocation
 
     @invariant()
+    def size_index_matches_free_list(self):
+        if not hasattr(self, "allocator"):
+            return
+        assert self.allocator._by_size == sorted(
+            (size, base) for base, size in self.allocator._free)
+
+    @invariant()
     def no_overlaps(self):
         if not hasattr(self, "allocator"):
             return

@@ -523,3 +523,34 @@ def test_store_run_longer_than_cache_matches_reference():
     fast.drain()
     ref.drain()
     assert fd.read_raw(0, 20 * LINE) == rd.read_raw(0, 20 * LINE)
+
+
+def _assert_line_state(fast, ref, context):
+    """Every dirty line is resident, every pending buffer is one whole
+    line held by a resident line, and the resident lines (in LRU
+    order), the dirty set and the buffered bytes are the reference's."""
+    resident = fast._lines
+    assert fast._dirty <= resident.keys(), context
+    for buffer in resident.values():
+        assert buffer is None or (type(buffer) is bytearray
+                                  and len(buffer) == fast.line_size), context
+    assert list(resident) == list(ref._lines), context
+    assert fast._dirty == {base for base, line in ref._lines.items()
+                           if line.dirty}, context
+    assert ({base: bytes(buffer) for base, buffer in resident.items()
+             if buffer is not None}
+            == {base: bytes(line.buffer) for base, line in ref._lines.items()
+                if line.buffer is not None}), context
+
+
+@pytest.mark.parametrize("seed", [0, 3, 8])
+def test_line_state_invariants_hold_after_every_op(seed):
+    fast, __, fc, fs = _make(CPUCache)
+    ref, __r, rc, rs = _make(ReferenceCache)
+    rng = random.Random(seed)
+    for step, op in enumerate(_random_ops(rng, 300, 32 * 1024)):
+        _apply(fast, op)
+        _apply(ref, op)
+        _assert_line_state(fast, ref, (seed, step, op))
+    assert fast.crash() == ref.crash()
+    _assert_line_state(fast, ref, (seed, "crash"))
