@@ -164,9 +164,10 @@ def encode_slotted(schema: Schema, values: Dict[str, Any],
     Non-inline fields are written through ``varlen_writer`` (which
     allocates a variable-length slot and returns its pointer). Returns
     ``(slot_bytes, varlen_pointers)`` so the caller can track (and
-    later free) the out-of-line allocations.
+    later free) the out-of-line allocations. ``values`` must already
+    be valid (:meth:`Schema.validate`): the engines validate each
+    insert once, before anything is allocated or logged.
     """
-    schema.validate(values)
     layout = schema.layout
     fields = [values[name] for name in layout.names]
     for i in layout.inline:
@@ -197,8 +198,8 @@ def slot_state(slot: bytes) -> int:
 
 
 def encode_inlined(schema: Schema, values: Dict[str, Any]) -> bytes:
-    """Encode a tuple with every field inlined at full capacity."""
-    schema.validate(values)
+    """Encode a tuple with every field inlined at full capacity;
+    ``values`` must already be valid, as for :func:`encode_slotted`."""
     layout = schema.layout
     fields = [values[name] for name in layout.names]
     for i in layout.strings:

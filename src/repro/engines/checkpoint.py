@@ -32,6 +32,23 @@ _RECORD = struct.Struct("<HI")  # table id, record length
 #: Simulated CPU cost of (de)compression, ns per uncompressed byte.
 COMPRESS_NS_PER_BYTE = 0.4
 
+#: Raw bytes per (de)compressor call; bounds a snapshot's host memory.
+_CHUNK = 64 * 1024
+
+
+def _inflate(compressed: bytes) -> Iterator[bytes]:
+    """Inflate a snapshot in chunks of at most ``_CHUNK`` raw bytes;
+    raises :class:`zlib.error` if the stream is corrupt or truncated."""
+    inflater = zlib.decompressobj()
+    data = compressed
+    while not inflater.eof:
+        chunk = inflater.decompress(data, _CHUNK)
+        data = inflater.unconsumed_tail
+        if not (chunk or data or inflater.eof):
+            raise zlib.error("incomplete or truncated stream")
+        yield chunk
+
+
 register_fault_point(
     "checkpoint.write.before_fsync",
     "snapshot written to the inactive slot, not yet fsync'd",
@@ -80,16 +97,27 @@ class Checkpointer:
         dicts). Table ids are assigned by sorted table name. Returns
         the compressed size in bytes.
         """
+        # Records stream into one deflate stream in bounded chunks; its
+        # output does not depend on the split, so it equals
+        # ``zlib.compress(raw, 6)`` without the raw image in memory.
+        compressor = zlib.compressobj(6)
         parts = []
+        pending = bytearray()
+        raw_size = 0
         for table_id, name in enumerate(sorted(tables)):
             schema, rows = tables[name]
+            header = _RECORD.pack(table_id, schema.inlined_size)
             for values in rows:
-                record = encode_inlined(schema, values)
-                parts.append(_RECORD.pack(table_id, len(record)))
-                parts.append(record)
-        raw = b"".join(parts)
-        self._clock.advance(len(raw) * COMPRESS_NS_PER_BYTE)
-        compressed = zlib.compress(raw, level=6)
+                pending += header
+                pending += encode_inlined(schema, values)
+                if len(pending) >= _CHUNK:
+                    raw_size += len(pending)
+                    parts.append(compressor.compress(pending))
+                    pending.clear()
+        raw_size += len(pending)
+        parts += (compressor.compress(pending), compressor.flush())
+        compressed = b"".join(parts)
+        self._clock.advance(raw_size * COMPRESS_NS_PER_BYTE)
 
         active = self._active_slot()
         target = 0 if active != 0 else 1
@@ -129,18 +157,25 @@ class Checkpointer:
         compressed = self._fs.read_all(file)
         if not compressed:
             return
-        raw = zlib.decompress(compressed)
-        self._clock.advance(len(raw) * COMPRESS_NS_PER_BYTE)
+        # Pass one measures the raw image (raising on a truncated one
+        # before any record); pass two parses records across chunks.
+        raw_size = sum(map(len, _inflate(compressed)))
+        self._clock.advance(raw_size * COMPRESS_NS_PER_BYTE)
         names = sorted(schemas_by_name)
-        offset = 0
-        while offset < len(raw):
-            table_id, record_length = _RECORD.unpack_from(raw, offset)
-            offset += _RECORD.size
-            name = names[table_id]
-            schema = schemas_by_name[name]
-            record = raw[offset:offset + record_length]
-            offset += record_length
-            yield name, decode_inlined(schema, record)
+        rest = b""
+        for chunk in _inflate(compressed):
+            buffer = rest + chunk
+            offset = 0
+            while len(buffer) - offset >= _RECORD.size:
+                table_id, record_length = _RECORD.unpack_from(buffer, offset)
+                start = offset + _RECORD.size
+                if len(buffer) - start < record_length:
+                    break
+                offset = start + record_length
+                name = names[table_id]
+                yield name, decode_inlined(schemas_by_name[name],
+                                           buffer[start:offset])
+            rest = buffer[offset:]
 
     @property
     def size_bytes(self) -> int:

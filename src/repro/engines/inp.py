@@ -111,6 +111,7 @@ class InPEngine(StorageEngine):
         with self.stats.category(Category.INDEX):
             if key in store.slots:
                 raise DuplicateKeyError(f"{table}: key {key!r} exists")
+        store.schema.validate(values)
         # WAL first: full tuple after-image (Table 3: log = T).
         with self.stats.category(Category.RECOVERY):
             self._wal.append(WALEntry(

@@ -152,6 +152,7 @@ class LogEngine(StorageEngine):
         key = schema.key_of(values)
         if self._get(store, key) is not None:
             raise DuplicateKeyError(f"{table}: key {key!r} exists")
+        schema.validate(values)
         image = encode_inlined(schema, values)
         with self.stats.category(Category.RECOVERY):
             self._wal.append(WALEntry(

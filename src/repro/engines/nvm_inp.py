@@ -67,6 +67,7 @@ class NVMInPEngine(InPEngine):
         with self.stats.category(Category.INDEX):
             if key in store.slots:
                 raise DuplicateKeyError(f"{table}: key {key!r} exists")
+        store.schema.validate(values)
         with self.stats.category(Category.STORAGE):
             addr = store.pool.allocate_slot()
             slot, pointers = encode_slotted(store.schema, values,

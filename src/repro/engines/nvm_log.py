@@ -80,6 +80,7 @@ class NVMLogEngine(LogEngine):
         key = schema.key_of(values)
         if self._get(store, key) is not None:
             raise DuplicateKeyError(f"{table}: key {key!r} exists")
+        schema.validate(values)
         image = encode_inlined(schema, values)
         # Sync tuple with NVM (entry alloc + sync inside add), record
         # the pointer in the WAL, sync the log entry, index it.

@@ -146,6 +146,7 @@ class NVMMVCCEngine(StorageEngine):
         with self.stats.category(Category.INDEX):
             if store.index.get(key) is not None:
                 raise DuplicateKeyError(f"{table}: key {key!r} exists")
+        store.schema.validate(values)
         with self.stats.category(Category.STORAGE):
             addr = self._write_version(store, values, txn.timestamp,
                                        NO_PREV)

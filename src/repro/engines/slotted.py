@@ -59,7 +59,8 @@ class FixedSlotPool:
         self._free_slots: List[NVPtr] = []
         self._live_slots: Set[NVPtr] = set()
         #: Slots allocated whose persisted state byte was never set —
-        #: the only ones post-restart reclamation must inspect.
+        #: the only ones post-restart reclamation must inspect (kept
+        #: for persistent pools only: nothing reclaims a volatile one).
         self._unpersisted_slots: Set[NVPtr] = set()
 
     def allocate_slot(self) -> NVPtr:
@@ -68,7 +69,8 @@ class FixedSlotPool:
             self._grow()
         addr = self._free_slots.pop()
         self._live_slots.add(addr)
-        self._unpersisted_slots.add(addr)
+        if self._persistent:
+            self._unpersisted_slots.add(addr)
         return addr
 
     def _grow(self) -> None:
