@@ -259,8 +259,7 @@ class InPEngine(StorageEngine):
                 self.memory.store(offset, _U64.pack(old_ptr))
                 if new_ptr in owned:
                     owned.remove(new_ptr)
-                if store.varlen.contains(new_ptr):
-                    store.varlen.free(new_ptr)
+                store.varlen.free(new_ptr)
                 owned.append(old_ptr)
             else:
                 self.memory.store(
@@ -341,14 +340,12 @@ class InPEngine(StorageEngine):
                 __, table, __k, __a, __b, replaced = record
                 store = self._table(table)
                 for old_ptr in replaced.values():
-                    if store.varlen.contains(old_ptr):
-                        store.varlen.free(old_ptr)
+                    store.varlen.free(old_ptr)
 
     def _release_tuple(self, store: _Table, addr: int) -> None:
         with self.stats.category(Category.STORAGE):
             for pointer in store.varlen_of.pop(addr, []):
-                if store.varlen.contains(pointer):
-                    store.varlen.free(pointer)
+                store.varlen.free(pointer)
             store.pool.free_slot(addr)
 
     # ------------------------------------------------------------------
@@ -378,10 +375,9 @@ class InPEngine(StorageEngine):
         self._commits_since_checkpoint = 0
 
     def _on_crash(self) -> None:
-        """Everything in allocator memory is gone (volatile use)."""
+        """Everything in allocator memory is gone (volatile use): the
+        crash reclaimed it, and recovery replaces the pools."""
         for store in self._tables.values():
-            store.pool.destroy()
-            store.varlen.destroy()
             store.slots.clear()
             store.varlen_of.clear()
 

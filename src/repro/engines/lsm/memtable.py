@@ -109,9 +109,7 @@ class MemTable:
             return
         chain.remove(entry)
         self.size_bytes -= entry.size_bytes
-        if self._allocator.resolve_optional(
-                entry.allocation.addr) is entry.allocation:
-            self._allocator.free(entry.allocation)
+        self._allocator.free(entry.allocation)
         if not chain:
             del self._chains[key]
             self.index.delete(key)
@@ -185,15 +183,10 @@ class MemTable:
         """Free every entry allocation (and let the index go)."""
         for chain in self._chains.values():
             for entry in chain:
-                allocation = entry.allocation
-                if self._allocator.resolve_optional(
-                        allocation.addr) is allocation:
-                    self._allocator.free(allocation)
+                self._allocator.free(entry.allocation)
         self._chains.clear()
         self._index_cost.drop_all()
         if self._bloom_alloc is not None:
-            if self._allocator.resolve_optional(
-                    self._bloom_alloc.addr) is self._bloom_alloc:
-                self._allocator.free(self._bloom_alloc)
+            self._allocator.free(self._bloom_alloc)
             self._bloom_alloc = None
         self.size_bytes = 0

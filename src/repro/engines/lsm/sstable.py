@@ -103,9 +103,7 @@ class SSTable:
 
     def _release_bloom(self) -> None:
         if self._bloom_alloc is not None and self._allocator is not None:
-            if self._allocator.resolve_optional(
-                    self._bloom_alloc.addr) is self._bloom_alloc:
-                self._allocator.free(self._bloom_alloc)
+            self._allocator.free(self._bloom_alloc)
             self._bloom_alloc = None
 
     def open(self) -> None:

@@ -25,7 +25,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..config import EngineConfig
 from ..core.schema import Schema
-from ..core.tuple_codec import encode_slotted
+from ..core.tuple_codec import STATE_PERSISTED, encode_slotted
 from ..core.transaction import Transaction
 from ..fault.injector import register_fault_point
 from ..index.cost import NVMIndexCostModel
@@ -120,8 +120,10 @@ class NVMCoWEngine(CoWEngine):
         tuple pointer in dirty dir.')."""
         pools = self._pools[schema.table]
         addr = pools.fixed.allocate_slot()
+        # Born persisted: only a durable directory makes it reachable.
         slot, pointers = encode_slotted(schema, values,
-                                        pools.varlen.write)
+                                        pools.varlen.write,
+                                        state=STATE_PERSISTED)
         pools.fixed.write_slot(addr, slot)
         pools.varlen_of[addr] = pointers
         # One batched sync: the slot and its varlen fields, each line
@@ -129,6 +131,7 @@ class NVMCoWEngine(CoWEngine):
         pools.varlen.sync_many(
             pointers,
             extra_ranges=((addr, pools.fixed.slot_size),))
+        pools.fixed.mark_persisted(addr)
         self.faults.fire("nvm_cow.tuple_copy.after")
         return addr
 
@@ -143,8 +146,7 @@ class NVMCoWEngine(CoWEngine):
             # The address belongs to exactly one table's pool.
             if pools.fixed.owns(stored):
                 for pointer in pools.varlen_of.pop(stored, []):
-                    if pools.varlen.contains(pointer):
-                        pools.varlen.free(pointer)
+                    pools.varlen.free(pointer)
                 pools.fixed.free_slot(stored)
                 return
 

@@ -181,8 +181,7 @@ class NVMInPEngine(InPEngine):
         per-field syncs would re-flush shared lines and pay one fence
         per field."""
         store.varlen.sync_many(
-            [new_ptr for new_ptr in created.values()
-             if store.varlen.contains(new_ptr)],
+            list(created.values()),
             extra_ranges=self._field_ranges(store, addr, changes))
 
     # ------------------------------------------------------------------
@@ -260,7 +259,6 @@ class NVMInPEngine(InPEngine):
         with self.tracer.span("recovery.pool_reclaim"):
             for store in self._tables.values():
                 store.pool.recover_unpersisted()
-                store.varlen.prune_dead()
         logger.info("nvm-inp: undo-only recovery complete")
 
     def _undo_wal_record(self, record: NVMWalRecord) -> None:
@@ -289,11 +287,12 @@ class NVMInPEngine(InPEngine):
                     self.memory.load(offset, FIELD_SLOT_SIZE))[0]
                 self.memory.store(offset, _U64.pack(old_ptr))
                 self.memory.sync(offset, FIELD_SLOT_SIZE)
+                if new_ptr == old_ptr:  # crashed before the field store
+                    continue
                 owned = store.varlen_of.setdefault(addr, [])
                 if new_ptr in owned:
                     owned.remove(new_ptr)
-                if store.varlen.contains(new_ptr):
-                    store.varlen.free(new_ptr)
+                store.varlen.free(new_ptr)
                 owned.append(old_ptr)
             if before:
                 self._restore_fields(store, addr, before, replaced)

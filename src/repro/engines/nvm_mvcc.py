@@ -129,8 +129,7 @@ class NVMMVCCEngine(StorageEngine):
 
     def _free_version(self, store: _MVCCTable, addr: int) -> None:
         for pointer in store.varlen_of.pop(addr, []):
-            if store.varlen.contains(pointer):
-                store.varlen.free(pointer)
+            store.varlen.free(pointer)
         if store.pool.owns(addr):
             store.pool.free_slot(addr)
 
@@ -294,7 +293,6 @@ class NVMMVCCEngine(StorageEngine):
         self._inflight.undo_uncommitted(self._undo_wal_record)
         for store in self._tables.values():
             store.pool.recover_unpersisted()
-            store.varlen.prune_dead()
 
     def _undo_wal_record(self, record: NVMWalRecord) -> None:
         store = self._table(record.table)

@@ -115,8 +115,7 @@ class NVMWal:
         if log is None:
             return 0
         for entry in log.entries:
-            if self._allocator.resolve_optional(entry.addr) is entry:
-                self._allocator.free(entry)
+            self._allocator.free(entry)
         return len(log.entries)
 
     def active_txn_ids(self) -> List[int]:

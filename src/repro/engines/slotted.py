@@ -21,7 +21,7 @@ from typing import Any, Dict, List, Set
 from ..core.schema import Schema
 from ..core.tuple_codec import STATE_PERSISTED, STATE_UNALLOCATED
 from ..errors import InvalidAddressError
-from ..nvm.allocator import Allocation, NVMAllocator
+from ..nvm.allocator import NVMAllocator
 from ..nvm.memory import NVMMemory
 from ..nvm.pointers import NVPtr
 
@@ -55,7 +55,6 @@ class FixedSlotPool:
         self._memory = memory
         self._persistent = persistent
         self._tag = tag
-        self._blocks: List[Allocation] = []
         self._free_slots: List[NVPtr] = []
         self._live_slots: Set[NVPtr] = set()
         #: Slots allocated whose persisted state byte was never set —
@@ -78,7 +77,6 @@ class FixedSlotPool:
             self.slot_size * SLOTS_PER_BLOCK, tag=self._tag)
         if self._persistent:
             self._allocator.persist(block)
-        self._blocks.append(block)
         for index in reversed(range(SLOTS_PER_BLOCK)):
             self._free_slots.append(block.addr + index * self.slot_size)
 
@@ -150,18 +148,10 @@ class FixedSlotPool:
         """Whether ``addr`` is a live slot of this pool."""
         return addr in self._live_slots
 
-    def destroy(self) -> None:
-        """Free every block (volatile engine losing its pool)."""
-        for block in self._blocks:
-            if self._allocator.resolve_optional(block.addr) is block:
-                self._allocator.free(block)
-        self._blocks.clear()
-        self._free_slots.clear()
-        self._live_slots.clear()
-
 
 class VarlenPool:
-    """Pool of variable-length slots (non-inlined fields)."""
+    """Pool of variable-length slots (non-inlined fields), one
+    allocation each: the allocator's record is the pool's only one."""
 
     def __init__(self, allocator: NVMAllocator, memory: NVMMemory,
                  persistent: bool, tag: str = "table") -> None:
@@ -169,7 +159,6 @@ class VarlenPool:
         self._memory = memory
         self._persistent = persistent
         self._tag = tag
-        self._slots: Dict[NVPtr, Allocation] = {}
 
     def write(self, data: bytes) -> NVPtr:
         """Allocate a variable-length slot holding ``data``."""
@@ -177,23 +166,19 @@ class VarlenPool:
         if self._persistent:
             self._allocator.persist(allocation)
         self._memory.store(allocation.addr, data)
-        self._slots[allocation.addr] = allocation
         return allocation.addr
 
     def read(self, addr: NVPtr) -> bytes:
-        allocation = self._slots[addr]
-        return self._memory.load(allocation.addr, allocation.size)
+        return self._memory.load(addr, self._allocator.resolve(addr).size)
 
     def read_many(self, addrs: List[NVPtr]) -> List[bytes]:
         """Batch-read several slots, in ``addrs`` order: their
         addresses are independent, so the loads overlap (memory-level
         parallelism)."""
-        return self._memory.load_batch(
-            [(addr, self._slots[addr].size) for addr in addrs])
+        return self._memory.load_batch(self._allocator.ranges(addrs))
 
     def sync(self, addr: NVPtr) -> None:
-        allocation = self._slots[addr]
-        self._allocator.sync(allocation)
+        self._allocator.sync(self._allocator.resolve(addr))
 
     def sync_many(self, addrs: List[NVPtr],
                   extra_ranges: Any = ()) -> None:
@@ -202,30 +187,11 @@ class VarlenPool:
         tuple's variable-length slots are allocated back to back, so
         per-slot syncs re-flush shared boundary cache lines and pay a
         fence per slot."""
-        self._allocator.sync_many([self._slots[addr] for addr in addrs],
+        self._allocator.sync_many(self._allocator.resolve_many(addrs),
                                   extra_ranges=extra_ranges)
 
     def free(self, addr: NVPtr) -> None:
-        allocation = self._slots.pop(addr)
-        if self._allocator.resolve_optional(allocation.addr) is allocation:
-            self._allocator.free(allocation)
+        self._allocator.free(self._allocator.resolve(addr))
 
     def contains(self, addr: NVPtr) -> bool:
-        return addr in self._slots
-
-    def prune_dead(self) -> int:
-        """Drop bookkeeping for slots the allocator reclaimed during
-        crash recovery (never-persisted allocations). Returns count."""
-        dead = [addr for addr, allocation in self._slots.items()
-                if self._allocator.resolve_optional(addr) is not allocation]
-        for addr in dead:
-            del self._slots[addr]
-        return len(dead)
-
-    @property
-    def live_count(self) -> int:
-        return len(self._slots)
-
-    def destroy(self) -> None:
-        for addr in list(self._slots):
-            self.free(addr)
+        return self._allocator.owns(addr)

@@ -162,7 +162,6 @@ class NVMIndexCostModel:
 
     def drop_all(self) -> None:
         """Free every node allocation (volatile index lost in a crash)."""
-        for allocation in list(self._allocations.values()):
-            if self._allocator.resolve_optional(allocation.addr) is allocation:
-                self._allocator.free(allocation)
+        for allocation in self._allocations.values():
+            self._allocator.free(allocation)
         self._allocations.clear()

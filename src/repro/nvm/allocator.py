@@ -47,7 +47,7 @@ class Allocation:
     """A live allocation returned by :meth:`NVMAllocator.malloc`."""
 
     __slots__ = ("addr", "size", "tag", "kind", "persisted", "obj",
-                 "obj_size")
+                 "reclaimed")
 
     def __init__(self, addr: NVPtr, size: int, tag: str, kind: str) -> None:
         self.addr = addr
@@ -58,7 +58,9 @@ class Allocation:
         #: as surviving allocator recovery.
         self.persisted = False
         self.obj: object = None
-        self.obj_size = size
+        #: Whether :meth:`NVMAllocator.crash_recover` took this region
+        #: back; a later :meth:`NVMAllocator.free` of it is a no-op.
+        self.reclaimed = False
 
     def __repr__(self) -> str:
         flag = "P" if self.persisted else "-"
@@ -156,11 +158,14 @@ class NVMAllocator:
         return index
 
     def free(self, allocation: Allocation) -> None:
-        """Return ``allocation``'s region to the free list."""
-        live = self._allocations.pop(allocation.addr, None)
-        if live is not allocation:
+        """Return ``allocation``'s region to the free list (a no-op if
+        :meth:`crash_recover` already took it back)."""
+        if allocation.reclaimed:
+            return
+        if self._allocations.get(allocation.addr) is not allocation:
             raise InvalidAddressError(
                 f"double free or foreign allocation at {allocation.addr:#x}")
+        del self._allocations[allocation.addr]
         base = allocation.addr - HEADER_SIZE
         needed = -(-(allocation.size + HEADER_SIZE) // _ALIGNMENT) * _ALIGNMENT
         self._insert_free(base, needed)
@@ -265,8 +270,24 @@ class NVMAllocator:
             raise InvalidAddressError(
                 f"no live allocation at {addr:#x}") from None
 
+    def resolve_many(self, addrs: Sequence[NVPtr]) -> List[Allocation]:
+        """The live allocations at ``addrs``, in order (one call per
+        batch; a dead pointer raises ``KeyError``)."""
+        allocations = self._allocations
+        return [allocations[addr] for addr in addrs]
+
+    def ranges(self, addrs: Sequence[NVPtr]) -> List[Tuple[NVPtr, int]]:
+        """``(addr, size)`` of each live allocation in ``addrs``, in
+        order, ready for a batched load (``KeyError`` as above)."""
+        allocations = self._allocations
+        return [(addr, allocations[addr].size) for addr in addrs]
+
     def resolve_optional(self, addr: NVPtr) -> Optional[Allocation]:
         return self._allocations.get(addr)
+
+    def owns(self, addr: NVPtr) -> bool:
+        """Whether a live allocation starts at ``addr``."""
+        return addr in self._allocations
 
     # ------------------------------------------------------------------
     # Failure model
@@ -279,6 +300,7 @@ class NVMAllocator:
                   if not allocation.persisted]
         for allocation in doomed:
             self.free(allocation)
+            allocation.reclaimed = True
         self._counters["alloc.crash_reclaimed"] += len(doomed)
         return len(doomed)
 

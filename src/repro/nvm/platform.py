@@ -49,12 +49,11 @@ class Platform:
         #: activates it); engines cache a reference at construction.
         self.tracer = Tracer(self.clock)
         #: Observability hooks set by an attached session: a latency
-        #: histogram fed by the partition executor, per-operation
-        #: counters fed by the query executor, and the time-series
-        #: sampler. None means "off" and costs one check per use.
+        #: histogram fed by the partition executor and per-operation
+        #: counters fed by the query executor. None means "off" and
+        #: costs one check per use.
         self.txn_latency = None
         self.op_counters = None
-        self.sampler = None
         #: Telemetry heartbeat probe (see repro.obs.bus): called once
         #: per committed transaction when a live-telemetry session is
         #: attached. None means "off" and costs one check per commit.

@@ -75,10 +75,10 @@ def _platform_probes(platform) -> Dict[str, Any]:
 class PartitionObserver:
     """One partition's instruments, from attach to detach: what
     ``Partition.obs_*`` runs. The only code that touches the platform's
-    ``tracer`` / ``sampler`` / ``op_counters`` / ``txn_latency`` slots;
-    it meters into its own registry, which :meth:`detach` hands back
-    with the span/sample records (all plain picklable data, so the
-    replies cross an executor's pipe unchanged)."""
+    ``tracer`` / ``op_counters`` / ``txn_latency`` slots; it meters into
+    its own registry, which :meth:`detach` hands back with the
+    span/sample records (all plain picklable data, so the replies cross
+    an executor's pipe unchanged)."""
 
     def __init__(self, partition, engine: str, workload: str,
                  options: ObservabilityOptions) -> None:
@@ -93,7 +93,6 @@ class PartitionObserver:
             interval_ms=options.sample_interval_ms,
             max_samples=options.max_samples)
         self._sampler.attach()
-        platform.sampler = self._sampler
         platform.op_counters = {
             op: self.registry.counter(
                 "db.ops", help="Primitive operations executed",
@@ -143,7 +142,6 @@ class PartitionObserver:
         self._sampler.detach()
         records.extend({"type": "sample", **tags, **sample}
                        for sample in self._sampler.samples)
-        platform.sampler = None
         platform.op_counters = None
         platform.txn_latency = None
         return records, self.registry

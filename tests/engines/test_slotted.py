@@ -103,13 +103,14 @@ def test_persistent_blocks_survive_crash(platform, schema):
     assert fixed.read_slot(addr) == payload
 
 
-def test_volatile_pool_destroy_releases_memory(platform, schema):
+def test_crash_reclaims_volatile_pool_blocks(platform, schema):
     fixed = FixedSlotPool(schema, platform.allocator, platform.memory,
                           persistent=False, tag="table")
     fixed.allocate_slot()
     assert platform.allocator.bytes_by_tag()["table"] > 0
-    fixed.destroy()
+    platform.crash()
     assert platform.allocator.bytes_by_tag()["table"] == 0
+    assert platform.allocator.live_allocations == 0
 
 
 def test_varlen_roundtrip(platform):
@@ -131,10 +132,10 @@ def test_varlen_sync_persists(platform):
     assert pool.read(addr) == b"data"
 
 
-def test_varlen_prune_dead_after_crash(platform):
+def test_crash_reclaims_volatile_varlen_slots(platform):
     pool = VarlenPool(platform.allocator, platform.memory,
                       persistent=False)
-    pool.write(b"volatile")
+    addr = pool.write(b"volatile")
     platform.crash()
-    assert pool.prune_dead() == 1
-    assert pool.live_count == 0
+    assert not pool.contains(addr)
+    assert platform.allocator.live_allocations == 0

@@ -94,7 +94,6 @@ def test_detach_leaves_the_platform_uninstrumented():
     _observed_cycle(db, workload)
     for partition in db.partitions:
         platform = partition.platform
-        assert platform.sampler is None
         assert platform.op_counters is None
         assert platform.txn_latency is None
         assert not platform.tracer.enabled
