@@ -134,3 +134,20 @@ def test_broken_master_record_fence_is_caught():
     assert not result.ok
     assert any("lost committed row" in violation
                for violation in result.violations), result.violations
+
+
+@pytest.mark.parametrize("engine", ["nvm-inp", "nvm-log", "nvm-mvcc"])
+def test_oracle_reads_ride_out_a_crash_at_every_hit(engine):
+    """The oracle's reads commit, so an armed point can fire inside
+    them: on the NVM-WAL engines the final verify's scan is the 65th
+    pass through ``nvm_wal.truncate.before`` (seed 7). Crashing at every
+    hit of that point — not only the planner's first/middle/last — must
+    end in a recovered, verified run, never a raw ``SimulatedCrash``."""
+    point = "nvm_wal.truncate.before"
+    hits = CampaignSpec(engine=engine).execute().hits[point]
+    assert hits >= 65
+    for hit in range(1, hits + 1):
+        result = CampaignSpec(engine=engine,
+                              triggers=((point, hit),)).execute()
+        assert result.ok, (hit, result.violations)
+        assert result.recoveries == result.crashes, hit
