@@ -50,15 +50,13 @@ class _Table:
     """Per-table storage state for the InP engine."""
 
     __slots__ = ("schema", "pool", "varlen", "primary", "secondary",
-                 "slots", "varlen_of")
+                 "slots")
 
     def __init__(self, schema: Schema, engine: "InPEngine") -> None:
         self.schema = schema
         self.build_storage(engine)
         #: primary key -> slot address (engine metadata mirror).
         self.slots: Dict[Any, int] = {}
-        #: slot address -> varlen pointers owned by that tuple.
-        self.varlen_of: Dict[int, List[int]] = {}
 
     def build_storage(self, engine: "InPEngine") -> None:
         """Fresh pools and indexes: at table creation, and again when
@@ -119,10 +117,9 @@ class InPEngine(StorageEngine):
                 key=key, after=encode_inlined(store.schema, values)))
         with self.stats.category(Category.STORAGE):
             addr = store.pool.allocate_slot()
-            slot, pointers = encode_slotted(store.schema, values,
-                                            store.varlen.write)
+            slot, __ = encode_slotted(store.schema, values,
+                                      store.varlen.write)
             store.pool.write_slot(addr, slot)
-            store.varlen_of[addr] = pointers
         with self.stats.category(Category.INDEX):
             store.primary.put(key, addr)
             self._index_add(store, key, values)
@@ -221,7 +218,6 @@ class InPEngine(StorageEngine):
         is supplied it is filled with the fresh varlen pointers."""
         layout = store.schema.layout
         replaced: Dict[str, int] = {}
-        owned = store.varlen_of.setdefault(addr, [])
         for position in layout.positions_of(changes):
             name = layout.names[position]
             stored = layout.packers[position](changes[name])
@@ -234,9 +230,6 @@ class InPEngine(StorageEngine):
                 replaced[name] = old_ptr
                 if created is not None:
                     created[name] = new_ptr
-                if old_ptr in owned:
-                    owned.remove(old_ptr)
-                owned.append(new_ptr)
             else:
                 self.memory.store(offset, stored)
         return replaced
@@ -248,7 +241,6 @@ class InPEngine(StorageEngine):
         written back; varlen fields get their *original pointers*
         restored and the aborted update's fresh slots freed."""
         layout = store.schema.layout
-        owned = store.varlen_of.setdefault(addr, [])
         for position in layout.positions_of(before):
             name = layout.names[position]
             offset = addr + SLOT_HEADER_SIZE + position * FIELD_SLOT_SIZE
@@ -257,10 +249,7 @@ class InPEngine(StorageEngine):
                     self.memory.load(offset, FIELD_SLOT_SIZE))[0]
                 old_ptr = replaced[name]
                 self.memory.store(offset, _U64.pack(old_ptr))
-                if new_ptr in owned:
-                    owned.remove(new_ptr)
                 store.varlen.free(new_ptr)
-                owned.append(old_ptr)
             else:
                 self.memory.store(
                     offset, layout.packers[position](before[name]))
@@ -344,7 +333,7 @@ class InPEngine(StorageEngine):
 
     def _release_tuple(self, store: _Table, addr: int) -> None:
         with self.stats.category(Category.STORAGE):
-            for pointer in store.varlen_of.pop(addr, []):
+            for pointer in store.pool.pointers_of(addr):
                 store.varlen.free(pointer)
             store.pool.free_slot(addr)
 
@@ -379,7 +368,6 @@ class InPEngine(StorageEngine):
         crash reclaimed it, and recovery replaces the pools."""
         for store in self._tables.values():
             store.slots.clear()
-            store.varlen_of.clear()
 
     def _do_recover(self) -> None:
         """Load the last checkpoint, replay the WAL (redo committed
@@ -423,10 +411,8 @@ class InPEngine(StorageEngine):
                         values: Dict[str, Any]) -> None:
         key = store.schema.key_of(values)
         addr = store.pool.allocate_slot()
-        slot, pointers = encode_slotted(store.schema, values,
-                                        store.varlen.write)
+        slot, __ = encode_slotted(store.schema, values, store.varlen.write)
         store.pool.write_slot(addr, slot)
-        store.varlen_of[addr] = pointers
         store.primary.put(key, addr)
         self._index_add(store, key, values)
         store.slots[key] = addr

@@ -52,7 +52,7 @@ register_fault_point(
 class _TuplePools:
     """Per-table persistent slot pools for the NVM-CoW engine."""
 
-    __slots__ = ("schema", "fixed", "varlen", "varlen_of")
+    __slots__ = ("schema", "fixed", "varlen")
 
     def __init__(self, schema: Schema, engine: "NVMCoWEngine") -> None:
         self.schema = schema
@@ -61,7 +61,6 @@ class _TuplePools:
                                    persistent=engine.persistent)
         self.varlen = VarlenPool(engine.allocator, engine.memory,
                                  persistent=engine.persistent)
-        self.varlen_of: Dict[int, List[int]] = {}
 
 
 @register_engine
@@ -125,7 +124,6 @@ class NVMCoWEngine(CoWEngine):
                                         pools.varlen.write,
                                         state=STATE_PERSISTED)
         pools.fixed.write_slot(addr, slot)
-        pools.varlen_of[addr] = pointers
         # One batched sync: the slot and its varlen fields, each line
         # flushed once under a single fence.
         pools.varlen.sync_many(
@@ -145,7 +143,7 @@ class NVMCoWEngine(CoWEngine):
         for pools in self._pools.values():
             # The address belongs to exactly one table's pool.
             if pools.fixed.owns(stored):
-                for pointer in pools.varlen_of.pop(stored, []):
+                for pointer in pools.fixed.pointers_of(stored):
                     pools.varlen.free(pointer)
                 pools.fixed.free_slot(stored)
                 return

@@ -73,7 +73,6 @@ class NVMInPEngine(InPEngine):
             slot, pointers = encode_slotted(store.schema, values,
                                             store.varlen.write)
             store.pool.write_slot(addr, slot)
-            store.varlen_of[addr] = pointers
         # Record the tuple *pointer* in the WAL and sync the entry
         # before marking the slot persisted; the entry (not the tuple
         # bytes) is what undo needs, so the tuple itself can be synced
@@ -287,13 +286,8 @@ class NVMInPEngine(InPEngine):
                     self.memory.load(offset, FIELD_SLOT_SIZE))[0]
                 self.memory.store(offset, _U64.pack(old_ptr))
                 self.memory.sync(offset, FIELD_SLOT_SIZE)
-                if new_ptr == old_ptr:  # crashed before the field store
-                    continue
-                owned = store.varlen_of.setdefault(addr, [])
-                if new_ptr in owned:
-                    owned.remove(new_ptr)
-                store.varlen.free(new_ptr)
-                owned.append(old_ptr)
+                if new_ptr != old_ptr:  # else: crashed before the store
+                    store.varlen.free(new_ptr)
             if before:
                 self._restore_fields(store, addr, before, replaced)
                 # The restored field bytes must be durable before

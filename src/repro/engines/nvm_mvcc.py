@@ -52,8 +52,7 @@ NO_PREV = 0
 class _MVCCTable:
     """Per-table storage for the MVCC engine."""
 
-    __slots__ = ("schema", "pool", "varlen", "index", "secondary",
-                 "varlen_of")
+    __slots__ = ("schema", "pool", "varlen", "index", "secondary")
 
     def __init__(self, schema: Schema, engine: "NVMMVCCEngine") -> None:
         self.schema = schema
@@ -67,7 +66,6 @@ class _MVCCTable:
             name: engine._make_index()
             for name in schema.secondary_indexes
         }
-        self.varlen_of: Dict[int, List[int]] = {}
 
 
 @register_engine
@@ -108,7 +106,6 @@ class NVMMVCCEngine(StorageEngine):
         prologue = _U64.pack(begin_ts) + _U64.pack(END_INFINITY) \
             + _U64.pack(prev)
         store.pool.write_slot(addr, slot + prologue)
-        store.varlen_of[addr] = pointers
         # One batched sync: slot (incl. prologue) + varlen fields,
         # each line flushed once under a single fence.
         store.varlen.sync_many(
@@ -128,7 +125,9 @@ class NVMMVCCEngine(StorageEngine):
         self.memory.atomic_durable_store_u64(offset, end_ts)
 
     def _free_version(self, store: _MVCCTable, addr: int) -> None:
-        for pointer in store.varlen_of.pop(addr, []):
+        # The pointers first: a version whose slot post-restart
+        # reclamation already freed still owns its varlen slots.
+        for pointer in store.pool.pointers_of(addr):
             store.varlen.free(pointer)
         if store.pool.owns(addr):
             store.pool.free_slot(addr)

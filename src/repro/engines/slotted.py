@@ -16,6 +16,8 @@ lets recovery reclaim slots of uncommitted transactions (Section 4.1).
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
 from typing import Any, Dict, List, Set
 
 from ..core.schema import Schema
@@ -56,7 +58,10 @@ class FixedSlotPool:
         self._persistent = persistent
         self._tag = tag
         self._free_slots: List[NVPtr] = []
-        self._live_slots: Set[NVPtr] = set()
+        #: Slot liveness, a byte per slot: the ``i``-th of the sorted
+        #: block bases owns ``_live``'s ``i``-th ``SLOTS_PER_BLOCK`` bytes.
+        self._bases = array("Q")
+        self._live = bytearray()
         #: Slots allocated whose persisted state byte was never set —
         #: the only ones post-restart reclamation must inspect (kept
         #: for persistent pools only: nothing reclaims a volatile one).
@@ -67,7 +72,7 @@ class FixedSlotPool:
         if not self._free_slots:
             self._grow()
         addr = self._free_slots.pop()
-        self._live_slots.add(addr)
+        self._live[self._index(addr)] = 1
         if self._persistent:
             self._unpersisted_slots.add(addr)
         return addr
@@ -77,14 +82,19 @@ class FixedSlotPool:
             self.slot_size * SLOTS_PER_BLOCK, tag=self._tag)
         if self._persistent:
             self._allocator.persist(block)
+        position = bisect_right(self._bases, block.addr)
+        self._bases.insert(position, block.addr)
+        start = position * SLOTS_PER_BLOCK
+        self._live[start:start] = bytes(SLOTS_PER_BLOCK)
         for index in reversed(range(SLOTS_PER_BLOCK)):
             self._free_slots.append(block.addr + index * self.slot_size)
 
     def free_slot(self, addr: NVPtr) -> None:
         """Return a slot to the free list and clear its state byte."""
-        if addr not in self._live_slots:
+        index = self._index(addr)
+        if index < 0 or not self._live[index]:
             raise InvalidAddressError(f"slot {addr:#x} is not live")
-        self._live_slots.remove(addr)
+        self._live[index] = 0
         self._unpersisted_slots.discard(addr)
         self._memory.store(addr, bytes([STATE_UNALLOCATED]))
         if self._persistent:
@@ -132,7 +142,7 @@ class FixedSlotPool:
         Returns how many were reclaimed."""
         reclaimed = 0
         for addr in list(self._unpersisted_slots):
-            if addr in self._live_slots \
+            if self.owns(addr) \
                     and self.read_state(addr) != STATE_PERSISTED:
                 self.free_slot(addr)
                 reclaimed += 1
@@ -142,11 +152,30 @@ class FixedSlotPool:
 
     @property
     def live_count(self) -> int:
-        return len(self._live_slots)
+        return self._live.count(1)
+
+    def _index(self, addr: NVPtr) -> int:
+        """``addr``'s liveness byte, or -1 for no slot of this pool."""
+        block = bisect_right(self._bases, addr) - 1
+        if block < 0:
+            return -1
+        slot, misalign = divmod(addr - self._bases[block], self.slot_size)
+        if misalign or slot >= SLOTS_PER_BLOCK:
+            return -1
+        return block * SLOTS_PER_BLOCK + slot
 
     def owns(self, addr: NVPtr) -> bool:
         """Whether ``addr`` is a live slot of this pool."""
-        return addr in self._live_slots
+        index = self._index(addr)
+        return index >= 0 and self._live[index] == 1
+
+    def pointers_of(self, addr: NVPtr) -> List[NVPtr]:
+        """The varlen pointers the tuple at ``addr`` stores (the slot
+        is their only record), read at no simulated cost."""
+        layout = self.schema.layout
+        fields = layout.fields.unpack(
+            self._memory.peek(addr, layout.fields.size))
+        return [fields[i] for i in layout.varlen]
 
 
 class VarlenPool:

@@ -367,10 +367,23 @@ class CampaignSpec:
             else:
                 expected[key] = value
 
+        def oracle(read: Callable[[List[str]], Any]) -> Any:
+            """``read(violations)`` run like a step: its reads commit, so
+            a crash inside it is recovered, counted and read afresh."""
+            while True:     # each trigger fires once, so this ends
+                found: List[str] = []
+                try:
+                    outcome = read(found)
+                except SimulatedCrash:
+                    self._recover(db, result, profiler)
+                    continue
+                result.violations.extend(found)
+                return outcome
+
         def verify(when: str) -> None:
             with profiler.phase("verify", db):
-                self._read(db, result, profiler, lambda found:
-                           workload.verify(db, expected, found, when))
+                oracle(lambda found:
+                       workload.verify(db, expected, found, when))
 
         with profiler.phase("load", db):
             script = workload.build_script(self.seed, self.ops)
@@ -382,10 +395,9 @@ class CampaignSpec:
                     workload.apply(db, step)
                 except SimulatedCrash:
                     self._recover(db, result, profiler)
-                    if self._read(db, result, profiler, lambda found:
-                                  workload.landed(db, step,
-                                                  expected.get(key), found,
-                                                  f"op {index}")):
+                    if oracle(lambda found: workload.landed(
+                            db, step, expected.get(key), found,
+                            f"op {index}")):
                         acknowledge(key, value)
                         index += 1
                     verify(f"after crash at op {index}")
@@ -439,26 +451,6 @@ class CampaignSpec:
             result.violations.append(
                 f"stuck-recovery: not recovered after "
                 f"{MAX_NESTED_RECOVERIES} attempts")
-
-    def _read(self, db: Database, result: CampaignPointResult,
-              profiler: PhaseProfiler,
-              read: Callable[[List[str]], Any]) -> Any:
-        """Run an oracle read the way a step runs: its reads commit, so
-        an armed point can fire inside it; that crash is recovered and
-        counted, and the read starts over with a clean slate of
-        violations. Returns what ``read(violations)`` returns."""
-        for __ in range(MAX_NESTED_RECOVERIES):
-            found: List[str] = []
-            try:
-                outcome = read(found)
-            except SimulatedCrash:
-                self._recover(db, result, profiler)
-                continue
-            result.violations.extend(found)
-            return outcome
-        result.violations.append(
-            "oracle: read kept crashing after recovery")
-        return False
 
     def _probe(self, db: Database, result: CampaignPointResult,
                profiler: PhaseProfiler) -> None:

@@ -274,6 +274,22 @@ class CPUCache:
         if data:
             self._access(((addr, len(data)),), True, True, data)
 
+    def peek(self, addr: int, size: int) -> bytes:
+        """The bytes :meth:`load` would return — device bytes overlaid
+        with resident pending lines — at no cost: no time, counter,
+        hit/miss, LRU or prefetcher state moves."""
+        image = bytearray(self.device.read_raw(addr, size))
+        line_size = self.line_size
+        end = addr + size
+        for line_base in range(addr - addr % line_size, end, line_size):
+            buffer = self._lines.get(line_base)
+            if buffer is not None:
+                lo = max(addr, line_base)
+                hi = min(end, line_base + line_size)
+                image[lo - addr:hi - addr] = \
+                    buffer[lo - line_base:hi - line_base]
+        return bytes(image)
+
     def load_batch(self, ranges) -> list:
         """Read several independent ranges whose addresses are all
         known up front (e.g. a tuple's variable-length fields after its

@@ -25,7 +25,8 @@ class NVMMemory:
     """Load/store interface over the cache + device pair."""
 
     __slots__ = ("_cache", "line_size", "observer", "load", "load_batch",
-                 "touch_read", "touch_read_runs", "touch_read_scattered")
+                 "peek", "touch_read", "touch_read_runs",
+                 "touch_read_scattered")
 
     def __init__(self, cache: CPUCache) -> None:
         self._cache = cache
@@ -39,6 +40,8 @@ class NVMMemory:
         #: parallelism (one full-latency miss for the whole batch).
         self.load = cache.load
         self.load_batch = cache.load_batch
+        #: ``peek(addr, size)``: ``load``'s bytes at no simulated cost.
+        self.peek = cache.peek
         #: ``touch_read(addr, size)`` charges reading an object region,
         #: ``touch_read_runs(ranges)`` several in one operation;
         #: ``touch_read_scattered(addr, size, probes)`` charges
