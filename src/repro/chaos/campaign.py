@@ -56,6 +56,22 @@ def _default_faults() -> FaultConfig:
                        blackhole_p=0.004)
 
 
+#: Nemesis pacing: wall seconds before each crash, and from a crash
+#: to its recovery.
+CRASH_INTERVAL_S = 0.4
+RECOVER_AFTER_S = 0.1
+TABLE = "chaos_kv"
+#: Server hardening knobs exercised by the campaign.
+SESSION_LEASE_S = 2.0
+MAX_ADMISSION_QUEUE = 32
+#: Worker client tuning: a short socket timeout turns a blackholed
+#: direction into a retryable disconnect instead of a hang.
+CLIENT_TIMEOUT_S = 1.0
+COMMIT_DEADLINE_S = 20.0
+MAX_ATTEMPTS_PER_TXN = 400
+RETRY_SLEEP_S = 0.01
+
+
 @dataclass(frozen=True)
 class ChaosConfig:
     """Shape of one chaos campaign."""
@@ -66,20 +82,8 @@ class ChaosConfig:
     seed: int = 0xDB05
     engine: str = "nvm-inp"
     faults: FaultConfig = field(default_factory=_default_faults)
-    #: Nemesis: crash/recover cycles and their pacing.
+    #: Nemesis crash/recover cycles.
     crash_cycles: int = 2
-    crash_interval_s: float = 0.4
-    recover_after_s: float = 0.1
-    table: str = "chaos_kv"
-    #: Server hardening knobs exercised by the campaign.
-    session_lease_s: float = 2.0
-    max_admission_queue: Optional[int] = 32
-    #: Worker client tuning: a short socket timeout turns a blackholed
-    #: direction into a retryable disconnect instead of a hang.
-    client_timeout_s: float = 1.0
-    commit_deadline_s: float = 20.0
-    max_attempts_per_txn: int = 400
-    retry_sleep_s: float = 0.01
     #: Give up joining a worker after this much wall time (reported as
     #: a violation — the campaign never hangs CI).
     max_wall_s: float = 120.0
@@ -134,7 +138,7 @@ class _Nemesis(threading.Thread):
             client.connect()
             try:
                 for cycle in range(self.config.crash_cycles):
-                    time.sleep(self.config.crash_interval_s)
+                    time.sleep(CRASH_INTERVAL_S)
                     self._cycle(client, cycle)
             finally:
                 client.close()
@@ -150,7 +154,7 @@ class _Nemesis(threading.Thread):
                                        lost_commits=lost)
         except ReproError:
             return                      # already crashed or closing
-        time.sleep(self.config.recover_after_s)
+        time.sleep(RECOVER_AFTER_S)
         for _ in range(50):
             try:
                 seconds = client.recover()
@@ -190,8 +194,8 @@ def run_chaos_campaign(config: Optional[ChaosConfig] = None, *,
         engine=config.engine, seed=config.seed,
         group_commit=GroupCommitConfig(batch_size=8,
                                        max_hold_wall_s=0.002),
-        session_lease_s=config.session_lease_s,
-        max_admission_queue=config.max_admission_queue,
+        session_lease_s=SESSION_LEASE_S,
+        max_admission_queue=MAX_ADMISSION_QUEUE,
         retry_after_s=0.02)
     started = time.perf_counter()
     with ServerThread(server_config) as server_thread:
@@ -209,7 +213,7 @@ def run_chaos_campaign(config: Optional[ChaosConfig] = None, *,
                                        host, port, config,
                                        report, publisher)
                 report.proxy_stats = proxy.proxy.stats()
-            _settle(admin, config)
+            _settle(admin)
             bounds = _reconcile(admin, workers, report)
             _check_state(admin, config, bounds, report)
             _check_leaks(admin, report)
@@ -230,8 +234,8 @@ def _fleet_config(config: ChaosConfig) -> ClosedLoopConfig:
     return ClosedLoopConfig(
         clients=config.clients, txns_per_client=config.txns_per_client,
         ops_per_txn=1, keys=config.keys, seed=config.seed,
-        table=config.table, max_txn_retries=config.max_attempts_per_txn,
-        retry_sleep_s=config.retry_sleep_s)
+        table=TABLE, max_txn_retries=MAX_ATTEMPTS_PER_TXN,
+        retry_sleep_s=RETRY_SLEEP_S)
 
 
 def _run_workers(proxy_host: str, proxy_port: int,
@@ -244,9 +248,9 @@ def _run_workers(proxy_host: str, proxy_port: int,
     nemesis.start()
     workers = run_fleet(
         proxy_host, proxy_port, _fleet_config(config),
-        client_options={"timeout": config.client_timeout_s,
+        client_options={"timeout": CLIENT_TIMEOUT_S,
                         "retries": 4, "retry_backoff_s": 0.02},
-        commit_deadline_s=config.commit_deadline_s,
+        commit_deadline_s=COMMIT_DEADLINE_S,
         max_wall_s=config.max_wall_s)
     for worker in workers:
         if worker.is_alive():
@@ -267,7 +271,7 @@ def _run_workers(proxy_host: str, proxy_port: int,
     return workers
 
 
-def _settle(admin, config: ChaosConfig) -> None:
+def _settle(admin) -> None:
     """Bring the database to a quiescent, recovered, flushed state."""
     for _ in range(50):
         try:
@@ -318,7 +322,7 @@ def _check_state(admin, config: ChaosConfig,
     """Every key's final value must sit inside its oracle bounds."""
     with admin.session("chaos-oracle") as session:
         session.begin()
-        rows = dict(session.scan(config.table))
+        rows = dict(session.scan(TABLE))
         session.abort()
     for key in range(config.keys):
         row = rows.get(key)

@@ -47,10 +47,9 @@ from ..core.schema import Schema
 from ..errors import (CommitAmbiguousError, CrashedError,
                       DeadlineExceededError, ProtocolError,
                       RetryAfterError, ServerDisconnected)
-from ..server.protocol import (MAX_FRAME_BYTES, FrameDecoder,
-                               encode_frame, error_to_exception,
-                               schema_from_wire, schema_to_wire,
-                               unwire_value, wire_value)
+from ..server.protocol import (FrameDecoder, encode_frame,
+                               error_to_exception, schema_from_wire,
+                               schema_to_wire, unwire_value, wire_value)
 
 __all__ = ["ReproClient", "ClientSession", "RETRYABLE_VERBS"]
 
@@ -74,8 +73,7 @@ class ReproClient:
                  retry_backoff_s: float = 0.05,
                  shed_retries: int = 16,
                  deadline_s: Optional[float] = None,
-                 jitter_seed: Optional[int] = None,
-                 max_frame_bytes: int = MAX_FRAME_BYTES) -> None:
+                 jitter_seed: Optional[int] = None) -> None:
         self.host = host
         self.port = port
         self.timeout = timeout
@@ -85,9 +83,8 @@ class ReproClient:
         self.shed_retries = shed_retries
         #: Default per-call wall-clock budget (None = unbounded).
         self.deadline_s = deadline_s
-        self.max_frame_bytes = max_frame_bytes
         self._sock: Optional[socket.socket] = None
-        self._decoder = FrameDecoder(max_frame_bytes=max_frame_bytes)
+        self._decoder = FrameDecoder()
         self._pending: Deque[Dict[str, Any]] = deque()
         self._request_ids = iter(range(1, 2 ** 62))
         self._rng = random.Random(jitter_seed)
@@ -125,7 +122,7 @@ class ReproClient:
         self._sock = socket.create_connection(
             (self.host, self.port), timeout=self.timeout)
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._decoder = FrameDecoder(max_frame_bytes=self.max_frame_bytes)
+        self._decoder = FrameDecoder()
         self._pending = deque()
         self.reconnects += 1
 
@@ -179,8 +176,7 @@ class ReproClient:
                 self._open_socket()
             request_id = next(self._request_ids)
             frame = encode_frame(
-                {"id": request_id, "verb": verb, "args": args},
-                max_frame_bytes=self.max_frame_bytes)
+                {"id": request_id, "verb": verb, "args": args})
             try:
                 self._sock.sendall(frame)
                 payload = self._read_frame()

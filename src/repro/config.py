@@ -80,12 +80,6 @@ class LatencyProfile:
             raise ConfigError(f"unknown latency profile {name!r}; "
                               f"expected one of {sorted(profiles)}") from None
 
-    @classmethod
-    def by_name(cls, name: str) -> "LatencyProfile":
-        """Deprecated spelling of :meth:`parse` (kept for callers of the
-        pre-scheduler API)."""
-        return cls.parse(name)
-
     def scaled(self, factor: float) -> "LatencyProfile":
         """Return a copy with read/write latency scaled by ``factor``."""
         return replace(
@@ -219,9 +213,7 @@ class EngineConfig:
     #: directory pages beyond this are re-read from the filesystem.
     page_cache_bytes: int = 128 * 1024
     checkpoint_interval_txns: int = 2000
-    checkpoint_compression_ratio: float = 0.5
     memtable_threshold_bytes: int = 64 * 1024
-    lsm_growth_factor: int = 4
     lsm_max_runs_per_level: int = 4
     bloom_bits_per_key: int = 10
     bloom_hashes: int = 3
@@ -240,5 +232,9 @@ class EngineConfig:
             raise ConfigError("cow_btree_node_size must be >= 256 bytes")
         if self.group_commit_size < 1:
             raise ConfigError("group_commit_size must be >= 1")
-        if self.lsm_growth_factor < 2:
-            raise ConfigError("lsm_growth_factor must be >= 2")
+        # A level may never hold zero runs (compaction would merge
+        # forever), and a Bloom filter needs at least one bit and hash.
+        for name in ("lsm_max_runs_per_level", "bloom_bits_per_key",
+                     "bloom_hashes"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")

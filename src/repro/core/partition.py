@@ -31,7 +31,7 @@ from ..errors import (SimulatedCrash, TransactionAborted,
                       TransactionStateError)
 from ..fault.injector import FaultPlan
 from ..nvm.platform import Platform
-from ..obs.session import ObservabilityOptions, PartitionObserver
+from ..obs.session import PartitionObserver
 from ..sim.stats import Category
 from . import twopc
 from .executor import TransactionContext
@@ -230,11 +230,9 @@ class Partition:
     # Observation (driven by repro.obs.session.ObservabilitySession)
     # ------------------------------------------------------------------
 
-    def obs_attach(self, engine: str, workload: str,
-                   options: ObservabilityOptions) -> None:
+    def obs_attach(self, engine: str, workload: str) -> None:
         """Instrument this partition: tracer, sampler, op counters."""
-        self._observer = PartitionObserver(self, engine, workload,
-                                           options)
+        self._observer = PartitionObserver(self, engine, workload)
 
     def obs_begin_run(self) -> None:
         self._observer.begin_run()

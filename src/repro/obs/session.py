@@ -25,14 +25,11 @@ module imports nothing from ``core``/``nvm`` and stays cycle-free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from . import export
 from .metrics import Histogram, MetricsRegistry
-from .sampler import DEFAULT_INTERVAL_MS, DEFAULT_MAX_SAMPLES, \
-    TimeSeriesSampler
-from .tracer import DEFAULT_CAPACITY
+from .sampler import TimeSeriesSampler
 
 #: Primitive operations counted per engine/workload by the executor.
 OPERATIONS = ("insert", "update", "delete", "get", "get_secondary",
@@ -45,15 +42,6 @@ _WINDOW_COUNTERS = (
     ("nvm.loads", "loads", "Cachelines loaded from NVM"),
     ("nvm.stores", "stores", "Cachelines stored to NVM"),
 )
-
-
-@dataclass(frozen=True)
-class ObservabilityOptions:
-    """Tunables for one observability session."""
-
-    trace_capacity: int = DEFAULT_CAPACITY
-    sample_interval_ms: float = DEFAULT_INTERVAL_MS
-    max_samples: int = DEFAULT_MAX_SAMPLES
 
 
 def _platform_probes(platform) -> Dict[str, Any]:
@@ -80,18 +68,15 @@ class PartitionObserver:
     span/sample records (all plain picklable data, so the replies cross
     an executor's pipe unchanged)."""
 
-    def __init__(self, partition, engine: str, workload: str,
-                 options: ObservabilityOptions) -> None:
+    def __init__(self, partition, engine: str, workload: str) -> None:
         self._partition = partition
         self._labels = {"engine": engine, "workload": workload}
         self._baseline: Dict[str, Any] = {}
         self.registry = MetricsRegistry()
         platform = partition.platform
-        platform.tracer.activate(options.trace_capacity)
-        self._sampler = TimeSeriesSampler(
-            platform.clock, _platform_probes(platform),
-            interval_ms=options.sample_interval_ms,
-            max_samples=options.max_samples)
+        platform.tracer.activate()
+        self._sampler = TimeSeriesSampler(platform.clock,
+                                          _platform_probes(platform))
         self._sampler.attach()
         platform.op_counters = {
             op: self.registry.counter(
@@ -158,11 +143,8 @@ def _broadcast(db, verb: str, *args: Any) -> List[Any]:
 class ObservabilitySession:
     """Collects spans, metrics, and time series across experiments."""
 
-    def __init__(self,
-                 options: Optional[ObservabilityOptions] = None,
-                 registry: Optional[MetricsRegistry] = None) -> None:
-        self.options = options or ObservabilityOptions()
-        self.registry = registry or MetricsRegistry()
+    def __init__(self) -> None:
+        self.registry = MetricsRegistry()
         #: Archived span/sample records from detached runs.
         self.records: List[Dict[str, Any]] = []
         self._labels: Dict[str, str] = {}
@@ -176,7 +158,7 @@ class ObservabilitySession:
         """Activate tracers and samplers on every partition of ``db``."""
         self._labels = {"engine": engine, "workload": workload}
         self._attached = True
-        _broadcast(db, "obs_attach", engine, workload, self.options)
+        _broadcast(db, "obs_attach", engine, workload)
 
     def detach(self, db) -> None:
         """Archive spans/samples and metrics, partition by partition,

@@ -62,7 +62,7 @@ from ..errors import (ConfigError, CrashedError, DatabaseClosedError,
                       RetryAfterError, SimulatedCrash)
 from ..obs.metrics import MetricsRegistry
 from .groupcommit import GroupCommitConfig, GroupCommitStage
-from .ledger import CommitLedger
+from .ledger import DEFAULT_CAPACITY as LEDGER_CAPACITY, CommitLedger
 from .protocol import (MAX_FRAME_BYTES, PROTOCOL_VERSION, FrameDecoder,
                        encode_frame, error_response, ok_response,
                        schema_from_wire, schema_to_wire, unwire_value,
@@ -115,8 +115,6 @@ class ServerConfig:
     #: Watchdog: auto-recover the database this many seconds after a
     #: crash (None = recovery stays explicit).
     watchdog_recover_s: Optional[float] = None
-    #: Completed commit tokens remembered for exactly-once replay.
-    commit_ledger_size: int = 4096
 
     def __post_init__(self) -> None:
         if self.max_inflight < 1:
@@ -134,8 +132,6 @@ class ServerConfig:
         if self.watchdog_recover_s is not None \
                 and self.watchdog_recover_s < 0:
             raise ConfigError("watchdog_recover_s must be >= 0")
-        if self.commit_ledger_size < 1:
-            raise ConfigError("commit_ledger_size must be >= 1")
 
 
 class _RemoteSession:
@@ -200,7 +196,7 @@ class DatabaseServer:
         self._connections: Set[_Connection] = set()
         self._shutdown_event: Optional[asyncio.Event] = None
         self._stopped = False
-        self._ledger = CommitLedger(self.config.commit_ledger_size)
+        self._ledger = CommitLedger()
         #: Reaped session ids -> reason (bounded; LeaseExpiredError).
         self._expired: "OrderedDict[int, str]" = OrderedDict()
         self._admission_queue = 0     # begins parked waiting admission
@@ -623,7 +619,7 @@ class DatabaseServer:
                 "max_admission_queue": self.config.max_admission_queue,
                 "session_lease_s": self.config.session_lease_s,
                 "watchdog_recover_s": self.config.watchdog_recover_s,
-                "commit_ledger_size": self.config.commit_ledger_size}
+                "commit_ledger_size": LEDGER_CAPACITY}
 
     async def _verb_ping(self, conn_sessions, remote, args):
         return {"now_ns": self.database.partitions[0].platform.clock.now_ns}

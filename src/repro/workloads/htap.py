@@ -4,7 +4,7 @@ The paper's future-work discussion (Appendix D) calls out "methods for
 supporting hybrid workloads (i.e., OLTP + OLAP) on NVM". This workload
 takes a first step: the YCSB table served by a mixture of point
 transactions and periodic analytical queries — a range aggregate over
-a configurable fraction of the key space. The log-structured engines'
+a tenth of the key space. The log-structured engines'
 read amplification shows up sharply here, because every scanned tuple
 must be coalesced across LSM runs.
 """
@@ -19,6 +19,9 @@ from ..errors import WorkloadError
 from ..sim.rng import derive_rng
 from .ycsb import NUM_VALUE_COLUMNS, YCSBConfig, YCSBWorkload
 
+#: Fraction of the key space each analytical query covers.
+SCAN_COVERAGE = 0.10
+
 
 @dataclass(frozen=True)
 class HTAPConfig:
@@ -27,16 +30,12 @@ class HTAPConfig:
     num_tuples: int = 2000
     #: Fraction of transactions that are analytical scans.
     scan_fraction: float = 0.05
-    #: Fraction of the key space each analytical query covers.
-    scan_coverage: float = 0.10
     update_fraction: float = 0.45
     seed: int = 53
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.scan_fraction <= 1.0:
             raise WorkloadError("scan_fraction must be in [0, 1]")
-        if not 0.0 < self.scan_coverage <= 1.0:
-            raise WorkloadError("scan_coverage must be in (0, 1]")
         if self.update_fraction + self.scan_fraction > 1.0:
             raise WorkloadError("fractions exceed 1.0")
 
@@ -72,8 +71,7 @@ class HTAPWorkload:
     def run(self, db: Database, num_txns: int) -> Dict[str, int]:
         """Execute the mixed workload; returns per-kind counts."""
         counts = {"read": 0, "update": 0, "scan": 0}
-        span = max(1, int(self.config.num_tuples
-                          * self.config.scan_coverage))
+        span = max(1, int(self.config.num_tuples * SCAN_COVERAGE))
         for kind, key in self.operations(num_txns):
             if kind == "read":
                 db.execute(_read_txn, self.TABLE, key, partition=0)

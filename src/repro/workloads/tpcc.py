@@ -46,6 +46,10 @@ TXN_MIX: List[Tuple[str, float]] = [
 
 _MAX_ORDER_ID = 10 ** 9
 
+#: Order lines per order, drawn uniformly from this range (the spec's).
+MIN_ORDER_LINES = 5
+MAX_ORDER_LINES = 15
+
 
 @dataclass(frozen=True)
 class TPCCConfig:
@@ -56,8 +60,6 @@ class TPCCConfig:
     customers_per_district: int = 30  # spec: 3000
     items: int = 100                  # paper: 100,000
     initial_orders_per_district: int = 20  # spec: 3000
-    min_order_lines: int = 5
-    max_order_lines: int = 15
     seed: int = 47
     #: Fraction of New-Order transactions with one remote-warehouse
     #: order line (the spec's remote supply rule). 0.0 draws no extra
@@ -67,8 +69,6 @@ class TPCCConfig:
     def __post_init__(self) -> None:
         if self.warehouses < 1:
             raise WorkloadError("need at least one warehouse")
-        if self.min_order_lines > self.max_order_lines:
-            raise WorkloadError("min_order_lines > max_order_lines")
         if not 0.0 <= self.remote_order_fraction <= 1.0:
             raise WorkloadError(
                 "remote_order_fraction must be in [0, 1]")
@@ -249,8 +249,8 @@ class TPCCWorkload:
         for o_id in range(1, config.initial_orders_per_district + 1):
             c_id = 1 + self._data_rng.randrange(
                 config.customers_per_district)
-            ol_cnt = self._data_rng.randint(config.min_order_lines,
-                                            config.max_order_lines)
+            ol_cnt = self._data_rng.randint(MIN_ORDER_LINES,
+                                            MAX_ORDER_LINES)
             db.insert("orders", {
                 "o_w_id": w_id, "o_d_id": d_id, "o_id": o_id,
                 "o_c_id": c_id, "o_entry_d": o_id, "o_carrier_id": 0,
@@ -302,8 +302,8 @@ class TPCCWorkload:
                 lines: List[Tuple[int, ...]] = [
                     (1 + self._rng.randrange(config.items),
                      1 + self._rng.randrange(10))
-                    for __ in range(self._rng.randint(
-                        config.min_order_lines, config.max_order_lines))
+                    for __ in range(self._rng.randint(MIN_ORDER_LINES,
+                                                      MAX_ORDER_LINES))
                 ]
                 # Remote supply rule: one line of a remote New-Order is
                 # sourced from another warehouse. Guarded so the

@@ -13,9 +13,7 @@ from repro.chaos import ChaosConfig, ChaosReport, FaultConfig, \
 
 def _small(**overrides) -> ChaosConfig:
     base = dict(clients=2, txns_per_client=6, keys=8, seed=1234,
-                crash_cycles=0, crash_interval_s=0.2,
-                recover_after_s=0.05, session_lease_s=2.0,
-                max_wall_s=60.0)
+                crash_cycles=0, max_wall_s=60.0)
     base.update(overrides)
     return ChaosConfig(**base)
 

@@ -61,9 +61,9 @@ def test_storage_footprint_merges_allocator_and_fs():
     assert footprint["filesystem"] == 40
 
 
-def test_latency_profiles_by_name():
+def test_latency_profiles_parse():
     for name in ("dram", "low-nvm", "high-nvm"):
-        profile = LatencyProfile.by_name(name)
+        profile = LatencyProfile.parse(name)
         platform = Platform(PlatformConfig(latency=profile))
         assert platform.device.latency.name == name
 

@@ -16,10 +16,10 @@ def test_latency_profiles():
     assert high.read_latency_ns == 8 * dram.read_latency_ns
 
 
-def test_latency_by_name():
-    assert LatencyProfile.by_name("low-nvm").name == "low-nvm"
+def test_latency_parse():
+    assert LatencyProfile.parse("low-nvm").name == "low-nvm"
     with pytest.raises(ConfigError):
-        LatencyProfile.by_name("warp-speed")
+        LatencyProfile.parse("warp-speed")
 
 
 def test_latency_scaled():
@@ -81,8 +81,13 @@ def test_engine_config_validation():
         EngineConfig(cow_btree_node_size=64)
     with pytest.raises(ConfigError):
         EngineConfig(group_commit_size=0)
-    with pytest.raises(ConfigError):
-        EngineConfig(lsm_growth_factor=1)
+    # A level of zero runs made the log engine compact forever; a
+    # zero-bit or zero-hash Bloom filter failed at the first flush.
+    for field in ("lsm_max_runs_per_level", "bloom_bits_per_key",
+                  "bloom_hashes"):
+        for bad in (0, -1):
+            with pytest.raises(ConfigError):
+                EngineConfig(**{field: bad})
 
 
 def test_engine_config_defaults_match_paper():

@@ -11,8 +11,6 @@ def test_invalid_config_rejected():
     with pytest.raises(WorkloadError):
         HTAPConfig(scan_fraction=1.5)
     with pytest.raises(WorkloadError):
-        HTAPConfig(scan_coverage=0.0)
-    with pytest.raises(WorkloadError):
         HTAPConfig(scan_fraction=0.6, update_fraction=0.6)
 
 

@@ -3,8 +3,8 @@
 import pytest
 
 from repro import Database, EngineConfig
-from repro.workloads.tpcc import (TPCCConfig, TPCCWorkload, TXN_MIX,
-                                  tpcc_schemas)
+from repro.workloads.tpcc import (MIN_ORDER_LINES, TPCCConfig,
+                                  TPCCWorkload, TXN_MIX, tpcc_schemas)
 
 
 @pytest.fixture(scope="module")
@@ -43,8 +43,7 @@ def test_load_counts(loaded):
     assert counts["district"] == 2
     assert counts["customer"] == 20
     assert counts["stock"] == config.items
-    assert counts["order_line"] >= counts["orders"] \
-        * config.min_order_lines
+    assert counts["order_line"] >= counts["orders"] * MIN_ORDER_LINES
 
 
 def test_customer_secondary_index(loaded):
